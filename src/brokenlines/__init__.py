@@ -33,7 +33,6 @@ from .rep import (
     stratum_of,
     stratum_samples,
     u_contains,
-    validate_rep,
 )
 from .lines import (
     BrokenLine,
@@ -68,12 +67,13 @@ from .vect import (
     LinMap,
     NonunitalAlgebra,
     VectObject,
+    block_map,
     direct_sum,
+    distribute,
     matrix_algebra_2x2,
     nilpotent_upper3,
     rational_algebra,
     tensor,
-    validate_algebra,
     zero_algebra,
 )
 from .sheaves import (

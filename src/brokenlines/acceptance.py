@@ -20,7 +20,7 @@ from .orders import (
     enumerate_surjections,
     preimage_equiv,
 )
-from .rep import stratum_of, stratum_samples, chart_coordinates
+from .rep import RepPoint, stratum_of, stratum_samples, chart_coordinates
 from .sheaves import GlobalSheaf, evaluate_on_family, global_to_constructible
 from .twisted import (
     algebra_to_functor,
@@ -285,7 +285,7 @@ def criterion_cospecialization_demo():
         sheaf = GlobalSheaf.from_algebra(algebra, 1)
         base = LinOrder.standard(2)
         gaps = [ExtReal(0), ExtReal(1), ExtReal(2), INF]
-        points = [rep_from_gaps_on(base, [g]) for g in gaps]
+        points = [RepPoint.from_gaps(base, [g]) for g in gaps]
         family, _sections = build_family(
             base,
             points,
@@ -304,12 +304,6 @@ def criterion_cospecialization_demo():
         return True, "stalks A, A, A, A(x)A with multiplication at the edge"
 
     return _run("cospecialization demo", body)
-
-
-def rep_from_gaps_on(base, gaps):
-    from .rep import RepPoint
-
-    return RepPoint.from_gaps(base, gaps)
 
 
 def criterion_morse_demo():

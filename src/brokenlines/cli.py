@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Reports are machine-readable JSON first (canonical key order, rationals
-as p/q in lowest terms), human tables second.  A fixed seed and config
-give byte-identical reports.
+as p/q in lowest terms), human tables second.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class RunConfig:
     left: int = 2
     right: int = 2
     n: int = 3
-    seed: int = 0
     out_dir: Path = None
     tolerances: morse_mod.Tolerances = field(default_factory=morse_mod.Tolerances)
 
@@ -265,7 +263,6 @@ def build_parser():
         description="Combinatorics of the moduli of broken lines, at desk scale.",
     )
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--truncation", type=int, default=4)
     parser.add_argument("--out-dir", help="directory for JSON/SVG artifacts "
                         "(or env BROKENLINES_OUT)")
@@ -322,7 +319,6 @@ def main(argv=None):
         left=int(overrides.get("left", getattr(args, "left", 2))),
         right=int(overrides.get("right", getattr(args, "right", 2))),
         n=int(overrides.get("n", getattr(args, "n", 3))),
-        seed=int(overrides.get("seed", args.seed)),
     )
     return args.fn(args, config)
 

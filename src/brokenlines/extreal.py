@@ -69,9 +69,10 @@ class ExtReal:
         return (0, self.finite)
 
     def __eq__(self, other):
-        try:
-            other = as_ext(other)
-        except (TypeError, ValueError):
+        # only rationals are coerced, so that equal values hash alike
+        if isinstance(other, (int, Fraction)):
+            other = ExtReal(other)
+        elif not isinstance(other, ExtReal):
             return NotImplemented
         return self._key() == other._key()
 
@@ -88,7 +89,7 @@ class ExtReal:
         return self._key() >= as_ext(other)._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.finite) if self.sign == 0 else hash(self._key())
 
     def __repr__(self):
         if self.sign > 0:

@@ -187,30 +187,35 @@ class PerturbedSurface:
         )
         return self.base.h(x) + self.height * np.exp(-((d / self.width) ** 2))
 
+    def _tangent_slopes(self, x, eps=1e-5):
+        """The frame at x and the central-difference slopes of h along
+        its two columns."""
+        frame = self.base.frame(x)
+        slopes = []
+        for j in range(2):
+            hp = float(self.h(self.base.retract(x, eps * frame[:, j])))
+            hm = float(self.h(self.base.retract(x, -eps * frame[:, j])))
+            slopes.append((hp - hm) / (2 * eps))
+        return frame, slopes
+
     def field(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim > 1:
             return np.array([self.field(row) for row in x])
-        frame = self.base.frame(x)
-        eps = 1e-5
+        frame, slopes = self._tangent_slopes(x)
         out = np.zeros(self.state_dim)
         for j in range(2):
-            hp = float(self.h(self.base.retract(x, eps * frame[:, j])))
-            hm = float(self.h(self.base.retract(x, -eps * frame[:, j])))
-            out += ((hp - hm) / (2 * eps)) * frame[:, j]
+            out += slopes[j] * frame[:, j]
         return out
 
     def grad_norm(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim > 1:
             return np.array([self.grad_norm(row) for row in x])
-        frame = self.base.frame(x)
-        eps = 1e-5
+        _, slopes = self._tangent_slopes(x)
         total = 0.0
-        for j in range(2):
-            hp = float(self.h(self.base.retract(x, eps * frame[:, j])))
-            hm = float(self.h(self.base.retract(x, -eps * frame[:, j])))
-            total += ((hp - hm) / (2 * eps)) ** 2
+        for s in slopes:
+            total += s**2
         return math.sqrt(total)
 
     def project(self, x):
@@ -277,7 +282,7 @@ class FlowResult:
 
 def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=Tolerances()):
     """Fourth-order fixed-step flow from x0 (not near-critical), with step
-    halving near criticals; h is asserted nondecreasing forward."""
+    halving near criticals; `_guarded_step` keeps h monotone."""
     x = surface.project(np.asarray(x0, dtype=float))
     if surface.grad_norm(x) < tol.tol_crit:
         raise ValueError("flow must not start at a critical point")
@@ -286,15 +291,11 @@ def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=Tolerances()):
     t = 0.0
     truncated = False
     sign = 1.0 if direction >= 0 else -1.0
-    h_prev = float(surface.h(x))
     while t < horizon:
         x_next, taken = _guarded_step(surface, x, tol.step, sign, tol)
         if taken is None:
             truncated = True
             break
-        h_next = float(surface.h(x_next))
-        assert sign * (h_next - h_prev) >= -1e-12, "h must be monotone along the flow"
-        h_prev = h_next
         t += taken
         x = x_next
         states.append(x)
@@ -363,8 +364,8 @@ def _newton_refine(surface, x, tol, iters=120):
     return best if best_norm < tol.tol_crit else None
 
 
-def _morse_index(surface, x, eps=1e-4):
-    frame = surface.frame(x)
+def _hessian(surface, x, frame, eps=1e-4):
+    """Finite-difference Hessian of h at x in the orthonormal frame."""
 
     def phi(a, b):
         return float(surface.h(surface.retract(x, a * frame[:, 0] + b * frame[:, 1])))
@@ -375,7 +376,11 @@ def _morse_index(surface, x, eps=1e-4):
     h12 = (phi(eps, eps) - phi(eps, -eps) - phi(-eps, eps) + phi(-eps, -eps)) / (
         4 * eps**2
     )
-    eigs = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
+    return np.array([[h11, h12], [h12, h22]])
+
+
+def _morse_index(surface, x):
+    eigs = np.linalg.eigvalsh(_hessian(surface, x, surface.frame(x)))
     scale = max(1e-6, float(np.max(np.abs(eigs))))
     return int(np.sum(eigs < -1e-3 * scale))
 
@@ -390,20 +395,7 @@ def _unstable_directions(surface, critical: CriticalPoint, tol):
         angles = [2 * math.pi * k / tol.ring_seeds for k in range(tol.ring_seeds)]
         return [(a, np.cos(a) * frame[:, 0] + np.sin(a) * frame[:, 1]) for a in angles]
     if critical.index == 1:
-        eps = 1e-4
-
-        def phi(a, b):
-            return float(
-                surface.h(surface.retract(x, a * frame[:, 0] + b * frame[:, 1]))
-            )
-
-        h00 = phi(0, 0)
-        h11 = (phi(eps, 0) - 2 * h00 + phi(-eps, 0)) / eps**2
-        h22 = (phi(0, eps) - 2 * h00 + phi(0, -eps)) / eps**2
-        h12 = (
-            phi(eps, eps) - phi(eps, -eps) - phi(-eps, eps) + phi(-eps, -eps)
-        ) / (4 * eps**2)
-        eigvals, eigvecs = np.linalg.eigh(np.array([[h11, h12], [h12, h22]]))
+        _, eigvecs = np.linalg.eigh(_hessian(surface, x, frame))
         # ascent flow: the unstable direction has the positive eigenvalue,
         # which eigh sorts last
         vec = eigvecs[:, 1]
@@ -451,11 +443,7 @@ def _shoot_batch(surface, criticals, source_idx, seeds_with_angles, tol, stride=
         idx = np.nonzero(active)[0]
         xs = x[idx]
         h_before = surface.h(xs)
-        k1 = surface.field(xs)
-        k2 = surface.field(surface.project(xs + (0.5 * dt) * k1))
-        k3 = surface.field(surface.project(xs + (0.5 * dt) * k2))
-        k4 = surface.field(surface.project(xs + dt * k3))
-        x_next = surface.project(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        x_next = _rk4_step(surface, xs, dt)
         taken = np.full(len(idx), dt)
         bad = np.nonzero(surface.h(x_next) - h_before < -1e-13)[0]
         for a in bad:  # overshoot next to a critical: halve that seed's step

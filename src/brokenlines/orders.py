@@ -113,10 +113,6 @@ class LinOrder(LinPreorder):
     def position(self, i):
         return self.ranks[i]
 
-    def by_position(self, p):
-        """The label at position p (inverse of rank)."""
-        return self.enumeration()[p]
-
 
 def enumerate_linear_preorders(n) -> list:
     """All linear preorders on labels 0..n-1, one canonical representative
@@ -202,11 +198,6 @@ class OrderMorphism:
 
     def to_json(self):
         return {"map": list(self.mapping)}
-
-
-def compose(g, f):
-    """g o f."""
-    return f.then(g)
 
 
 def quotient(p: LinPreorder):

@@ -157,10 +157,6 @@ def rep_from_gaps(gaps) -> RepPoint:
     return RepPoint.from_gaps(LinOrder.standard(len(gaps) + 1), gaps)
 
 
-def validate_rep(point: RepPoint):
-    return point.validate()
-
-
 def chart_coordinates(point: RepPoint, enumeration=None):
     """Gap vector along a nondecreasing enumeration, plus per-slot flags
     telling whether finiteness is forced (consecutive elements comparing

@@ -107,17 +107,11 @@ class GlobalSheaf:
 
     @staticmethod
     def from_json(data):
-        from fractions import Fraction
-
         values = [VectObject(d) for d in data["V"]]
         gen = {}
         for key, rows in data["gen"].items():
             n, k = (int(v) for v in key.split(","))
-            gen[(n, k)] = LinMap(
-                values[n],
-                values[n - 1],
-                [[Fraction(x) for x in row] for row in rows],
-            )
+            gen[(n, k)] = LinMap(values[n], values[n - 1], rows)
         return GlobalSheaf(data["N"], values, gen)
 
 

@@ -19,9 +19,16 @@ from .orders import (
     enumerate_convex_equivalences,
     enumerate_surjections,
 )
-from .vect import LinMap, NonunitalAlgebra, VectObject, direct_sum, tensor, tensor_all
-
-_ZERO_OBJ = VectObject(0)
+from .vect import (
+    LinMap,
+    NonunitalAlgebra,
+    VectObject,
+    block_map,
+    direct_sum,
+    distribute,
+    tensor,
+    tensor_all,
+)
 
 
 class TwObject:
@@ -363,10 +370,8 @@ def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
         raise ValueError("functor data is not associative")
 
     d = functor.value[pt].dim
-    c = [
-        [[mult.rows[k][i * d + j] for j in range(d)] for i in range(d)]
-        for k in range(d)
-    ]
+    rows = mult.rows
+    c = [[rows[k][i * d : (i + 1) * d] for i in range(d)] for k in range(d)]
     algebra = NonunitalAlgebra(d, c)
     if algebra.validate() is not None:
         raise ValueError("recovered constants fail associativity")
@@ -416,41 +421,31 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     if N is None:
         N = min(left.N, right.N)
     objects, morphisms = tw_enumerate(N)
-    value = {}
-    for x in objects:
-        summands = [
-            tensor(left.value[tw_restrict(x, 0, k)], right.value[tw_restrict(x, k, x.n)])
-            for k in valid_cuts(x)
-        ]
-        value[x] = direct_sum(summands) if summands else _ZERO_OBJ
-    action = {}
-    for f in morphisms:
-        action[f] = _day_action(left, right, value, f)
+    value = {x: direct_sum(_summands(left, right, x).values()) for x in objects}
+    action = {f: _day_action(left, right, f) for f in morphisms}
     return TwFunctor(N, value, action, lax=None, check=False)
 
 
-def _day_action(left, right, value, f: TwMorphism) -> LinMap:
-    x, y = f.source, f.target
-    cuts_x = valid_cuts(x)
-    cuts_y = valid_cuts(y)
-    col_obj = [
-        tensor(left.value[tw_restrict(x, 0, k)], right.value[tw_restrict(x, k, x.n)])
-        for k in cuts_x
-    ]
-    row_obj = [
-        tensor(left.value[tw_restrict(y, 0, k)], right.value[tw_restrict(y, k, y.n)])
-        for k in cuts_y
-    ]
-    row_offsets = _offsets(row_obj)
-    col_offsets = _offsets(col_obj)
-    from fractions import Fraction
+def _summands(left, right, x: TwObject) -> dict:
+    """{cut k: left(x[:k]) (x) right(x[k:])} over the valid cuts of x, in
+    the order they are summed in (left ⊛ right)(x)."""
+    return {
+        k: tensor(left.value[tw_restrict(x, 0, k)], right.value[tw_restrict(x, k, x.n)])
+        for k in valid_cuts(x)
+    }
 
-    rows = [
-        [Fraction(0)] * value[x].dim for _ in range(value[y].dim)
-    ]
-    for ci, k in enumerate(cuts_x):
-        kk = f(k - 1) + 1  # image cut: one past the image of the first part
-        ri = cuts_y.index(kk)
+
+def _day_action(left, right, f: TwMorphism) -> LinMap:
+    """The summand at cut k of the source goes to the summand at the image
+    cut f(k-1)+1 by left(f on the first part) (x) right(f on the rest).
+    The image cut is injective in k, so each row block holds one block."""
+    x, y = f.source, f.target
+    cols = _summands(left, right, x)
+    targets = _summands(left, right, y)
+    rows = list(targets)
+    blocks = {}
+    for ci, k in enumerate(cols):
+        kk = f(k - 1) + 1
         f0 = TwMorphism(
             tw_restrict(x, 0, k),
             tw_restrict(y, 0, kk),
@@ -461,21 +456,8 @@ def _day_action(left, right, value, f: TwMorphism) -> LinMap:
             tw_restrict(y, kk, y.n),
             [f(i) - kk for i in range(k, x.n)],
         )
-        block = tensor(left.act(f0), right.act(f1))
-        r0, c0 = row_offsets[ri], col_offsets[ci]
-        for r, row in enumerate(block.rows):
-            for c, v in enumerate(row):
-                rows[r0 + r][c0 + c] = v
-    return LinMap(value[x], value[y], rows)
-
-
-def _offsets(objs):
-    out = []
-    acc = 0
-    for o in objs:
-        out.append(acc)
-        acc += o.dim
-    return out
+        blocks[(rows.index(kk), ci)] = tensor(left.act(f0), right.act(f1))
+    return block_map(targets.values(), cols.values(), blocks)
 
 
 def day_square(functor: TwFunctor, N=None) -> TwFunctor:
@@ -498,61 +480,35 @@ def day_square(functor: TwFunctor, N=None) -> TwFunctor:
 
 def _day_square_lax(F, bare, x, y) -> LinMap:
     """(F⊛F)(x) (x) (F⊛F)(y) -> (F⊛F)(x*y), sending the summand pair
-    (x0|x1), (y0|y1) to the summand (x0 | x1*y) via F's lax maps."""
-    from fractions import Fraction
+    (x0|x1), (y0|y1) to the summand (x0 | x1*y) via F's lax maps.
 
+    The source is a sum over the x-summands X_i of X_i (x) (F⊛F)(y); each
+    of those is distributed over the y-summands Y_j, and the pieces
+    X_i (x) Y_j are then sent to the target by blocks."""
     xy = tw_star(x, y)
-    cuts_x = valid_cuts(x)
-    cuts_y = valid_cuts(y)
-    cuts_xy = valid_cuts(xy)
-    tgt = bare.value[xy]
+    x_sums = _summands(F, F, x)
+    y_sums = _summands(F, F, y)
     src = tensor(bare.value[x], bare.value[y])
-    rows = [[Fraction(0)] * src.dim for _ in range(tgt.dim)]
-    if not cuts_x or not cuts_y:
-        return LinMap(src, tgt, rows)
-
-    x_parts = [
-        (tw_restrict(x, 0, k), tw_restrict(x, k, x.n)) for k in cuts_x
-    ]
-    y_parts = [
-        (tw_restrict(y, 0, l), tw_restrict(y, l, y.n)) for l in cuts_y
-    ]
-    xy_summand_obj = [
-        tensor(F.value[tw_restrict(xy, 0, k)], F.value[tw_restrict(xy, k, xy.n)])
-        for k in cuts_xy
-    ]
-    row_offsets = _offsets(xy_summand_obj)
-    x_summand_dims = [
-        tensor(F.value[a], F.value[b]).dim for a, b in x_parts
-    ]
-    y_summand_dims = [
-        tensor(F.value[a], F.value[b]).dim for a, b in y_parts
-    ]
-    x_offsets = _offsets([VectObject(d) for d in x_summand_dims])
-    y_offsets = _offsets([VectObject(d) for d in y_summand_dims])
-    ydim = bare.value[y].dim
-
-    for xi, (x0, x1) in enumerate(x_parts):
-        k = cuts_x[xi]
-        ri = cuts_xy.index(k)  # target summand: (x0 | x1 * y)
-        for yi, (y0, y1) in enumerate(y_parts):
+    if not x_sums or not y_sums:
+        return LinMap.zero(src, bare.value[xy])
+    targets = _summands(F, F, xy)
+    rows = list(targets)
+    sources = []
+    blocks = {}
+    for k, x_sum in x_sums.items():
+        x0, x1 = tw_restrict(x, 0, k), tw_restrict(x, k, x.n)
+        for l, y_sum in y_sums.items():
+            y0, y1 = tw_restrict(y, 0, l), tw_restrict(y, l, y.n)
             # F(x1) (x) F(y0) (x) F(y1) -> F(x1 * y) by folding F's lax maps
             fold = F.lax[(tw_star(x1, y0), y1)] @ tensor(
                 F.lax[(x1, y0)], LinMap.identity(F.value[y1])
             )
-            block = tensor(LinMap.identity(F.value[x0]), fold)
-            # source coordinates: summand xi of (F⊛F)(x) tensored with
-            # summand yi of (F⊛F)(y); the global column index of basis
-            # vector (p, q) is (x_offset + p) * ydim + (y_offset + q)
-            r0 = row_offsets[ri]
-            for r, row in enumerate(block.rows):
-                for c, v in enumerate(row):
-                    if not v:
-                        continue
-                    p, q = divmod(c, y_summand_dims[yi])
-                    col = (x_offsets[xi] + p) * ydim + (y_offsets[yi] + q)
-                    rows[r0 + r][col] = v
-    return LinMap(src, tgt, rows)
+            blocks[(rows.index(k), len(sources))] = tensor(
+                LinMap.identity(F.value[x0]), fold
+            )
+            sources.append(tensor(x_sum, y_sum))
+    spread = direct_sum(distribute(s, y_sums.values()) for s in x_sums.values())
+    return block_map(targets.values(), sources, blocks) @ spread
 
 
 def day_assoc_check(f1: TwFunctor, f2: TwFunctor, f3: TwFunctor, N) -> dict:
@@ -587,84 +543,35 @@ def _assoc_permutation(f1, f2, f3, x: TwObject) -> LinMap:
     """The canonical reindexing ((f1⊛f2)⊛f3)(x) -> (f1⊛(f2⊛f3))(x).
 
     Both sides decompose over double cuts l < k of x into summands
-    f1[0:l] (x) f2[l:k] (x) f3[k:n], but lay them out differently: on the
-    left the inner direct sum sits in the left tensor factor (triple
-    blocks contiguous), on the right it sits in the right factor (triple
-    blocks interleaved across the f1 index).  Map basis vectors by their
-    (triple, i, j, t) coordinates.
+    T(l, k) = f1[0:l] (x) f2[l:k] (x) f3[k:n].  On the left the inner sum
+    sits in the left tensor factor, so the left side is literally the sum
+    of the T(l, k) in (k, l) order; `reorder` puts them in (l, k) order.
+    On the right the inner sum sits in the right factor; `spread`
+    distributes f1[0:l] over it, taking the right side to the same sum in
+    (l, k) order.
     """
-    from fractions import Fraction
-
     cuts = valid_cuts(x)
-    triples = [(l, k) for k in cuts for l in cuts if l < k]
-
-    def dims(l, k):
-        return (
-            f1.value[tw_restrict(x, 0, l)].dim,
-            f2.value[tw_restrict(x, l, k)].dim,
-            f3.value[tw_restrict(x, k, x.n)].dim,
+    if not cuts:
+        return LinMap.zero(VectObject(0), VectObject(0))
+    lhs = [
+        ((l, k), tensor(s, f3.value[tw_restrict(x, k, x.n)]))
+        for k in cuts
+        for l, s in _summands(f1, f2, tw_restrict(x, 0, k)).items()
+    ]
+    order = sorted(range(len(lhs)), key=lambda i: lhs[i][0])
+    reorder = block_map(
+        [lhs[i][1] for i in order],
+        [t for _, t in lhs],
+        {(r, i): LinMap.identity(lhs[i][1]) for r, i in enumerate(order)},
+    )
+    spread = direct_sum(
+        distribute(
+            f1.value[tw_restrict(x, 0, l)],
+            _summands(f2, f3, tw_restrict(x, l, x.n)).values(),
         )
-
-    # left-associated layout: outer blocks by cut k, each
-    # (⊕_{l<k} f1 (x) f2) (x) f3 with the sum in the left factor
-    lhs_outer_off = {}
-    acc = 0
-    for k in cuts:
-        inner = [(l, kk) for (l, kk) in triples if kk == k]
-        if not inner:
-            continue
-        lhs_outer_off[k] = acc
-        acc += sum(d1 * d2 * d3 for d1, d2, d3 in (dims(l, k) for l, _ in inner))
-    lhs_total = acc
-
-    def lhs_pos(l, k, i, j, t):
-        d1, d2, d3 = dims(l, k)
-        inner_off = 0
-        for l2 in cuts:
-            if l2 >= k:
-                break
-            if l2 == l:
-                break
-            e1, e2, _ = dims(l2, k)
-            inner_off += e1 * e2
-        return lhs_outer_off[k] + (inner_off + i * d2 + j) * d3 + t
-
-    # right-associated layout: outer blocks by cut l, each
-    # f1 (x) (⊕_{k>l} f2 (x) f3) with the sum in the right factor
-    rhs_outer_off = {}
-    rhs_inner_total = {}
-    acc = 0
-    for l in cuts:
-        inner = [(ll, k) for (ll, k) in triples if ll == l]
-        if not inner:
-            continue
-        d1 = dims(inner[0][0], inner[0][1])[0]
-        inner_total = sum(d2 * d3 for _, d2, d3 in (dims(l, k) for _, k in inner))
-        rhs_outer_off[l] = acc
-        rhs_inner_total[l] = inner_total
-        acc += d1 * inner_total
-    rhs_total = acc
-
-    def rhs_pos(l, k, i, j, t):
-        _, d2, d3 = dims(l, k)
-        inner_off = 0
-        for k2 in cuts:
-            if k2 <= l:
-                continue
-            if k2 == k:
-                break
-            _, e2, e3 = dims(l, k2)
-            inner_off += e2 * e3
-        return rhs_outer_off[l] + i * rhs_inner_total[l] + inner_off + j * d3 + t
-
-    rows = [[Fraction(0)] * lhs_total for _ in range(rhs_total)]
-    for l, k in triples:
-        d1, d2, d3 = dims(l, k)
-        for i in range(d1):
-            for j in range(d2):
-                for t in range(d3):
-                    rows[rhs_pos(l, k, i, j, t)][lhs_pos(l, k, i, j, t)] = Fraction(1)
-    return LinMap(VectObject(lhs_total), VectObject(rhs_total), rows)
+        for l in cuts
+    )
+    return spread.inverse() @ reorder
 
 
 def factorizable_check(functor: TwFunctor) -> bool:

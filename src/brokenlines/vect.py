@@ -5,11 +5,18 @@ The model is strictly skeletal: an object is its dimension, and the basis
 of V (x) W is ordered with the second index fastest, so iterated tensor
 products literally agree and the associator is the identity permutation.
 All arithmetic is exact.
+
+A map stores only its nonzero entries, one tuple of (col, value) pairs
+per row in increasing column order; structure-constant matrices are
+mostly zeros.  `LinMap.rows` is a dense view built on demand for JSON
+output and tests.  Maps between direct sums are assembled from blocks
+(`block_map`, `distribute`) rather than entry by entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,64 +51,56 @@ class VectObject:
 
 class LinMap:
     """An exact matrix source -> target (rows x cols = target.dim x
-    source.dim)."""
+    source.dim), stored as one tuple of nonzero (col, value) pairs per
+    row, in increasing column order."""
 
-    __slots__ = ("source", "target", "rows", "_nnz", "_ident")
+    __slots__ = ("source", "target", "sparse")
 
     def __init__(self, source: VectObject, target: VectObject, rows):
-        rows = tuple(
-            row
-            if type(row) is tuple and all(type(x) is Fraction for x in row)
-            else tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in rows
-        )
-        if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+        dense = [[Fraction(x) for x in row] for row in rows]
+        if len(dense) != target.dim or any(len(r) != source.dim for r in dense):
             raise ValueError("matrix shape must be target.dim x source.dim")
+        self._fill(source, target, tuple(
+            tuple((c, x) for c, x in enumerate(row) if x) for row in dense
+        ))
+
+    def _fill(self, source, target, sparse):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_nnz", None)
-        object.__setattr__(self, "_ident", None)
+        object.__setattr__(self, "sparse", sparse)
+        return self
+
+    @staticmethod
+    def _of(source, target, sparse) -> "LinMap":
+        """Wrap rows that are already sparse: sorted columns, no zeros."""
+        return object.__new__(LinMap)._fill(source, target, sparse)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinMap is immutable")
 
-    def nnz_rows(self):
-        """Per-row nonzero (col, value) lists, memoized; structure-constant
-        matrices are very sparse and composition walks only these."""
-        if self._nnz is None:
-            nnz = tuple(
-                tuple((c, x) for c, x in enumerate(row) if x)
-                for row in self.rows
-            )
-            object.__setattr__(self, "_nnz", nnz)
-        return self._nnz
+    @property
+    def rows(self):
+        """The dense matrix, built on each access (JSON output, tests)."""
+        out = []
+        for row in self.sparse:
+            dense = [_ZERO] * self.source.dim
+            for c, x in row:
+                dense[c] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def is_identity(self) -> bool:
-        if self._ident is None:
-            ok = self.source.dim == self.target.dim
-            if ok:
-                for i, row in enumerate(self.rows):
-                    for j, x in enumerate(row):
-                        if x != (_ONE if i == j else _ZERO):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            object.__setattr__(self, "_ident", ok)
-        return self._ident
-
-    @staticmethod
-    def identity(obj: VectObject) -> "LinMap":
-        return LinMap(
-            obj,
-            obj,
-            [[_ONE if i == j else _ZERO for j in range(obj.dim)] for i in range(obj.dim)],
+        return self.source.dim == self.target.dim and all(
+            row == ((i, _ONE),) for i, row in enumerate(self.sparse)
         )
 
     @staticmethod
+    def identity(obj: VectObject) -> "LinMap":
+        return LinMap._of(obj, obj, tuple(((i, _ONE),) for i in range(obj.dim)))
+
+    @staticmethod
     def zero(source: VectObject, target: VectObject) -> "LinMap":
-        return LinMap(source, target, [[_ZERO] * source.dim for _ in range(target.dim)])
+        return LinMap._of(source, target, ((),) * target.dim)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """self o other (apply other first)."""
@@ -111,29 +110,26 @@ class LinMap:
             return other
         if other.is_identity():
             return self
-        cols = other.source.dim
-        self_nnz = self.nnz_rows()
-        other_nnz = other.nnz_rows()
+        inner = other.sparse
         out = []
-        for r in range(self.target.dim):
-            new_row = [_ZERO] * cols
-            for m, coef in self_nnz[r]:
-                for c, val in other_nnz[m]:
-                    new_row[c] += coef * val
-            out.append(new_row)
-        return LinMap(other.source, self.target, out)
+        for row in self.sparse:
+            acc = {}
+            for m, coef in row:
+                for c, x in inner[m]:
+                    acc[c] = acc.get(c, _ZERO) + coef * x
+            out.append(_canonical(acc))
+        return LinMap._of(other.source, self.target, tuple(out))
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("maps must be parallel to add")
-        return LinMap(
-            self.source,
-            self.target,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        out = []
+        for ra, rb in zip(self.sparse, other.sparse):
+            acc = dict(ra)
+            for c, x in rb:
+                acc[c] = acc.get(c, _ZERO) + x
+            out.append(_canonical(acc))
+        return LinMap._of(self.source, self.target, tuple(out))
 
     @property
     def is_square(self):
@@ -142,8 +138,6 @@ class LinMap:
     def is_invertible(self) -> bool:
         if not self.is_square:
             return False
-        if self.is_identity():
-            return True
         try:
             self.inverse()
             return True
@@ -151,27 +145,49 @@ class LinMap:
             return False
 
     def inverse(self) -> "LinMap":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse by Gauss-Jordan elimination on the sparse
+        augmented rows [A | I].
+
+        `holders[c]` is the set of rows with a nonzero in column c, so a
+        pivot search and an elimination touch only those rows.  The pivot
+        row p of column col ends as e_col on the left, so row col of the
+        inverse is the right half of row p."""
         if not self.is_square:
             raise ValueError("only square maps can be inverted")
         if self.is_identity():
-            return LinMap(self.target, self.source, self.rows)
+            return self
         n = self.source.dim
-        aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-               for i, row in enumerate(self.rows)]
+        rows = [dict(row) | {n + i: _ONE} for i, row in enumerate(self.sparse)]
+        holders = [set() for _ in range(2 * n)]
+        for r, row in enumerate(rows):
+            for c in row:
+                holders[c].add(r)
+        free = set(range(n))
+        pivot_rows = []
         for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
+            p = min(holders[col] & free, default=None)
+            if p is None:
                 raise ValueError("map is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            if aug[col][col] != _ONE:
-                inv = _ONE / aug[col][col]
-                aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return LinMap(self.target, self.source, [row[n:] for row in aug])
+            free.discard(p)
+            pivot_rows.append(p)
+            pivot = rows[p]
+            if pivot[col] != _ONE:
+                inv = _ONE / pivot[col]
+                pivot = rows[p] = {c: x * inv for c, x in pivot.items()}
+            for r in holders[col] - {p}:
+                row, factor = rows[r], rows[r][col]
+                for c, y in pivot.items():
+                    x = row.get(c, _ZERO) - factor * y
+                    if x:
+                        row[c] = x
+                        holders[c].add(r)
+                    else:
+                        del row[c]
+                        holders[c].discard(r)
+        return LinMap._of(self.target, self.source, tuple(
+            tuple((c - n, x) for c, x in sorted(rows[p].items()) if c >= n)
+            for p in pivot_rows
+        ))
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -179,14 +195,19 @@ class LinMap:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.rows == other.rows
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.source.dim, self.target.dim, self.rows))
+        return hash((self.source.dim, self.target.dim, self.sparse))
 
     def __repr__(self):
         return f"LinMap({self.target.dim}x{self.source.dim})"
+
+
+def _canonical(acc):
+    """A sparse row from a {col: value} dict: sorted, zeros dropped."""
+    return tuple(sorted((c, x) for c, x in acc.items() if x))
 
 
 def tensor(a, b):
@@ -195,25 +216,15 @@ def tensor(a, b):
     if isinstance(a, VectObject) and isinstance(b, VectObject):
         return VectObject(a.dim * b.dim)
     if isinstance(a, LinMap) and isinstance(b, LinMap):
-        src = tensor(a.source, b.source)
-        tgt = tensor(a.target, b.target)
-        zeros = (_ZERO,) * b.source.dim
-        rows = []
-        for i in range(a.target.dim):
-            a_row = a.rows[i]
-            for k in range(b.target.dim):
-                b_row = b.rows[k]
-                row = []
-                for j in range(a.source.dim):
-                    aij = a_row[j]
-                    if not aij:
-                        row.extend(zeros)
-                    elif aij == _ONE:
-                        row.extend(b_row)
-                    else:
-                        row.extend(aij * x for x in b_row)
-                rows.append(row)
-        return LinMap(src, tgt, rows)
+        nb = b.source.dim
+        sparse = tuple(
+            tuple((j * nb + c, x * y) for j, x in a_row for c, y in b_row)
+            for a_row in a.sparse
+            for b_row in b.sparse
+        )
+        return LinMap._of(
+            tensor(a.source, b.source), tensor(a.target, b.target), sparse
+        )
     raise TypeError("tensor takes two objects or two maps")
 
 
@@ -235,18 +246,50 @@ def direct_sum(items):
     if all(isinstance(x, VectObject) for x in items):
         return VectObject(sum(x.dim for x in items))
     if all(isinstance(x, LinMap) for x in items):
-        src = VectObject(sum(m.source.dim for m in items))
-        tgt = VectObject(sum(m.target.dim for m in items))
-        rows = [[_ZERO] * src.dim for _ in range(tgt.dim)]
-        r0 = c0 = 0
-        for m in items:
-            for i, row in enumerate(m.rows):
-                for j, x in enumerate(row):
-                    rows[r0 + i][c0 + j] = x
-            r0 += m.target.dim
-            c0 += m.source.dim
-        return LinMap(src, tgt, rows)
+        return block_map(
+            [m.target for m in items],
+            [m.source for m in items],
+            {(i, i): m for i, m in enumerate(items)},
+        )
     raise TypeError("direct_sum takes objects or maps, not a mixture")
+
+
+def block_map(targets, sources, blocks) -> LinMap:
+    """The map direct_sum(sources) -> direct_sum(targets) whose block
+    from sources[c] to targets[r] is blocks[(r, c)]; missing blocks are
+    zero."""
+    targets, sources = list(targets), list(sources)
+    offsets = [0, *accumulate(s.dim for s in sources)]
+    by_row = [[] for _ in targets]
+    for (r, c), m in sorted(blocks.items()):
+        if m.source != sources[c] or m.target != targets[r]:
+            raise ValueError(f"block ({r}, {c}) has the wrong shape")
+        by_row[r].append((offsets[c], m.sparse))
+    sparse = tuple(
+        tuple((c0 + c, x) for c0, rows in parts for c, x in rows[i])
+        for t, parts in zip(targets, by_row)
+        for i in range(t.dim)
+    )
+    return LinMap._of(direct_sum(sources), direct_sum(targets), sparse)
+
+
+def distribute(a: VectObject, parts) -> LinMap:
+    """The reindexing a (x) (p_0 + ... + p_m) -> (a (x) p_0) + ... +
+    (a (x) p_m).  With the second index fastest, the basis vector
+    (i, q) of a (x) p_j sits at i * sum(p) + offset_j + q on the left
+    and contiguously, block by block, on the right."""
+    parts = list(parts)
+    total = direct_sum(parts)
+    sparse = []
+    offset = 0
+    for p in parts:
+        for i in range(a.dim):
+            start = i * total.dim + offset
+            sparse.extend(((start + q, _ONE),) for q in range(p.dim))
+        offset += p.dim
+    return LinMap._of(
+        tensor(a, total), direct_sum(tensor(a, p) for p in parts), tuple(sparse)
+    )
 
 
 class NonunitalAlgebra:
@@ -328,10 +371,6 @@ class NonunitalAlgebra:
             [[Fraction(x) for x in row] for row in plane]
             for plane in data["c"]
         ])
-
-
-def validate_algebra(algebra: NonunitalAlgebra):
-    return algebra.validate()
 
 
 def zero_algebra(dim=1) -> NonunitalAlgebra:

@@ -50,3 +50,21 @@ def test_coercion():
     assert as_ext(3) == ExtReal(3)
     assert as_ext("5/2") == ExtReal(Fraction(5, 2))
     assert as_ext(INF) is INF
+
+
+extended = st.one_of(
+    rationals.map(ExtReal), st.sampled_from([INF, NEG_INF]), rationals, st.integers()
+)
+
+
+@given(extended, extended)
+def test_equal_values_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_equality_with_other_types():
+    assert len({ExtReal(1), 1, Fraction(1)}) == 1
+    assert ExtReal(1) != "1"
+    assert ExtReal(0) != float("inf")
+    assert INF != float("inf")

@@ -2,17 +2,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brokenlines.vect import (
     LinMap,
     NonunitalAlgebra,
     VectObject,
+    block_map,
     direct_sum,
+    distribute,
     matrix_algebra_2x2,
     nilpotent_upper3,
     rational_algebra,
     tensor,
-    validate_algebra,
     zero_algebra,
 )
 
@@ -68,18 +71,18 @@ def test_mat2_constants_match_matrix_oracle():
 
 
 def test_validate_algebra_examples():
-    assert validate_algebra(zero_algebra(1)) is None
-    assert validate_algebra(zero_algebra(4)) is None
-    assert validate_algebra(nilpotent_upper3()) is None
-    assert validate_algebra(matrix_algebra_2x2()) is None
-    assert validate_algebra(rational_algebra()) is None
+    assert zero_algebra(1).validate() is None
+    assert zero_algebra(4).validate() is None
+    assert nilpotent_upper3().validate() is None
+    assert matrix_algebra_2x2().validate() is None
+    assert rational_algebra().validate() is None
 
 
 def test_validate_algebra_reports_triple():
     # a non-associative product: e0 . e0 = e1, e1 . e0 = e0, rest zero
     c = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     bad = NonunitalAlgebra(2, c)
-    assert validate_algebra(bad) is not None
+    assert bad.validate() is not None
 
 
 # ---------------------------------------------------------------- tensor
@@ -195,3 +198,199 @@ def test_multiplication_map_shape():
 def test_algebra_json_roundtrip():
     alg = nilpotent_upper3()
     assert NonunitalAlgebra.from_json(alg.to_json()) == alg
+
+
+# ------------------------------------------- sparse maps vs a dense oracle
+# every operation is recomputed here on plain lists of Fractions
+
+
+def dense_mul(a, b, cols):
+    return [
+        [sum((row[m] * b[m][j] for m in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def dense_kron(a, b):
+    return [
+        [x * y for x in a_row for y in b_row] for a_row in a for b_row in b
+    ]
+
+
+def dense_blocks(target_dims, source_dims, blocks):
+    out = [[Fraction(0)] * sum(source_dims) for _ in range(sum(target_dims))]
+    for (r, c), rows in blocks.items():
+        r0, c0 = sum(target_dims[:r]), sum(source_dims[:c])
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                out[r0 + i][c0 + j] = x
+    return out
+
+
+def dense_inverse(a):
+    """Gauss-Jordan on the augmented matrix; None if singular."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def as_dense(m):
+    return [list(row) for row in m.rows]
+
+
+def assert_canonical(m):
+    assert len(m.sparse) == m.target.dim
+    for row in m.sparse:
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= c < m.source.dim and x for c, x in row)
+
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+dims = st.integers(min_value=0, max_value=4)
+
+
+def matrices(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def linmaps(draw, source=None, target=None):
+    source = draw(dims) if source is None else source
+    target = draw(dims) if target is None else target
+    rows = draw(matrices(target, source))
+    return LinMap(VectObject(source), VectObject(target), rows)
+
+
+@st.composite
+def composable_pairs(draw):
+    a, b, c = draw(dims), draw(dims), draw(dims)
+    return draw(linmaps(b, c)), draw(linmaps(a, b))
+
+
+@st.composite
+def parallel_pairs(draw):
+    s, t = draw(dims), draw(dims)
+    return draw(linmaps(s, t)), draw(linmaps(s, t))
+
+
+@given(linmaps())
+def test_dense_rows_roundtrip(m):
+    assert_canonical(m)
+    assert LinMap(m.source, m.target, m.rows) == m
+    assert hash(LinMap(m.source, m.target, m.rows)) == hash(m)
+
+
+@given(composable_pairs())
+def test_compose_matches_oracle(pair):
+    f, g = pair
+    out = f @ g
+    assert_canonical(out)
+    assert as_dense(out) == dense_mul(as_dense(f), as_dense(g), g.source.dim)
+
+
+@given(parallel_pairs())
+def test_add_matches_oracle(pair):
+    f, g = pair
+    out = f + g
+    assert_canonical(out)
+    assert as_dense(out) == [
+        [x + y for x, y in zip(ra, rb)] for ra, rb in zip(as_dense(f), as_dense(g))
+    ]
+
+
+@given(linmaps(), linmaps())
+def test_tensor_matches_oracle(f, g):
+    out = tensor(f, g)
+    assert_canonical(out)
+    assert out.source.dim == f.source.dim * g.source.dim
+    assert out.target.dim == f.target.dim * g.target.dim
+    assert as_dense(out) == dense_kron(as_dense(f), as_dense(g))
+
+
+@given(st.lists(linmaps(), max_size=4))
+def test_direct_sum_matches_oracle(maps):
+    if not maps:
+        return
+    out = direct_sum(maps)
+    assert_canonical(out)
+    assert as_dense(out) == dense_blocks(
+        [m.target.dim for m in maps],
+        [m.source.dim for m in maps],
+        {(i, i): as_dense(m) for i, m in enumerate(maps)},
+    )
+
+
+@st.composite
+def block_layouts(draw):
+    targets = draw(st.lists(dims, max_size=3))
+    sources = draw(st.lists(dims, max_size=3))
+    cells = [(r, c) for r in range(len(targets)) for c in range(len(sources))]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    blocks = {
+        (r, c): draw(linmaps(sources[c], targets[r])) for r, c in chosen
+    }
+    return targets, sources, blocks
+
+
+@given(block_layouts())
+def test_block_map_matches_oracle(layout):
+    targets, sources, blocks = layout
+    out = block_map(
+        [VectObject(d) for d in targets], [VectObject(d) for d in sources], blocks
+    )
+    assert_canonical(out)
+    assert out.source.dim == sum(sources)
+    assert out.target.dim == sum(targets)
+    assert as_dense(out) == dense_blocks(
+        targets, sources, {key: as_dense(m) for key, m in blocks.items()}
+    )
+
+
+@given(dims, st.lists(dims, max_size=4))
+def test_distribute_matches_oracle(a, parts):
+    # label basis vectors (i, j, q): i in a, q in the j-th part; the
+    # source lists them second index fastest, the target part by part
+    src = [(i, j, q) for i in range(a) for j, p in enumerate(parts) for q in range(p)]
+    tgt = [(i, j, q) for j, p in enumerate(parts) for i in range(a) for q in range(p)]
+    out = distribute(VectObject(a), [VectObject(p) for p in parts])
+    assert_canonical(out)
+    assert out.source.dim == len(src) and out.target.dim == len(tgt)
+    assert as_dense(out) == [[Fraction(int(s == t)) for s in src] for t in tgt]
+
+
+@st.composite
+def square_maps(draw):
+    n = draw(dims)
+    return draw(linmaps(n, n))
+
+
+@settings(max_examples=200)
+@given(square_maps())
+def test_inverse_matches_oracle(m):
+    want = dense_inverse(as_dense(m))
+    assert m.is_invertible() == (want is not None)
+    if want is None:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert_canonical(inv)
+    assert as_dense(inv) == want
+    assert (m @ inv).is_identity() and (inv @ m).is_identity()
