@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import acceptance
@@ -42,12 +42,6 @@ class RunConfig:
     left: int = 2
     right: int = 2
     n: int = 3
-    out_dir: Path = None
-    tolerances: morse_mod.Tolerances = field(default_factory=morse_mod.Tolerances)
-
-    def __post_init__(self):
-        if self.truncation < 1 or self.n < 1 or self.left < 1 or self.right < 1:
-            raise ValueError("all bounds must be positive")
 
 
 def _dump(data, out_dir, filename):
@@ -227,7 +221,7 @@ def cmd_daycon(args, config):
 
 
 def cmd_morse(args, config):
-    report = morse_mod.demo_report(args.surface, config.tolerances)
+    report = morse_mod.demo_report(args.surface)
     svg = report.pop("svg")
     out = _out_dir(args)
     if out is not None:
@@ -314,12 +308,19 @@ def main(argv=None):
     overrides = {}
     if args.config:
         overrides = _read_config_file(args.config)
-    config = RunConfig(
-        truncation=int(overrides.get("truncation", args.truncation)),
-        left=int(overrides.get("left", getattr(args, "left", 2))),
-        right=int(overrides.get("right", getattr(args, "right", 2))),
-        n=int(overrides.get("n", getattr(args, "n", 3))),
-    )
+    try:
+        config = RunConfig(
+            truncation=int(overrides.get("truncation", args.truncation)),
+            left=int(overrides.get("left", getattr(args, "left", 2))),
+            right=int(overrides.get("right", getattr(args, "right", 2))),
+            n=int(overrides.get("n", getattr(args, "n", 3))),
+        )
+    except ValueError as exc:
+        parser.error(f"config value is not an integer: {exc}")
+    bounds = vars(config) | {"target": getattr(args, "target", 1)}
+    for name, value in bounds.items():
+        if value < 1:
+            parser.error(f"{name} must be a positive integer, got {value}")
     return args.fn(args, config)
 
 

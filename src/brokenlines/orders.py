@@ -3,12 +3,14 @@ equivalence relations, and amalgams.
 
 A preorder on labels 0..n-1 is stored as a rank vector whose image is an
 initial segment 0..k-1 of the naturals; i <= j holds iff rank(i) <= rank(j).
-Enumeration is brute force with filtering throughout: sizes stay tiny
-(n <= 6 or so) and the filters double as executable definitions.
+Enumerators build their objects directly: preorders as packed words grown
+label by label, monotone surjections as cuts of the source order, amalgams
+as pairs of surjections onto a common [k].
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 
@@ -119,15 +121,21 @@ def enumerate_linear_preorders(n) -> list:
     each, sorted lexicographically by rank vector."""
     if n < 1:
         raise ValueError("preorders are nonempty; n must be >= 1")
-    found = []
-    for ranks in itertools.product(range(n), repeat=n):
-        image = set(ranks)
-        if image != set(range(max(ranks) + 1)):
-            continue
-        found.append(ranks)
-    found.sort()
+    # (packed word, class count k): the next label joins class r < k, or
+    # opens a new class at rank r <= k and lifts the ranks >= r by one.
+    words = [((), 0)]
+    for _ in range(n):
+        grown = []
+        for word, k in words:
+            grown.extend((word + (r,), k) for r in range(k))
+            grown.extend(
+                (tuple(v + 1 if v >= r else v for v in word) + (r,), k + 1)
+                for r in range(k + 1)
+            )
+        words = grown
     return [
-        LinOrder(r) if len(set(r)) == len(r) else LinPreorder(r) for r in found
+        LinOrder(word) if k == n else LinPreorder(word)
+        for word, k in sorted(words)
     ]
 
 
@@ -208,24 +216,15 @@ def quotient(p: LinPreorder):
 
 
 def enumerate_surjections(source: LinOrder, target: LinOrder) -> list:
-    """All monotone surjections source -> target (empty if |I| < |J|)."""
-    if source.n < target.n:
-        return []
-    out = []
-    for mapping in itertools.product(range(target.n), repeat=source.n):
-        if set(mapping) != set(range(target.n)):
-            continue
-        ok = True
-        for i in range(source.n):
-            for j in range(source.n):
-                if source.leq(i, j) and not target.leq(mapping[i], mapping[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(OrderMorphism(source, target, mapping))
-    return out
+    """All monotone surjections source -> target, sorted by mapping: one
+    per choice of m-1 cuts among the n-1 gaps between consecutive source
+    positions, C(n-1, m-1) in all for n = |source|, m = |target|."""
+    images = target.enumeration()
+    mappings = sorted(
+        tuple(images[bisect.bisect_right(cuts, pos)] for pos in source.ranks)
+        for cuts in itertools.combinations(range(1, source.n), target.n - 1)
+    )
+    return [OrderMorphism(source, target, mapping) for mapping in mappings]
 
 
 class ConvexEquiv:
@@ -479,13 +478,15 @@ def preorder_from_relation(rel) -> LinPreorder:
 def enumerate_amalgams(left: LinOrder, right: LinOrder) -> list:
     """All amalgams of (left, right), sorted by rank vector.
 
-    Brute force over linear preorders on the disjoint union, filtered by
-    the two inclusion invariants.
+    An amalgam with k classes is a pair of monotone surjections left -> [k]
+    and right -> [k], its rank vector the two mappings side by side; there
+    are C(p+q-2, p-1) of them.
     """
-    out = []
-    for p in enumerate_linear_preorders(left.n + right.n):
-        try:
-            out.append(Amalgam(left, right, p))
-        except ValueError:
-            continue
-    return out
+    ranks = []
+    for k in range(1, min(left.n, right.n) + 1):
+        classes = LinOrder.standard(k)
+        for s in enumerate_surjections(left, classes):
+            for t in enumerate_surjections(right, classes):
+                ranks.append(s.mapping + t.mapping)
+    ranks.sort()
+    return [Amalgam(left, right, LinPreorder(r)) for r in ranks]

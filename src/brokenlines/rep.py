@@ -43,11 +43,6 @@ class RepPoint:
         raise AttributeError("RepPoint is immutable")
 
     @classmethod
-    def from_table(cls, base, table):
-        """Build from an explicit table; may be invalid — see validate()."""
-        return cls(base, table)
-
-    @classmethod
     def from_gaps(cls, base: LinPreorder, gaps) -> "RepPoint":
         """Build from consecutive gaps along the canonical enumeration.
 

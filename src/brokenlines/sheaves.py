@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .orders import (
-    ConvexEquiv,
     LinOrder,
     OrderMorphism,
     enumerate_convex_equivalences,
@@ -199,11 +198,6 @@ def stalk(sheaf: ConstructibleSheaf, point: RepPoint) -> VectObject:
     if point.base != sheaf.base:
         raise ValueError("point must live on the sheaf's base")
     return sheaf.value[stratum_of(point)]
-
-
-def cospecialization(sheaf: ConstructibleSheaf, fine: ConvexEquiv, coarse: ConvexEquiv) -> LinMap:
-    """The stored map from the finer stratum's value to the coarser's."""
-    return sheaf.restriction[(fine, coarse)]
 
 
 @dataclass(frozen=True)

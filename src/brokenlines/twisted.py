@@ -156,21 +156,25 @@ def tw_enumerate(N):
     canonical labels).  Returns (objects, morphisms)."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    objects = []
-    for n in range(1, N + 1):
-        order = LinOrder.standard(n)
-        for rel in enumerate_convex_equivalences(order):
-            objects.append(TwObject(order, rel))
+    orders = [LinOrder.standard(n) for n in range(1, N + 1)]
+    objects = [
+        TwObject(order, rel)
+        for order in orders
+        for rel in enumerate_convex_equivalences(order)
+    ]
+    surjections = {
+        (a.n, b.n): [f.mapping for f in enumerate_surjections(a, b)]
+        for a in orders
+        for b in orders[: a.n]
+    }
     morphisms = []
     for x in objects:
         for y in objects:
-            if x.n < y.n:
-                continue
-            for f in enumerate_surjections(x.order, y.order):
+            for mapping in surjections.get((x.n, y.n), ()):
                 try:
-                    morphisms.append(TwMorphism(x, y, f.mapping))
+                    morphisms.append(TwMorphism(x, y, mapping))
                 except ValueError:
-                    continue
+                    continue  # the surjection does not reflect y's relation
     return tuple(objects), tuple(morphisms)
 
 

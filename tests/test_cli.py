@@ -121,3 +121,43 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "nonsense"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["enumerate", "surjections", "--target", "0"], "target"),
+        (["enumerate", "preorders", "--n", "0"], "n"),
+        (["enumerate", "amalgams", "--left", "0"], "left"),
+        (["enumerate", "amalgams", "--right", "-1"], "right"),
+        (["verify", "amalgams", "--left", "0"], "left"),
+        (["--truncation", "0", "daycon"], "truncation"),
+    ],
+)
+def test_nonpositive_bound_is_a_usage_error(capsys, argv, bound):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    value = argv[argv.index(f"--{bound}") + 1]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"brokenlines: error: {bound} must be a positive integer, got {value}"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n = 0", "n must be a positive integer, got 0"),
+        ("truncation = -2", "truncation must be a positive integer, got -2"),
+        ("n = three", "config value is not an integer: "),
+    ],
+)
+def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "enumerate", "convex"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"brokenlines: error: {message}"
+    )

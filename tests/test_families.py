@@ -69,7 +69,7 @@ def test_build_family_rejects_invalid_point():
     from brokenlines.rep import RepPoint
 
     base = LinOrder.standard(3)
-    bad = RepPoint.from_table(
+    bad = RepPoint(
         base,
         {(0, 0): 0, (1, 1): 0, (2, 2): 0, (0, 1): 1, (1, 2): 1, (0, 2): 3},
     )

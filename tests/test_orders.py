@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -99,6 +100,23 @@ def convex_equiv_oracle(base):
     return out
 
 
+def surjection_oracle(source, target):
+    """Filter every map source -> target by surjectivity and monotonicity,
+    in itertools.product order."""
+    out = []
+    for mapping in itertools.product(range(target.n), repeat=source.n):
+        if set(mapping) != set(range(target.n)):
+            continue
+        if all(
+            target.leq(mapping[i], mapping[j])
+            for i in range(source.n)
+            for j in range(source.n)
+            if source.leq(i, j)
+        ):
+            out.append(mapping)
+    return out
+
+
 def amalgam_oracle(left, right):
     """Filter enumerate_linear_preorders(|I|+|J|) by direct predicates."""
     out = []
@@ -126,6 +144,9 @@ def test_preorder_counts_small():
     assert len(enumerate_linear_preorders(2)) == 3
     # ordered set partitions of a 3-set
     assert len(enumerate_linear_preorders(3)) == 13
+    # ordered set partitions in general: the Fubini numbers, OEIS A000670
+    for n, count in [(4, 75), (5, 541), (6, 4683), (7, 47293)]:
+        assert len(enumerate_linear_preorders(n)) == count
 
 
 def test_preorders_match_relation_matrix_oracle():
@@ -207,6 +228,23 @@ def test_surjections_counts():
     assert len(enumerate_surjections(three, three)) == 1  # identity only
     assert len(enumerate_surjections(three, two)) == 2
     assert enumerate_surjections(two, three) == []
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (LinOrder.standard(n), LinOrder.standard(m))
+        for n in range(1, 7)
+        for m in range(1, 7)
+    ]
+    + [(LinOrder([2, 0, 1, 3]), LinOrder([1, 0]))],
+)
+def test_surjections_match_product_oracle(source, target):
+    maps = enumerate_surjections(source, target)
+    assert [f.mapping for f in maps] == surjection_oracle(source, target)
+    assert all(f.source == source and f.target == target for f in maps)
+    if source.n >= target.n:
+        assert len(maps) == math.comb(source.n - 1, target.n - 1)
 
 
 def test_composition_is_associative_with_identities():
@@ -299,12 +337,23 @@ def test_amalgam_singletons():
 
 
 def test_amalgams_match_oracle():
-    for nl, nr in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-        left = LinOrder.standard(nl)
-        right = LinOrder.standard(nr)
+    pairs = [
+        (LinOrder.standard(nl), LinOrder.standard(nr))
+        for nl, nr in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+    ]
+    pairs.append((LinOrder([1, 0, 2]), LinOrder([1, 0])))
+    for left, right in pairs:
         ours = [a.preorder.ranks for a in enumerate_amalgams(left, right)]
-        assert sorted(ours) == sorted(amalgam_oracle(left, right))
-        assert len(ours) == len(set(ours))
+        assert ours == amalgam_oracle(left, right)  # same order too
+
+
+def test_amalgam_counts_are_binomial():
+    for p in range(1, 8):
+        for q in range(1, 9 - p):
+            amalgams = enumerate_amalgams(LinOrder.standard(p), LinOrder.standard(q))
+            assert len(amalgams) == math.comb(p + q - 2, p - 1)
+            ranks = [a.preorder.ranks for a in amalgams]
+            assert ranks == sorted(set(ranks))
 
 
 def test_join_idempotent_and_least_upper_bound():

@@ -53,7 +53,7 @@ def test_validate_detects_cocycle_violation():
         (0, 0): 0, (1, 1): 0, (2, 2): 0,
         (0, 1): 1, (1, 2): 1, (0, 2): 3,
     }
-    violation = RepPoint.from_table(base, table).validate()
+    violation = RepPoint(base, table).validate()
     assert violation is not None
     assert violation.kind == "cocycle"
     assert violation.where == (0, 1, 2)
@@ -62,7 +62,7 @@ def test_validate_detects_cocycle_violation():
 def test_validate_detects_forced_finiteness():
     base = LinPreorder([0, 0])  # two-element indiscrete preorder
     table = {(0, 0): 0, (1, 1): 0, (0, 1): INF, (1, 0): INF}
-    violation = RepPoint.from_table(base, table).validate()
+    violation = RepPoint(base, table).validate()
     assert violation is not None
     assert violation.kind == "finiteness"
 
@@ -70,7 +70,7 @@ def test_validate_detects_forced_finiteness():
 def test_validate_rejects_negative_infinity_values():
     base = LinOrder.standard(2)
     table = {(0, 0): 0, (1, 1): 0, (0, 1): NEG_INF}
-    violation = RepPoint.from_table(base, table).validate()
+    violation = RepPoint(base, table).validate()
     assert violation is not None
     assert violation.kind == "range"
 

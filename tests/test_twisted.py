@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from brokenlines.orders import ConvexEquiv, LinOrder
+from brokenlines.orders import ConvexEquiv, LinOrder, enumerate_convex_equivalences
 from brokenlines.twisted import (
     TwFunctor,
     TwMorphism,
@@ -42,6 +44,30 @@ def test_enumerate_sizes():
     for n in (3, 4):
         objects, _ = tw_enumerate(n)
         assert len(objects) == sum(2 ** (k - 1) for k in range(1, n + 1))
+
+
+def tw_oracle(N):
+    """Objects of size <= N, and every map between them that TwMorphism
+    accepts, in itertools.product order."""
+    objects = [
+        TwObject(LinOrder.standard(n), rel)
+        for n in range(1, N + 1)
+        for rel in enumerate_convex_equivalences(LinOrder.standard(n))
+    ]
+    morphisms = []
+    for x in objects:
+        for y in objects:
+            for mapping in itertools.product(range(y.n), repeat=x.n):
+                try:
+                    morphisms.append(TwMorphism(x, y, mapping))
+                except ValueError:
+                    pass
+    return tuple(objects), tuple(morphisms)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_enumerate_matches_product_oracle(N):
+    assert tw_enumerate(N) == tw_oracle(N)
 
 
 def test_composition_closed():
