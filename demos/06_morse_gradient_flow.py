@@ -6,7 +6,7 @@ lines through intermediate critical points.  Each validated trajectory
 extracts a broken line whose components are the flow segments.
 
 Run with `torus` as an argument for the full broken-trajectory search
-(about half a minute); the default sphere demo is quick.
+(a second or two); the default sphere demo is quick.
 """
 
 import sys

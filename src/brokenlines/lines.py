@@ -230,10 +230,6 @@ class HomSet:
     def is_empty(self):
         return self.source.m != self.target.m
 
-    @property
-    def shift_dimension(self):
-        return None if self.is_empty else self.source.m
-
     def make(self, shifts) -> LineIso:
         if self.is_empty:
             raise ValueError("hom set is empty: component counts differ")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,62 @@ from brokenlines.morse import (
     render_svg,
     trajectory_to_line,
     validate_trajectory,
-    _rk4_step,
+    _shoot_batch,
 )
 
 TOL = Tolerances()
+
+
+def rk4_step(surface, x, dt):
+    """Classical fixed-step RK4, the oracle for the adaptive flow."""
+    k1 = surface.field(x)
+    k2 = surface.field(surface.project(x + 0.5 * dt * k1))
+    k3 = surface.field(surface.project(x + 0.5 * dt * k2))
+    k4 = surface.field(surface.project(x + dt * k3))
+    return surface.project(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+def seed_direction(surface, critical, angle):
+    frame = surface.frame(np.array(critical.state))
+    return math.cos(angle) * frame[:, 0] + math.sin(angle) * frame[:, 1]
+
+
+def rk4_capture_times(surface, criticals, segments, tol):
+    """Capture time of each segment's seed under fixed-step RK4 at
+    tol.step, all seeds in one batch, captured at the first step that ends
+    within tol.capture of a critical point other than the source after
+    leaving tol.escape of it."""
+    crit_embed = np.array([surface.embed(np.array(c.state)) for c in criticals])
+    source = np.array([s.source for s in segments])
+    x = np.array(
+        [
+            surface.retract(
+                np.array(criticals[s.source].state),
+                10.0 * tol.tol_crit * seed_direction(surface, criticals[s.source], s.seed_angle),
+            )
+            for s in segments
+        ]
+    )
+    escaped = np.zeros(len(segments), dtype=bool)
+    times = np.full(len(segments), np.nan)
+    live = np.arange(len(segments))
+    steps = 0
+    while live.size and steps * tol.step < tol.horizon:
+        x[live] = rk4_step(surface, x[live], tol.step)
+        steps += 1
+        dists = np.linalg.norm(
+            surface.embed(x[live])[:, None, :] - crit_embed[None, :, :], axis=-1
+        )
+        escaped[live] |= dists[np.arange(live.size), source[live]] > tol.escape
+        nearest = np.argmin(dists, axis=1)
+        hit = (
+            escaped[live]
+            & (dists[np.arange(live.size), nearest] < tol.capture)
+            & (nearest != source[live])
+        )
+        times[live[hit]] = steps * tol.step
+        live = live[~hit]
+    return times
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +142,70 @@ def test_torus_flow_monotone(torus):
     result = integrate_flow(torus, [0.3, 1.1], horizon=10.0, tol=TOL)
     hs = torus.h(result.states)
     assert np.all(np.diff(hs) >= -1e-12)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_flow_along_meridian_matches_closed_form(sphere, direction):
+    # on a meridian z' = 1 - z^2, so z(t) = tanh(t + atanh z0)
+    z0 = 0.3
+    x0 = [math.sqrt(1 - z0**2), 0.0, z0]
+    result = integrate_flow(sphere, x0, direction=direction, horizon=5.0, tol=TOL)
+    assert result.times[-1] == 5.0 * direction
+    assert not result.truncated
+    exact = math.tanh(5.0 * direction + math.atanh(z0))
+    assert abs(result.states[-1][2] - exact) < 1e-8
+
+
+def test_batch_matches_single_rows(torus, torus_criticals):
+    tol = Tolerances(step=1e-2, ring_seeds=8)
+    source = torus_criticals[0]
+    seeds = [
+        (a, seed_direction(torus, source, a)) for a in (0.3, 1.0, 2.5, 4.0, 5.9)
+    ]
+    batch = _shoot_batch(torus, torus_criticals, 0, seeds, tol)
+    assert len(batch) == len(seeds)
+    for seed, together in zip(seeds, batch):
+        (alone,) = _shoot_batch(torus, torus_criticals, 0, [seed], tol)
+        assert alone.target == together.target
+        assert alone.states.shape == together.states.shape
+        assert np.max(np.abs(alone.states - together.states)) <= 1e-12
+        assert np.max(np.abs(alone.times - together.times)) <= 1e-12
+
+
+def test_segment_heights_monotone(torus_segments):
+    for seg in torus_segments:
+        assert np.all(np.diff(seg.h_values) >= -1e-13)
+
+
+def test_capture_times_match_rk4_oracle(torus, torus_criticals, torus_segments):
+    oracle = rk4_capture_times(torus, torus_criticals, torus_segments, TOL)
+    captured = np.array([seg.times[-1] for seg in torus_segments])
+    assert not np.any(np.isnan(oracle))
+    assert np.max(np.abs(captured - oracle)) <= TOL.step + TOL.tol_time
+
+
+@pytest.mark.parametrize(
+    "tol, reason",
+    [
+        (Tolerances(horizon=1.0), "horizon"),
+        # a first trial step of 5 is rejected, and with no halvings
+        # allowed the smaller retry is already below the stall bound
+        (Tolerances(step=5.0, max_halvings=0), "stalled"),
+    ],
+)
+def test_lost_seeds_are_reported(torus, torus_criticals, tol, reason):
+    with pytest.warns(UserWarning, match=rf"torus: seed at angle .* lost: {reason}") as record:
+        segments = find_connections(torus, torus_criticals, tol)
+    assert segments == []
+    # every seed of the ring at the minimum and of both saddles
+    assert len(record) == tol.ring_seeds + 4
+    assert any("index 0, h = -3.000000" in str(w.message) for w in record)
+
+
+def test_stalled_flow_is_truncated(torus):
+    result = integrate_flow(torus, [0.3, 1.1], tol=Tolerances(step=5.0, max_halvings=0))
+    assert result.truncated
+    assert len(result.states) == 1
 
 
 # --------------------------------------------------------- critical points
@@ -255,7 +373,7 @@ def test_within_segment_distance_matches_flow_time(torus, torus_trajectories):
     state = seg.states[i1]
     steps = max(1, int(round(delta / TOL.step)))
     for _ in range(steps):
-        state = _rk4_step(torus, state, delta / steps)
+        state = rk4_step(torus, state, delta / steps)
     dist = float(np.linalg.norm(torus.embed(state) - torus.embed(seg.states[i2])))
     assert dist < TOL.tol_time
 
