@@ -43,7 +43,6 @@ from .lines import (
     concatenate,
     fiber_over,
     find_marked_iso,
-    hom_set,
     translate,
     translation_distance,
 )

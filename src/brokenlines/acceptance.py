@@ -11,8 +11,8 @@ import itertools
 import random
 import time
 from .extreal import INF, ExtReal
-from .families import build_family, extract_alpha
-from .lines import fiber_over, find_marked_iso, translation_distance
+from .families import build_family, extract_alpha, reconstruction_iso
+from .lines import fiber_over, translation_distance
 from .configurations import verify_join_identity
 from .orders import (
     LinOrder,
@@ -260,17 +260,11 @@ def criterion_representability_roundtrip():
             for sid, original in family.samples:
                 if recovered[sid] != original:
                     return False, f"trial {trial}: alpha changed on {sid}"
-                # reverse roundtrip: rebuild the fiber and connect it
-                line, marks = fiber_over(recovered[sid])
-                fiber = sections[sid]
-                iso = find_marked_iso(line, marks, fiber.line, fiber.marks)
-                if iso is None:
+                # reverse roundtrip: rebuild the fiber and connect it; the
+                # iso is unique, since find_marked_iso returns None unless
+                # every component carries a mark that pins its shift
+                if reconstruction_iso(recovered[sid], sections[sid]) is None:
                     return False, f"trial {trial}: no connecting iso on {sid}"
-                # uniqueness: every component carries a mark, so shifts are
-                # pinned; a second distinct iso cannot match the marks
-                hit = {p.component for p in marks.values()}
-                if hit != set(range(1, line.m + 1)):
-                    return False, f"trial {trial}: a component has no mark"
         return True, "100 random families roundtrip exactly with unique isos"
 
     return _run("representability roundtrip", body)
@@ -313,35 +307,23 @@ def criterion_morse_demo():
     all-infinite extracted gaps; < 60 s."""
 
     def body():
-        tol = morse_mod.Tolerances()
         start = time.perf_counter()
-        sphere = morse_mod.Sphere()
-        crits_s = morse_mod.find_critical_points(sphere, tol)
-        if len(crits_s) != 2 or morse_mod.euler_characteristic(crits_s) != 2:
-            return False, f"sphere criticals: {[(c.h, c.index) for c in crits_s]}"
-        torus = morse_mod.Torus()
-        crits_t = morse_mod.find_critical_points(torus, tol)
-        if len(crits_t) != 4 or morse_mod.euler_characteristic(crits_t) != 0:
-            return False, f"torus criticals: {[(c.h, c.index) for c in crits_t]}"
-        if any(c.grad_norm >= tol.tol_crit for c in crits_s + crits_t):
+        reports = [morse_mod.demo_report(name) for name in ("sphere", "torus")]
+        for report, count, chi in zip(reports, (2, 4), (2, 0)):
+            crits = report["criticals"]
+            if len(crits) != count or report["euler_characteristic"] != chi:
+                summary = [(c["h"], c["index"]) for c in crits]
+                return False, f"{report['surface']} criticals: {summary}"
+        tol_crit = morse_mod.Tolerances().tol_crit
+        if any(c["grad_norm"] >= tol_crit for r in reports for c in r["criticals"]):
             return False, "a critical point has gradient norm >= 1e-8"
-        segments = morse_mod.find_connections(torus, crits_t, tol)
-        trajectories = morse_mod.find_broken_trajectories(
-            torus, crits_t[0], crits_t[-1], tol,
-            criticals=crits_t, segments=segments,
+        # `valid` includes reparam_residual < tol_reparam
+        broken_ok = sum(
+            t["components"] > 1
+            and t["valid"]
+            and all(g == "inf" for g in t["rep_point"]["gaps"])
+            for t in reports[1]["trajectories"]
         )
-        broken_ok = 0
-        for traj in trajectories:
-            if traj.component_count < 2:
-                continue
-            report = morse_mod.validate_trajectory(traj, tol)
-            if not report.ok:
-                continue
-            if report.reparam_residual >= tol.tol_reparam:
-                continue
-            _line, rep, _marks = morse_mod.trajectory_to_line(traj)
-            if all(not g.is_finite for g in rep.gaps()):
-                broken_ok += 1
         elapsed = time.perf_counter() - start
         if broken_ok == 0:
             return False, "no validated broken trajectory with all-inf gaps"

@@ -164,7 +164,7 @@ def extract_alpha(family: SampledFamily, sections: ISectionData) -> dict:
     return out
 
 
-def reconstruction_iso(index, point: RepPoint, fiber: MarkedFiber):
+def reconstruction_iso(point: RepPoint, fiber: MarkedFiber):
     """The unique marked iso from the canonical fiber of `point` onto a
     given marked fiber, or None if the fiber does not present `point`."""
     line, marks = fiber_over(point)

@@ -239,10 +239,6 @@ class HomSet:
         return self.make([0] * self.source.m)
 
 
-def hom_set(source: BrokenLine, target: BrokenLine) -> HomSet:
-    return HomSet(source, target)
-
-
 def fiber_over(point: RepPoint):
     """The broken line over a RepPoint, with its marked points.
 

@@ -289,6 +289,12 @@ class ConvexEquiv:
             for c in self.classes
         )
 
+    def covers(self):
+        """The covers of this relation under refinement: two adjacent classes merged."""
+        c = self.classes
+        merged = (c[:a] + (c[a] + c[a + 1],) + c[a + 2 :] for a in range(len(c) - 1))
+        return [ConvexEquiv(self.base, m) for m in merged]
+
     def quotient(self):
         """The linear order on classes and the projection morphism."""
         q = LinOrder(range(len(self.classes)))

@@ -144,7 +144,11 @@ def apply_surjection(sheaf: GlobalSheaf, f: OrderMorphism) -> LinMap:
 
 class ConstructibleSheaf:
     """A functor on the convex-equivalence poset of a fixed linear order:
-    an object per stratum, a restriction map from finer to coarser."""
+    an object per stratum, a restriction map from finer to coarser.
+
+    Composition is checked as R(b, c) R(a, b) = R(a, c) only where c
+    covers b.  With the identity check this covers every a <= b <= d, by
+    induction on the length of a chain of covers from b to d."""
 
     __slots__ = ("base", "value", "restriction")
 
@@ -163,10 +167,10 @@ class ConstructibleSheaf:
         for fine in rels:
             if restriction[(fine, fine)] != LinMap.identity(value[fine]):
                 raise ValueError("identity restriction must be the identity")
-        for a in rels:
-            for b in rels:
-                for c in rels:
-                    if a.refines(b) and b.refines(c):
+        for b in rels:
+            for c in b.covers():
+                for a in rels:
+                    if a.refines(b):
                         if restriction[(b, c)] @ restriction[(a, b)] != restriction[(a, c)]:
                             raise ValueError("restrictions fail to compose")
         object.__setattr__(self, "base", base)

@@ -113,7 +113,7 @@ def test_reverse_roundtrip_unique_iso():
         for point in stratum_samples(base, rel, 2):
             family, sections = build_family(base, [point])
             recovered = extract_alpha(family, sections)["s0"]
-            iso = reconstruction_iso(base, recovered, sections["s0"])
+            iso = reconstruction_iso(recovered, sections["s0"])
             assert iso is not None
             # uniqueness: every component is marked, pinning every shift
             line, marks = fiber_over(recovered)

@@ -7,12 +7,12 @@ import pytest
 from brokenlines.extreal import INF, NEG_INF, ExtReal
 from brokenlines.lines import (
     BrokenLine,
+    HomSet,
     LineIso,
     compare,
     concatenate,
     fiber_over,
     find_marked_iso,
-    hom_set,
     translate,
     translation_distance,
 )
@@ -227,13 +227,13 @@ def test_classification_all_infinite_gaps():
 
 
 def test_hom_set_empty_on_mismatch():
-    assert hom_set(BrokenLine(1), BrokenLine(2)).is_empty
+    assert HomSet(BrokenLine(1), BrokenLine(2)).is_empty
 
 
 def test_hom_set_groupoid_laws():
     rng = random.Random(2)
     line = BrokenLine(3)
-    homs = hom_set(line, line)
+    homs = HomSet(line, line)
     ident = homs.identity()
     for _ in range(50):
         shifts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]

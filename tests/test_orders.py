@@ -289,6 +289,23 @@ def test_convex_counts():
         }
 
 
+def test_refinement_generated_by_covers():
+    # the oracle behind checking constructible sheaves on covers only
+    for n in range(1, 7):
+        rels = enumerate_convex_equivalences(LinOrder.standard(n))
+        above = {}
+        for b in sorted(rels, key=lambda r: len(r.classes)):
+            covers = b.covers()
+            assert set(covers) == {
+                c
+                for c in rels
+                if b.refines(c) and len(c.classes) == len(b.classes) - 1
+            }
+            above[b] = {b}.union(*(above[c] for c in covers))
+        for b in rels:
+            assert above[b] == {c for c in rels if b.refines(c)}
+
+
 def test_convexity_rejected():
     base = LinOrder.standard(3)
     with pytest.raises(ValueError):

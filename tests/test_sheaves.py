@@ -14,6 +14,7 @@ from brokenlines.orders import (
 )
 from brokenlines.rep import rep_from_gaps, stratum_samples
 from brokenlines.sheaves import (
+    ConstructibleSheaf,
     GlobalSheaf,
     apply_surjection,
     evaluate_on_family,
@@ -222,10 +223,20 @@ def test_truncation_enforced(nil_sheaf):
 
 def test_constructible_functoriality_up_to_five_elements():
     # the ConstructibleSheaf constructor checks identity and composition
-    # closure over the full Conv(I) poset; run it through |I| = 5
+    # along covers of the Conv(I) poset; run it through |I| = 5
     sheaf = GlobalSheaf.from_algebra(rational_algebra(), 4)
     for n in range(1, 6):
         global_to_constructible(sheaf, LinOrder.standard(n))
+
+
+def test_constructible_rejects_altered_restriction():
+    base = LinOrder.standard(3)
+    good = global_to_constructible(GlobalSheaf.from_algebra(rational_algebra(), 2), base)
+    restriction = dict(good.restriction)
+    key = (ConvexEquiv.discrete(base), ConvexEquiv.indiscrete(base))
+    restriction[key] = restriction[key] + restriction[key]
+    with pytest.raises(ValueError, match="restrictions fail to compose"):
+        ConstructibleSheaf(base, good.value, restriction)
 
 
 def test_json_shape(nil_sheaf):

@@ -19,6 +19,7 @@ from brokenlines.twisted import (
     roundtrip_natural_iso,
     sharp,
     tw_enumerate,
+    tw_generators,
     tw_restrict,
     tw_star,
     valid_cuts,
@@ -77,6 +78,27 @@ def test_composition_closed():
         for g in morphisms:
             if g.source == f.target:
                 assert f.then(g) in pool
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_generators_generate(N):
+    # the oracle behind checking functors on generators only: closing the
+    # grade-one morphisms under composition reaches every non-identity map
+    objects, morphisms = tw_enumerate(N)
+    identities = {TwMorphism.identity(x) for x in objects}
+    for f in morphisms:
+        drop = f.source.grade - f.target.grade
+        assert drop >= 1 or f in identities
+        assert (drop == 1) == (f in tw_generators(N))
+    out_of = {x: [] for x in objects}
+    for g in tw_generators(N):
+        out_of[g.source].append(g)
+    reached = set(tw_generators(N))
+    frontier = reached
+    while frontier:
+        frontier = {f.then(g) for f in frontier for g in out_of[f.target]} - reached
+        reached |= frontier
+    assert reached | identities == set(morphisms)
 
 
 def test_comparison_morphism_exists_for_every_relation():
@@ -227,6 +249,26 @@ def test_functor_to_algebra_requires_invertible_comparison():
     broken = TwFunctor(3, base.value, action, base.lax, check=False)
     with pytest.raises(ValueError):
         functor_to_algebra(broken)
+
+
+def test_validate_rejects_altered_composite_action():
+    functor = algebra_to_functor(rational_algebra(), 3)
+    merge3 = TwMorphism(sharp(3), point(), [0, 0, 0])  # a composite of merges
+    action = dict(functor.action)
+    action[merge3] = action[merge3] + action[merge3]
+    broken = TwFunctor(3, functor.value, action, functor.lax, check=False)
+    assert broken.validate().startswith("functoriality fails")
+    with pytest.raises(ValueError, match="functoriality fails"):
+        TwFunctor(3, functor.value, action, functor.lax)
+
+
+def test_validate_rejects_unnatural_lax_map():
+    functor = algebra_to_functor(rational_algebra(), 3)
+    lax = dict(functor.lax)
+    u = lax[(point(), point())]
+    lax[(point(), point())] = u + u  # right shape, not natural in the merges
+    broken = TwFunctor(3, functor.value, functor.action, lax, check=False)
+    assert broken.validate().startswith("lax naturality fails")
 
 
 # --------------------------------------------------------- day convolution
