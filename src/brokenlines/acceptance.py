@@ -86,14 +86,17 @@ def criterion_pullback_squares():
         ]
         squares = 0
         for sheaf in sheaves:
+            charts = {
+                n: global_to_constructible(sheaf, LinOrder.standard(n))
+                for n in range(1, 5)
+            }
             for n_src in range(1, 5):
                 for n_tgt in range(1, n_src + 1):
                     src = LinOrder.standard(n_src)
                     tgt = LinOrder.standard(n_tgt)
+                    g_src, g_tgt = charts[n_src], charts[n_tgt]
+                    rels = enumerate_convex_equivalences(tgt)
                     for f in enumerate_surjections(src, tgt):
-                        g_src = global_to_constructible(sheaf, src)
-                        g_tgt = global_to_constructible(sheaf, tgt)
-                        rels = enumerate_convex_equivalences(tgt)
                         for e in rels:
                             for e2 in rels:
                                 if not e.refines(e2):

@@ -256,13 +256,23 @@ def build_parser():
         prog="brokenlines",
         description="Combinatorics of the moduli of broken lines, at desk scale.",
     )
+    # --out-dir and --truncation may come before or after the subcommand;
+    # after it, SUPPRESS keeps an absent flag from resetting the value
+    # given before it.
+    out_dir = dict(help="directory for JSON/SVG artifacts (or env BROKENLINES_OUT)")
+    truncation = dict(type=int, metavar="N", help="truncate the twisted-arrow "
+                      "category at orders of size <= N (default 4)")
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--truncation", type=int, default=4)
-    parser.add_argument("--out-dir", help="directory for JSON/SVG artifacts "
-                        "(or env BROKENLINES_OUT)")
+    parser.add_argument("--truncation", default=4, **truncation)
+    parser.add_argument("--out-dir", **out_dir)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default=argparse.SUPPRESS, **out_dir)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_enum = sub.add_parser("enumerate", help="enumerate combinatorial objects")
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help, parents=[common])
+
+    p_enum = add_parser("enumerate", help="enumerate combinatorial objects")
     p_enum.add_argument(
         "what", choices=["preorders", "convex", "surjections", "amalgams"]
     )
@@ -272,32 +282,34 @@ def build_parser():
     p_enum.add_argument("--right", type=int, default=2)
     p_enum.set_defaults(fn=cmd_enumerate)
 
-    p_verify = sub.add_parser("verify", help="verify covering/join identities")
+    p_verify = add_parser("verify", help="verify covering/join identities")
     p_verify.add_argument("what", choices=["amalgams"])
     p_verify.add_argument("--left", type=int, default=2)
     p_verify.add_argument("--right", type=int, default=2)
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_sheaf = sub.add_parser("sheaf", help="evaluate a sheaf on a family file")
+    p_sheaf = add_parser("sheaf", help="evaluate a sheaf on a family file")
     p_sheaf.add_argument("--algebra", default="builtin:nilpotent3")
     p_sheaf.add_argument("--family", required=True, help="family JSON file")
     p_sheaf.set_defaults(fn=cmd_sheaf)
 
-    p_round = sub.add_parser("roundtrip", help="run the main-theorem roundtrip")
+    p_round = add_parser("roundtrip", help="run the main-theorem roundtrip")
     p_round.add_argument("what", choices=["mainc"])
     p_round.add_argument("--algebra", default="builtin:nilpotent3")
+    p_round.add_argument("--truncation", default=argparse.SUPPRESS, **truncation)
     p_round.set_defaults(fn=cmd_roundtrip)
 
-    p_day = sub.add_parser("daycon", help="Day convolution dimensions and checks")
+    p_day = add_parser("daycon", help="Day convolution dimensions and checks")
     p_day.add_argument("--algebra", default="builtin:rational")
+    p_day.add_argument("--truncation", default=argparse.SUPPRESS, **truncation)
     p_day.set_defaults(fn=cmd_daycon)
 
-    p_morse = sub.add_parser("morse", help="gradient-flow demo")
+    p_morse = add_parser("morse", help="gradient-flow demo")
     p_morse.add_argument("what", choices=["demo"])
     p_morse.add_argument("--surface", choices=["sphere", "torus"], default="torus")
     p_morse.set_defaults(fn=cmd_morse)
 
-    p_accept = sub.add_parser("accept", help="run the acceptance suite")
+    p_accept = add_parser("accept", help="run the acceptance suite")
     p_accept.set_defaults(fn=cmd_accept)
     return parser
 

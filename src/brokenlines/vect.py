@@ -8,9 +8,14 @@ All arithmetic is exact.
 
 A map stores only its nonzero entries, one tuple of (col, value) pairs
 per row in increasing column order; structure-constant matrices are
-mostly zeros.  `LinMap.rows` is a dense view built on demand for JSON
-output and tests.  Maps between direct sums are assembled from blocks
-(`block_map`, `distribute`) rather than entry by entry.
+mostly zeros.  An integral entry is stored as an `int` and any other as
+a `Fraction`, and so are the structure constants of an algebra, so
+integer matrices multiply in `int` arithmetic.  `3 == Fraction(3)`, the
+two hash alike and print alike, so equality, hashing and JSON cannot
+tell them apart.  `LinMap.rows` is a dense view of `Fraction`s, built on
+demand for JSON output and tests.  Maps between direct sums are
+assembled from blocks (`block_map`, `distribute`) rather than entry by
+entry.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ from itertools import accumulate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _exact(x):
+    """An int or Fraction as an int when integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class VectObject:
@@ -57,7 +67,7 @@ class LinMap:
     __slots__ = ("source", "target", "sparse")
 
     def __init__(self, source: VectObject, target: VectObject, rows):
-        dense = [[Fraction(x) for x in row] for row in rows]
+        dense = [[_exact(Fraction(x)) for x in row] for row in rows]
         if len(dense) != target.dim or any(len(r) != source.dim for r in dense):
             raise ValueError("matrix shape must be target.dim x source.dim")
         self._fill(source, target, tuple(
@@ -80,23 +90,24 @@ class LinMap:
 
     @property
     def rows(self):
-        """The dense matrix, built on each access (JSON output, tests)."""
+        """The dense matrix of Fractions, built on each access (JSON
+        output, tests)."""
         out = []
         for row in self.sparse:
             dense = [_ZERO] * self.source.dim
             for c, x in row:
-                dense[c] = x
+                dense[c] = Fraction(x)
             out.append(tuple(dense))
         return tuple(out)
 
     def is_identity(self) -> bool:
         return self.source.dim == self.target.dim and all(
-            row == ((i, _ONE),) for i, row in enumerate(self.sparse)
+            row == ((i, 1),) for i, row in enumerate(self.sparse)
         )
 
     @staticmethod
     def identity(obj: VectObject) -> "LinMap":
-        return LinMap._of(obj, obj, tuple(((i, _ONE),) for i in range(obj.dim)))
+        return LinMap._of(obj, obj, tuple(((i, 1),) for i in range(obj.dim)))
 
     @staticmethod
     def zero(source: VectObject, target: VectObject) -> "LinMap":
@@ -116,7 +127,7 @@ class LinMap:
             acc = {}
             for m, coef in row:
                 for c, x in inner[m]:
-                    acc[c] = acc.get(c, _ZERO) + coef * x
+                    acc[c] = acc.get(c, 0) + coef * x
             out.append(_canonical(acc))
         return LinMap._of(other.source, self.target, tuple(out))
 
@@ -127,7 +138,7 @@ class LinMap:
         for ra, rb in zip(self.sparse, other.sparse):
             acc = dict(ra)
             for c, x in rb:
-                acc[c] = acc.get(c, _ZERO) + x
+                acc[c] = acc.get(c, 0) + x
             out.append(_canonical(acc))
         return LinMap._of(self.source, self.target, tuple(out))
 
@@ -157,7 +168,7 @@ class LinMap:
         if self.is_identity():
             return self
         n = self.source.dim
-        rows = [dict(row) | {n + i: _ONE} for i, row in enumerate(self.sparse)]
+        rows = [dict(row) | {n + i: 1} for i, row in enumerate(self.sparse)]
         holders = [set() for _ in range(2 * n)]
         for r, row in enumerate(rows):
             for c in row:
@@ -171,15 +182,15 @@ class LinMap:
             free.discard(p)
             pivot_rows.append(p)
             pivot = rows[p]
-            if pivot[col] != _ONE:
-                inv = _ONE / pivot[col]
-                pivot = rows[p] = {c: x * inv for c, x in pivot.items()}
+            if pivot[col] != 1:
+                inv = _exact(_ONE / pivot[col])
+                pivot = rows[p] = {c: _exact(x * inv) for c, x in pivot.items()}
             for r in holders[col] - {p}:
                 row, factor = rows[r], rows[r][col]
                 for c, y in pivot.items():
-                    x = row.get(c, _ZERO) - factor * y
+                    x = row.get(c, 0) - factor * y
                     if x:
-                        row[c] = x
+                        row[c] = _exact(x)
                         holders[c].add(r)
                     else:
                         del row[c]
@@ -207,7 +218,7 @@ class LinMap:
 
 def _canonical(acc):
     """A sparse row from a {col: value} dict: sorted, zeros dropped."""
-    return tuple(sorted((c, x) for c, x in acc.items() if x))
+    return tuple(sorted((c, _exact(x)) for c, x in acc.items() if x))
 
 
 def tensor(a, b):
@@ -218,7 +229,7 @@ def tensor(a, b):
     if isinstance(a, LinMap) and isinstance(b, LinMap):
         nb = b.source.dim
         sparse = tuple(
-            tuple((j * nb + c, x * y) for j, x in a_row for c, y in b_row)
+            tuple((j * nb + c, _exact(x * y)) for j, x in a_row for c, y in b_row)
             for a_row in a.sparse
             for b_row in b.sparse
         )
@@ -285,7 +296,7 @@ def distribute(a: VectObject, parts) -> LinMap:
     for p in parts:
         for i in range(a.dim):
             start = i * total.dim + offset
-            sparse.extend(((start + q, _ONE),) for q in range(p.dim))
+            sparse.extend(((start + q, 1),) for q in range(p.dim))
         offset += p.dim
     return LinMap._of(
         tensor(a, total), direct_sum(tensor(a, p) for p in parts), tuple(sparse)
@@ -301,7 +312,8 @@ class NonunitalAlgebra:
     def __init__(self, dim, c):
         dim = int(dim)
         c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
+            tuple(tuple(_exact(Fraction(x)) for x in row) for row in plane)
+            for plane in c
         )
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane)
@@ -335,12 +347,10 @@ class NonunitalAlgebra:
                 for k in range(d):
                     for l in range(d):
                         lhs = sum(
-                            (self.c[m][i][j] * self.c[l][m][k] for m in range(d)),
-                            _ZERO,
+                            self.c[m][i][j] * self.c[l][m][k] for m in range(d)
                         )
                         rhs = sum(
-                            (self.c[m][j][k] * self.c[l][i][m] for m in range(d)),
-                            _ZERO,
+                            self.c[m][j][k] * self.c[l][i][m] for m in range(d)
                         )
                         if lhs != rhs:
                             return (i, j, k)
@@ -367,10 +377,7 @@ class NonunitalAlgebra:
 
     @staticmethod
     def from_json(data):
-        return NonunitalAlgebra(data["dim"], [
-            [[Fraction(x) for x in row] for row in plane]
-            for plane in data["c"]
-        ])
+        return NonunitalAlgebra(data["dim"], data["c"])
 
 
 def zero_algebra(dim=1) -> NonunitalAlgebra:
@@ -391,27 +398,27 @@ def _algebra_from_matrix_basis(basis, size) -> NonunitalAlgebra:
     def mat_mul(a, b):
         return tuple(
             tuple(
-                sum((a[i][m] * b[m][j] for m in range(size)), _ZERO)
+                sum(a[i][m] * b[m][j] for m in range(size))
                 for j in range(size)
             )
             for i in range(size)
         )
 
     index = {m: k for k, m in enumerate(basis)}
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
             prod = mat_mul(basis[i], basis[j])
             if any(any(row) for row in prod):
                 # products of matrix units land on a single basis element
                 k = index[prod]
-                c[k][i][j] = _ONE
+                c[k][i][j] = 1
     return NonunitalAlgebra(d, c)
 
 
 def _matrix_unit(size, a, b):
     return tuple(
-        tuple(_ONE if (i, j) == (a, b) else _ZERO for j in range(size))
+        tuple(int((i, j) == (a, b)) for j in range(size))
         for i in range(size)
     )
 

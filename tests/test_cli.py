@@ -59,6 +59,18 @@ def test_roundtrip_mainc(capsys):
     assert data["ok"] is True
 
 
+@pytest.mark.parametrize("command", [["roundtrip", "mainc"], ["daycon"]])
+def test_truncation_before_or_after_subcommand(capsys, command):
+    for argv in (
+        ["--truncation", "3", *command],
+        [*command, "--truncation", "3"],
+        ["--truncation", "2", *command, "--truncation", "3"],  # the later wins
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["truncation"] == 3
+
+
 def test_roundtrip_unknown_builtin(capsys):
     with pytest.raises(SystemExit):
         main(["roundtrip", "mainc", "--algebra", "builtin:nope"])
@@ -109,6 +121,14 @@ def test_out_dir_writes_files(capsys, tmp_path):
     assert written["count"] == 3
 
 
+def test_out_dir_after_subcommand(capsys, tmp_path):
+    code, _ = run(
+        capsys, "enumerate", "preorders", "--n", "2", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "preorders_2.json").read_text())["count"] == 3
+
+
 def test_config_file_overrides(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 4\n# comment\n")
@@ -132,6 +152,7 @@ def test_usage_error_exit_code():
         (["enumerate", "amalgams", "--right", "-1"], "right"),
         (["verify", "amalgams", "--left", "0"], "left"),
         (["--truncation", "0", "daycon"], "truncation"),
+        (["roundtrip", "mainc", "--truncation", "0"], "truncation"),
     ],
 )
 def test_nonpositive_bound_is_a_usage_error(capsys, argv, bound):

@@ -79,6 +79,16 @@ def rk4_capture_times(surface, criticals, segments, tol):
     return times
 
 
+def outer_equator_capture_time(torus, tol):
+    """Flow time from 10 * tol_crit off the minimum to tol.capture of the
+    maximum along the outer equator v = 0 of a torus.  There du/dt =
+    cos(u) / (R + r), so the time is (R + r) ln(4 (R + r)^2 / (rho *
+    capture)) with rho = 10 * tol_crit, up to terms of order rho^2 and
+    capture^2."""
+    a = torus.R + torus.r
+    return a * math.log(4 * a * a / (10.0 * tol.tol_crit * tol.capture))
+
+
 @pytest.fixture(scope="module")
 def sphere():
     return Sphere()
@@ -178,8 +188,25 @@ def test_segment_heights_monotone(torus_segments):
 
 
 def test_capture_times_match_rk4_oracle(torus, torus_criticals, torus_segments):
-    oracle = rk4_capture_times(torus, torus_criticals, torus_segments, TOL)
-    captured = np.array([seg.times[-1] for seg in torus_segments])
+    # the seeds at angles 0 and pi off the minimum run along the outer
+    # equator v = 0 for 87 time units (87k RK4 steps); the closed form is
+    # their oracle, and fixed-step RK4 that of every other segment
+    def on_equator(seg):
+        return (
+            torus_criticals[seg.source].index == 0
+            and abs(math.sin(seg.seed_angle)) < 1e-12
+        )
+
+    equator = [seg for seg in torus_segments if on_equator(seg)]
+    rest = [seg for seg in torus_segments if not on_equator(seg)]
+    assert len(equator) == 2
+    assert all(torus_criticals[seg.target].index == 2 for seg in equator)
+    exact = outer_equator_capture_time(torus, TOL)
+    assert abs(exact - 86.7359) < 1e-4
+    assert all(abs(seg.times[-1] - exact) <= TOL.tol_time for seg in equator)
+
+    oracle = rk4_capture_times(torus, torus_criticals, rest, TOL)
+    captured = np.array([seg.times[-1] for seg in rest])
     assert not np.any(np.isnan(oracle))
     assert np.max(np.abs(captured - oracle)) <= TOL.step + TOL.tol_time
 

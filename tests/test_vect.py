@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,17 +249,24 @@ def as_dense(m):
     return [list(row) for row in m.rows]
 
 
+def exact_entry(x):
+    """Integral values are stored as int, the rest as Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def assert_canonical(m):
     assert len(m.sparse) == m.target.dim
     for row in m.sparse:
         cols = [c for c, _ in row]
         assert cols == sorted(set(cols))
         assert all(0 <= c < m.source.dim and x for c, x in row)
+        assert all(exact_entry(x) for _, x in row)
 
 
 entries = st.one_of(
     st.just(Fraction(0)),
-    st.just(Fraction(0)),
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
 dims = st.integers(min_value=0, max_value=4)
@@ -293,6 +301,7 @@ def parallel_pairs(draw):
 @given(linmaps())
 def test_dense_rows_roundtrip(m):
     assert_canonical(m)
+    assert all(type(x) is Fraction for row in m.rows for x in row)
     assert LinMap(m.source, m.target, m.rows) == m
     assert hash(LinMap(m.source, m.target, m.rows)) == hash(m)
 
@@ -394,3 +403,86 @@ def test_inverse_matches_oracle(m):
     assert_canonical(inv)
     assert as_dense(inv) == want
     assert (m @ inv).is_identity() and (inv @ m).is_identity()
+
+
+# ---------------------------------------------------- integer entries
+# integral entries are stored as int, and a map cannot tell whether it
+# was built from ints or from Fractions
+
+
+@given(st.data())
+def test_fraction_and_int_inputs_agree(data):
+    source, target = data.draw(dims), data.draw(dims)
+    ints = data.draw(st.lists(
+        st.lists(st.integers(-5, 5), min_size=source, max_size=source),
+        min_size=target, max_size=target,
+    ))
+    fractions = [[Fraction(x) for x in row] for row in ints]
+    a = LinMap(VectObject(source), VectObject(target), ints)
+    b = LinMap(VectObject(source), VectObject(target), fractions)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a.sparse) == repr(b.sparse)
+    assert all(type(x) is int for row in b.sparse for _, x in row)
+    as_json = [[str(x) for x in row] for row in b.rows]
+    assert as_json == [[str(x) for x in row] for row in fractions]
+
+
+def scalar(x):
+    return LinMap(VectObject(1), VectObject(1), [[x]])
+
+
+def entry(m):
+    ((_, x),) = m.sparse[0]
+    return x
+
+
+def test_integral_results_of_fractions_are_ints():
+    half, two = scalar(Fraction(1, 2)), scalar(Fraction(4, 2))
+    assert type(entry(two)) is int
+    assert type(entry(half @ two)) is int
+    assert type(entry(half + half)) is int
+    assert type(entry(tensor(scalar(Fraction(3, 2)), scalar(Fraction(2, 3))))) is int
+    assert entry(half.inverse()) == 2 and type(entry(half.inverse())) is int
+    assert entry(two.inverse()) == Fraction(1, 2)
+    for m in (
+        LinMap.identity(VectObject(3)),
+        distribute(VectObject(2), [VectObject(1), VectObject(2)]),
+        block_map([VectObject(1)], [VectObject(1)] * 2, {(0, 0): two, (0, 1): half}),
+    ):
+        assert_canonical(m)
+
+
+def test_algebra_constants_are_ints():
+    for alg in (
+        zero_algebra(2), rational_algebra(), nilpotent_upper3(), matrix_algebra_2x2()
+    ):
+        for a in (alg, NonunitalAlgebra.from_json(alg.to_json())):
+            assert all(type(x) is int for plane in a.c for row in plane for x in row)
+    one = NonunitalAlgebra(1, [[[Fraction(2, 2)]]])
+    assert one == rational_algebra() and hash(one) == hash(rational_algebra())
+    halves = NonunitalAlgebra(1, [[[Fraction(1, 2)]]])
+    assert halves.to_json() == {"dim": 1, "c": [[["1/2"]]]}
+    assert NonunitalAlgebra.from_json(halves.to_json()) == halves
+
+
+def unimodular(dim, rng, ops):
+    """An integer matrix of determinant +-1: a signed permutation times
+    `ops` elementary row operations with coefficient +-1."""
+    perm = rng.sample(range(dim), dim)
+    p = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(dim)]
+         for i in range(dim)]
+    for _ in range(ops if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return p
+
+
+def test_unimodular_inverse_stays_integral():
+    rng = random.Random(20181)
+    for dim in range(1, 7):
+        for ops in (3, 12):
+            m = LinMap(VectObject(dim), VectObject(dim), unimodular(dim, rng, ops))
+            inv = m.inverse()
+            assert all(type(x) is int for row in inv.sparse for _, x in row)
+            assert (m @ inv).is_identity() and (inv @ m).is_identity()
