@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Reports are machine-readable JSON first (canonical key order, rationals
-as p/q in lowest terms), human tables second.
+as p/q in lowest terms), human tables second.  Every report is written by
+`_json_text`, whose output is byte for byte
+`json.dumps(data, sort_keys=True, indent=2)`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import acceptance
@@ -44,8 +46,42 @@ class RunConfig:
     n: int = 3
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(node, pad="\n"):
+    """json.dumps(node, sort_keys=True, indent=2), byte for byte; pad is a
+    newline and the indentation of node's own line.
+
+    json.dumps with indent runs the pure-Python encoder, so strings, ints,
+    str-keyed dicts and nonempty lists and tuples are written here, a list
+    of ints in one join.  Every other node (floats, bools, None, empty
+    containers, non-str keys, subclasses) goes through json.dumps and is
+    re-indented, which is exact since JSON text holds no raw newline.
+    """
+    kind = type(node)
+    if kind is str:
+        return _encode_str(node)
+    if kind is int:
+        return int.__repr__(node)
+    inner = pad + "  "
+    if kind is dict and set(map(type, node)) == {str}:
+        items = [
+            _encode_str(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(node.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and node:
+        if set(map(type, node)) == {int}:
+            items = map(int.__repr__, node)
+        else:
+            items = [_json_text(value, inner) for value in node]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(node, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def _dump(data, out_dir, filename):
-    text = json.dumps(data, sort_keys=True, indent=2)
+    text = _json_text(data)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text + "\n")
@@ -66,14 +102,23 @@ def _load_algebra(ref) -> NonunitalAlgebra:
 
 
 def _read_config_file(path):
-    """Simple key = value lines; '#' starts a comment."""
+    """Simple key = value lines; '#' starts a comment.  A line without '='
+    or a key that is not a RunConfig field raises ValueError."""
+    known = [field.name for field in fields(RunConfig)]
     values = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"config line has no '=': {line!r}")
+        if key not in known:
+            raise ValueError(
+                f"unknown config key {key!r}; choose from {known}"
+            )
+        values[key] = value.strip()
     return values
 
 
@@ -245,9 +290,7 @@ def cmd_accept(args, config):
     out = _out_dir(args)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "acceptance.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
+        (out / "acceptance.json").write_text(_json_text(payload) + "\n")
     return 0 if payload["all_ok"] else 1
 
 
@@ -319,7 +362,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     overrides = {}
     if args.config:
-        overrides = _read_config_file(args.config)
+        try:
+            overrides = _read_config_file(args.config)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         config = RunConfig(
             truncation=int(overrides.get("truncation", args.truncation)),

@@ -5,7 +5,11 @@ A preorder on labels 0..n-1 is stored as a rank vector whose image is an
 initial segment 0..k-1 of the naturals; i <= j holds iff rank(i) <= rank(j).
 Enumerators build their objects directly: preorders as packed words grown
 label by label, monotone surjections as cuts of the source order, amalgams
-as pairs of surjections onto a common [k].
+as pairs of surjections onto a common [k].  Constructors check their
+invariants in time linear in the number of labels: monotonicity by
+comparing labels of equal and of adjacent ranks (`_monotone`), convexity
+by counting the labels in each class's rank range, refinement and
+reflection through a label -> class position tuple.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ class LinPreorder:
     __slots__ = ("ranks",)
 
     def __init__(self, ranks):
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) == 0:
+        ranks = tuple(map(int, ranks))
+        if not ranks:
             raise ValueError("preorders are nonempty")
-        if any(r < 0 for r in ranks):
+        if min(ranks) < 0:
             raise ValueError("ranks must be nonnegative")
-        image = set(ranks)
-        if image != set(range(max(ranks) + 1)):
+        if len(set(ranks)) != max(ranks) + 1:
             raise ValueError("rank image must be an initial segment 0..k-1")
         object.__setattr__(self, "ranks", ranks)
 
@@ -139,6 +142,23 @@ def enumerate_linear_preorders(n) -> list:
     ]
 
 
+def _monotone(src_ranks, image_ranks):
+    """A pair (i, j) with src_ranks[i] <= src_ranks[j] but image_ranks[i] >
+    image_ranks[j], or None if there is none.  src_ranks is the rank vector
+    of a LinPreorder, so it suffices that labels of equal rank share an
+    image and that images do not decrease from one rank to the next."""
+    last = {r: i for i, r in enumerate(src_ranks)}
+    for i, r in enumerate(src_ranks):
+        j = last[r]
+        if image_ranks[i] != image_ranks[j]:
+            return (i, j) if image_ranks[i] > image_ranks[j] else (j, i)
+    for r in range(1, len(last)):
+        i, j = last[r - 1], last[r]
+        if image_ranks[i] > image_ranks[j]:
+            return i, j
+    return None
+
+
 class OrderMorphism:
     """A nondecreasing, essentially surjective map of linear preorders."""
 
@@ -150,15 +170,15 @@ class OrderMorphism:
             raise ValueError("mapping length must equal source size")
         if any(not (0 <= v < target.n) for v in mapping):
             raise ValueError("mapping image must lie in the target labels")
-        for i in range(source.n):
-            for j in range(source.n):
-                if source.leq(i, j) and not target.leq(mapping[i], mapping[j]):
-                    raise ValueError(
-                        f"not nondecreasing: {i} <= {j} but "
-                        f"{mapping[i]} !<= {mapping[j]}"
-                    )
-        hit = {target.ranks[v] for v in mapping}
-        if hit != set(range(target.num_classes)):
+        image = [target.ranks[v] for v in mapping]
+        bad = _monotone(source.ranks, image)
+        if bad is not None:
+            i, j = bad
+            raise ValueError(
+                f"not nondecreasing: {i} <= {j} but "
+                f"{mapping[i]} !<= {mapping[j]}"
+            )
+        if len(set(image)) != target.num_classes:
             raise ValueError("not essentially surjective")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -229,36 +249,48 @@ def enumerate_surjections(source: LinOrder, target: LinOrder) -> list:
 
 class ConvexEquiv:
     """An equivalence relation on a preordered base whose classes are
-    convex: i <= j <= k and i ~ k forces i ~ j ~ k."""
+    convex: i <= j <= k and i ~ k forces i ~ j ~ k.
 
-    __slots__ = ("base", "classes")
+    `index[i]` is the position in `classes` of the class of label i.
+    """
+
+    __slots__ = ("base", "classes", "index")
 
     def __init__(self, base, classes):
+        classes = [tuple(c) for c in classes]
         seen = []
         for c in classes:
             seen.extend(c)
         if sorted(seen) != list(range(base.n)):
             raise ValueError("classes must partition the labels")
-        index = {}
+        # A class is convex iff it holds every label whose rank lies
+        # between its lowest and highest rank: count those labels.
+        ranks = base.ranks
+        below = list(itertools.accumulate(map(len, base.classes()), initial=0))
         for c in classes:
-            for i in c:
-                index[i] = frozenset(c)
-        for i in range(base.n):
-            for j in range(base.n):
-                for k in range(base.n):
-                    if base.leq(i, j) and base.leq(j, k) and index[i] == index[k]:
-                        if index[j] != index[i]:
-                            raise ValueError(
-                                f"not convex at {i} <= {j} <= {k}"
-                            )
+            c_ranks = [ranks[i] for i in c]
+            lo, hi = min(c_ranks), max(c_ranks)
+            if below[hi + 1] - below[lo] != len(c):
+                i, k = c[c_ranks.index(lo)], c[c_ranks.index(hi)]
+                j = next(
+                    j
+                    for j in range(base.n)
+                    if lo <= ranks[j] <= hi and j not in c
+                )
+                raise ValueError(f"not convex at {i} <= {j} <= {k}")
         enum = base.enumeration()
         pos = {lab: p for p, lab in enumerate(enum)}
         norm = tuple(
             tuple(sorted(c, key=lambda i: pos[i]))
-            for c in sorted((tuple(c) for c in classes), key=lambda c: min(pos[i] for i in c))
+            for c in sorted(classes, key=lambda c: min(pos[i] for i in c))
         )
+        index = [0] * base.n
+        for a, c in enumerate(norm):
+            for i in c:
+                index[i] = a
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "classes", norm)
+        object.__setattr__(self, "index", tuple(index))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexEquiv is immutable")
@@ -272,10 +304,9 @@ class ConvexEquiv:
         return ConvexEquiv(base, [tuple(range(base.n))])
 
     def class_index(self, i):
-        for a, c in enumerate(self.classes):
-            if i in c:
-                return a
-        raise KeyError(i)
+        if not 0 <= i < len(self.index):
+            raise KeyError(i)
+        return self.index[i]
 
     def relates(self, i, j):
         return self.class_index(i) == self.class_index(j)
@@ -284,10 +315,7 @@ class ConvexEquiv:
         """self <= other in the refinement order: i ~self j => i ~other j."""
         if self.base != other.base:
             raise ValueError("refinement compares relations on one base")
-        return all(
-            set(c) <= set(other.classes[other.class_index(c[0])])
-            for c in self.classes
-        )
+        return len(set(zip(self.index, other.index))) == len(self.classes)
 
     def covers(self):
         """The covers of this relation under refinement: two adjacent classes merged."""
@@ -298,11 +326,7 @@ class ConvexEquiv:
     def quotient(self):
         """The linear order on classes and the projection morphism."""
         q = LinOrder(range(len(self.classes)))
-        mapping = [0] * self.base.n
-        for a, c in enumerate(self.classes):
-            for i in c:
-                mapping[i] = a
-        return q, OrderMorphism(self.base, q, mapping)
+        return q, OrderMorphism(self.base, q, self.index)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexEquiv):
@@ -383,12 +407,10 @@ class Amalgam:
         if preorder.n != left.n + right.n:
             raise ValueError("amalgam must live on the disjoint union")
         for base, offset in ((left, 0), (right, left.n)):
-            for i in range(base.n):
-                for j in range(base.n):
-                    if base.leq(i, j) and not preorder.leq(i + offset, j + offset):
-                        raise ValueError("inclusion is not nondecreasing")
-            hit = {preorder.ranks[i + offset] for i in range(base.n)}
-            if hit != set(range(preorder.num_classes)):
+            image = preorder.ranks[offset : offset + base.n]
+            if _monotone(base.ranks, image) is not None:
+                raise ValueError("inclusion is not nondecreasing")
+            if len(set(image)) != preorder.num_classes:
                 raise ValueError("inclusion is not essentially surjective")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -404,13 +426,7 @@ class Amalgam:
     def leq_amalgam(self, other) -> bool:
         """self <= other iff the identity on I ⊔ J is nondecreasing from
         self.preorder to other.preorder."""
-        a, b = self.preorder, other.preorder
-        return all(
-            b.leq(i, j)
-            for i in range(a.n)
-            for j in range(a.n)
-            if a.leq(i, j)
-        )
+        return _monotone(self.preorder.ranks, other.preorder.ranks) is None
 
     def join(self, other) -> "Amalgam":
         """Least upper bound: transitive closure of the union relation."""

@@ -94,12 +94,12 @@ class TwMorphism:
         f = OrderMorphism(source.order, target.order, mapping)
         if not f.is_surjective:
             raise ValueError("underlying map must be surjective")
-        for i in range(source.n):
-            for j in range(source.n):
-                if target.rel.relates(f(i), f(j)) and not source.rel.relates(i, j):
-                    raise ValueError(
-                        f"relation not reflected at ({i},{j})"
-                    )
+        # Each target class must pull back into a single source class.
+        first = {}
+        for i, v in enumerate(f.mapping):
+            j = first.setdefault(target.rel.index[v], i)
+            if source.rel.index[i] != source.rel.index[j]:
+                raise ValueError(f"relation not reflected at ({j},{i})")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "f", f)

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from brokenlines.cli import main
+from brokenlines import acceptance
+from brokenlines.cli import _json_text, main
 from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
 from brokenlines.orders import LinOrder
@@ -171,6 +176,8 @@ def test_nonpositive_bound_is_a_usage_error(capsys, argv, bound):
         ("n = 0", "n must be a positive integer, got 0"),
         ("truncation = -2", "truncation must be a positive integer, got -2"),
         ("n = three", "config value is not an integer: "),
+        ("truncaton = 9", "unknown config key 'truncaton'; choose from "),
+        ("n 5", "config line has no '=': 'n 5'"),
     ],
 )
 def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
@@ -181,4 +188,77 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
     assert err.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         f"brokenlines: error: {message}"
+    )
+
+
+# ---------------------------------------------------------- report writer
+
+
+class Count(int):
+    pass
+
+
+ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers().map(Count)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text()
+    | st.text(alphabet=ESCAPES)
+)
+json_trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text() | st.text(alphabet=ESCAPES), children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_trees)
+def test_report_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+# sha256 of stdout, recorded with the stdlib json.dumps writer
+GOLDEN_STDOUT = {
+    "enumerate preorders --n 6":
+        "9404ac024a077aba8d9488120e9233c2b9b07fabe35becec10e2064d33dd03b3",
+    "enumerate convex --n 6":
+        "0367f4a88b77c5450fcc0b970e2b528aee6ebd9fc8b0da215965b31e17169bf2",
+    "enumerate surjections --n 6 --target 3":
+        "8a671855923de6bbe86e6715c6ceeba7de33475baecceb27b8dfc30532df05d4",
+    "enumerate amalgams --left 3 --right 3":
+        "457f77ce95c02452ea907b4f3de099d7e293ddf072d29001dfa4b7dc446421d9",
+    "verify amalgams --left 3 --right 3":
+        "b940c05b059ad43b9a5d2a58573881f5cd381020da87301c854812b82628ec23",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_report_stdout_matches_golden_digest(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_acceptance_json_uses_the_report_writer(capsys, tmp_path, monkeypatch):
+    results = [
+        {"name": "first", "ok": True, "detail": "3 checks \u2014 fine", "seconds": 0.25},
+        {"name": "second", "ok": False, "detail": "", "seconds": 1e-05},
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    code, out = run(capsys, "accept", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[1].startswith("[FAIL] second")
+    payload = {"criteria": results, "all_ok": False}
+    assert (tmp_path / "acceptance.json").read_text() == (
+        json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )

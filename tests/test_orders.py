@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from brokenlines.orders import (
     LinOrder,
     LinPreorder,
     OrderMorphism,
+    _monotone,
     concatenate_orders,
     enumerate_amalgams,
     enumerate_convex_equivalences,
@@ -432,3 +434,141 @@ def test_concatenate_associative():
         concatenate_orders(concatenate_orders(a, b), c).ranks
         == concatenate_orders(a, concatenate_orders(b, c)).ranks
     )
+
+
+# ------------------------------------ linear-time checks, pairwise oracles
+#
+# The constructors check monotonicity, convexity, refinement and class
+# membership in linear time.  These tests hold them to the definitions,
+# written pairwise (or triple-wise) here.
+
+
+def preorders_up_to(n):
+    return [p for m in range(1, n + 1) for p in enumerate_linear_preorders(m)]
+
+
+def monotone_violations(src, img):
+    """Every (i, j) with src[i] <= src[j] but img[i] > img[j]."""
+    labels = range(len(src))
+    return {
+        (i, j) for i in labels for j in labels if src[i] <= src[j] and img[i] > img[j]
+    }
+
+
+def convex_violations(base, classes):
+    """Every (i, j, k) with i <= j <= k and i ~ k but not i ~ j."""
+    cls = {i: c for c in map(tuple, classes) for i in c}
+    labels = range(base.n)
+    return {
+        (i, j, k)
+        for i in labels
+        for j in labels
+        for k in labels
+        if base.leq(i, j) and base.leq(j, k) and cls[i] == cls[k] != cls[j]
+    }
+
+
+def pairs_related(rel):
+    return {(i, j) for c in rel.classes for i in c for j in c}
+
+
+def test_monotone_matches_pairwise_oracle():
+    for p in preorders_up_to(4):
+        for img in itertools.product(range(p.n), repeat=p.n):
+            bad = _monotone(p.ranks, img)
+            violations = monotone_violations(p.ranks, img)
+            assert (bad is None) == (not violations), (p, img)
+            assert bad is None or bad in violations, (p, img, bad)
+
+
+def test_order_morphism_check_matches_pairwise_oracle():
+    for source in preorders_up_to(4):
+        for target in preorders_up_to(3):
+            classes = set(range(target.num_classes))
+            for mapping in itertools.product(range(target.n), repeat=source.n):
+                image = [target.ranks[v] for v in mapping]
+                violations = monotone_violations(source.ranks, image)
+                surjective = set(image) == classes
+                try:
+                    OrderMorphism(source, target, mapping)
+                except ValueError as exc:
+                    found = re.fullmatch(
+                        r"not nondecreasing: (\d+) <= (\d+) but (\d+) !<= (\d+)",
+                        str(exc),
+                    )
+                    if found is None:
+                        assert str(exc) == "not essentially surjective"
+                        assert not violations and not surjective
+                        continue
+                    i, j, vi, vj = map(int, found.groups())
+                    assert (i, j) in violations and (vi, vj) == (mapping[i], mapping[j])
+                else:
+                    assert not violations and surjective, (source, target, mapping)
+
+
+def test_amalgam_check_matches_pairwise_oracle():
+    for p in range(1, 5):
+        for q in range(1, 6 - p):
+            rights = [LinOrder(r) for r in itertools.permutations(range(q))]
+            for left in map(LinOrder, itertools.permutations(range(p))):
+                for right in rights:
+                    for pre in enumerate_linear_preorders(p + q):
+                        ok = all(
+                            not monotone_violations(base.ranks, image)
+                            and set(image) == set(range(pre.num_classes))
+                            for base, image in (
+                                (left, pre.ranks[:p]),
+                                (right, pre.ranks[p:]),
+                            )
+                        )
+                        try:
+                            Amalgam(left, right, pre)
+                        except ValueError:
+                            assert not ok, (left, right, pre)
+                        else:
+                            assert ok, (left, right, pre)
+
+
+def test_leq_amalgam_matches_pairwise_oracle():
+    for left, right in [
+        (LinOrder.standard(4), LinOrder.standard(4)),
+        (LinOrder([2, 0, 1]), LinOrder([3, 1, 4, 0, 2])),
+    ]:
+        amalgams = enumerate_amalgams(left, right)
+        for a in amalgams:
+            for b in amalgams:
+                expect = not monotone_violations(a.preorder.ranks, b.preorder.ranks)
+                assert a.leq_amalgam(b) == expect, (a, b)
+
+
+def test_convexity_check_matches_triple_oracle():
+    for base in preorders_up_to(5):
+        for partition in set_partitions(list(range(base.n))):
+            violations = convex_violations(base, partition)
+            try:
+                ConvexEquiv(base, partition)
+            except ValueError as exc:
+                found = re.fullmatch(r"not convex at (\d+) <= (\d+) <= (\d+)", str(exc))
+                assert tuple(map(int, found.groups())) in violations
+            else:
+                assert not violations, (base, partition)
+
+
+def test_refinement_and_class_index_match_pairwise_oracle():
+    bases = [LinOrder.standard(n) for n in range(1, 7)]
+    bases += [LinOrder([3, 5, 0, 2, 4, 1]), LinPreorder([2, 0, 1, 0, 2, 1])]
+    bases += preorders_up_to(3)
+    for base in bases:
+        rels = enumerate_convex_equivalences(base)
+        for a in rels:
+            for pos, c in enumerate(a.classes):
+                assert all(a.class_index(i) == pos for i in c)
+            for i in (-1, base.n, base.n + 1):
+                with pytest.raises(KeyError):
+                    a.class_index(i)
+            related = pairs_related(a)
+            for i in range(base.n):
+                for j in range(base.n):
+                    assert a.relates(i, j) == ((i, j) in related)
+            for b in rels:
+                assert a.refines(b) == (related <= pairs_related(b)), (a, b)

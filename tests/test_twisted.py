@@ -1,8 +1,14 @@
 import itertools
+import re
 
 import pytest
 
-from brokenlines.orders import ConvexEquiv, LinOrder, enumerate_convex_equivalences
+from brokenlines.orders import (
+    ConvexEquiv,
+    LinOrder,
+    OrderMorphism,
+    enumerate_convex_equivalences,
+)
 from brokenlines.twisted import (
     TwFunctor,
     TwMorphism,
@@ -118,6 +124,37 @@ def test_reflection_condition_enforced():
         TwMorphism(src, tgt, [0, 1])
     # the other direction is fine
     TwMorphism(tgt, src, [0, 1])
+
+
+def test_reflection_check_matches_pairwise_oracle():
+    # every monotone surjection between objects of size <= 4 (the maps
+    # tw_oracle tries): TwMorphism accepts exactly the reflecting ones
+    objects = tw_oracle(4)[0]
+    for x in objects:
+        for y in objects:
+            for mapping in itertools.product(range(y.n), repeat=x.n):
+                try:
+                    f = OrderMorphism(x.order, y.order, mapping)
+                except ValueError:
+                    continue
+                if not f.is_surjective:
+                    continue
+                violations = {
+                    (i, j)
+                    for cy in y.rel.classes
+                    for cx in x.rel.classes
+                    for i in range(x.n)
+                    for j in range(x.n)
+                    if mapping[i] in cy and mapping[j] in cy
+                    and i in cx and j not in cx
+                }
+                try:
+                    TwMorphism(x, y, mapping)
+                except ValueError as exc:
+                    found = re.fullmatch(r"relation not reflected at \((\d+),(\d+)\)", str(exc))
+                    assert tuple(map(int, found.groups())) in violations
+                else:
+                    assert not violations, (x, y, mapping)
 
 
 # ------------------------------------------------------------------ star
