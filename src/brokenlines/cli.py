@@ -349,7 +349,7 @@ def build_parser():
 
     p_morse = add_parser("morse", help="gradient-flow demo")
     p_morse.add_argument("what", choices=["demo"])
-    p_morse.add_argument("--surface", choices=["sphere", "torus"], default="torus")
+    p_morse.add_argument("--surface", choices=sorted(morse_mod.SURFACES), default="torus")
     p_morse.set_defaults(fn=cmd_morse)
 
     p_accept = add_parser("accept", help="run the acceptance suite")

@@ -84,18 +84,18 @@ def u_membership(config: Configuration, amalgam: Amalgam) -> bool:
     return amalgam.leq_amalgam(k_of(config))
 
 
-def sample_configurations(left: LinOrder, right: LinOrder, per_stratum=1):
+def sample_configurations(left: LinOrder, right: LinOrder):
     """Deterministic configurations reaching every amalgam stratum:
-    for each amalgam K and each stratum of Rep(K), grid samples."""
+    for each amalgam K and each stratum of Rep(K), one grid sample."""
     configs = []
     for amalgam in enumerate_amalgams(left, right):
         for rel in enumerate_convex_equivalences(amalgam.preorder):
-            for point in stratum_samples(amalgam.preorder, rel, per_stratum):
+            for point in stratum_samples(amalgam.preorder, rel, 1):
                 configs.append(config_from_amalgam_point(amalgam, point))
     return configs
 
 
-def verify_join_identity(left: LinOrder, right: LinOrder, per_stratum=1):
+def verify_join_identity(left: LinOrder, right: LinOrder):
     """Exhaustive check of the covering facts over Amal(left, right).
 
     For every pair K, K' and every sampled configuration:
@@ -122,7 +122,7 @@ def verify_join_identity(left: LinOrder, right: LinOrder, per_stratum=1):
                 if leq[x][z] and leq[y][z] and not leq[j][z]:
                     violations.append(("join-not-least", x, y, z))
 
-    configs = sample_configurations(left, right, per_stratum)
+    configs = sample_configurations(left, right)
     configs_checked = 0
     strata_hit = set()
     for config in configs:

@@ -5,7 +5,8 @@ combinatorics.
 This is the one floating-point module in the package; every check it
 makes carries an explicit tolerance from `Tolerances`.  The surfaces are
 built-in parametrizations (round sphere; torus of revolution standing on
-its side so the height function is Morse), not user meshes.
+its side so the height function is Morse), not user meshes, and each
+gives its height h and gradient field in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class Tolerances:
     tol_end: float = 1e-4       # endpoint distance of a trajectory
     tol_reparam: float = 1e-5   # max |h(p(t)) - t|
     tol_inv: float = 1e-4       # flow-invariance residual of the image
-    tol_time: float = 1e-3      # flow-time vs translation-distance residual
     step: float = 1e-3          # first trial step; unit of the Newton cap
     tol_merge: float = 1e-5     # critical-point deduplication distance
     capture: float = 1e-4       # capture radius at a critical point
@@ -66,9 +66,6 @@ class Sphere:
 
     def embed(self, x):
         return np.asarray(x, dtype=float)
-
-    def retract(self, x, delta):
-        return self.project(np.asarray(x, dtype=float) + delta)
 
     def frame(self, x):
         """Two orthonormal tangent vectors at x."""
@@ -152,9 +149,6 @@ class Torus:
             [ring * np.cos(u), self.r * np.sin(v), ring * np.sin(u)], axis=-1
         )
 
-    def retract(self, x, delta):
-        return self.project(np.asarray(x, dtype=float) + delta)
-
     def frame(self, x):
         x = np.asarray(x, dtype=float)
         ring = self.R + self.r * math.cos(float(x[1]))
@@ -166,76 +160,6 @@ class Torus:
 
     def plot_coords(self, x):
         return np.asarray(x, dtype=float)
-
-
-class PerturbedSurface:
-    """A surface with h replaced by h + height * bump; the gradient is
-    recomputed by central differences in an orthonormal tangent frame,
-    so the perturbation is felt by the flow as well.  Used to check that
-    critical-point counts are stable under small perturbations."""
-
-    def __init__(self, base, center_state, height=1e-4, width=0.7):
-        self.base = base
-        self.name = base.name + "+bump"
-        self.state_dim = base.state_dim
-        self.center = np.asarray(center_state, dtype=float)
-        self.height = float(height)
-        self.width = float(width)
-
-    def h(self, x):
-        d = np.linalg.norm(
-            self.base.embed(x) - self.base.embed(self.center), axis=-1
-        )
-        return self.base.h(x) + self.height * np.exp(-((d / self.width) ** 2))
-
-    def _tangent_slopes(self, x, eps=1e-5):
-        """The frame at x and the central-difference slopes of h along
-        its two columns."""
-        frame = self.base.frame(x)
-        slopes = []
-        for j in range(2):
-            hp = float(self.h(self.base.retract(x, eps * frame[:, j])))
-            hm = float(self.h(self.base.retract(x, -eps * frame[:, j])))
-            slopes.append((hp - hm) / (2 * eps))
-        return frame, slopes
-
-    def field(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.array([self.field(row) for row in x])
-        frame, slopes = self._tangent_slopes(x)
-        out = np.zeros(self.state_dim)
-        for j in range(2):
-            out += slopes[j] * frame[:, j]
-        return out
-
-    def grad_norm(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.array([self.grad_norm(row) for row in x])
-        _, slopes = self._tangent_slopes(x)
-        total = 0.0
-        for s in slopes:
-            total += s**2
-        return math.sqrt(total)
-
-    def project(self, x):
-        return self.base.project(x)
-
-    def embed(self, x):
-        return self.base.embed(x)
-
-    def retract(self, x, delta):
-        return self.base.retract(x, delta)
-
-    def frame(self, x):
-        return self.base.frame(x)
-
-    def seeds(self):
-        return self.base.seeds()
-
-    def plot_coords(self, x):
-        return self.base.plot_coords(x)
 
 
 SURFACES = {"sphere": Sphere, "torus": Torus}
@@ -455,8 +379,8 @@ def _newton_refine(surface, x, tol, iters=120):
         f0 = local_field(x)
         jac = np.zeros((2, 2))
         for j in range(2):
-            xp = surface.retract(x, eps * frame[:, j])
-            xm = surface.retract(x, -eps * frame[:, j])
+            xp = surface.project(x + eps * frame[:, j])
+            xm = surface.project(x - eps * frame[:, j])
             jac[:, j] = (local_field(xp) - local_field(xm)) / (2 * eps)
         try:
             delta = np.linalg.solve(jac, -f0)
@@ -464,7 +388,7 @@ def _newton_refine(surface, x, tol, iters=120):
             break
         if np.linalg.norm(delta) > 0.8:
             delta *= 0.8 / np.linalg.norm(delta)
-        x = surface.retract(x, frame @ delta)
+        x = surface.project(x + frame @ delta)
     return best if best_norm < tol.tol_crit else None
 
 
@@ -472,7 +396,8 @@ def _hessian(surface, x, frame, eps=1e-4):
     """Finite-difference Hessian of h at x in the orthonormal frame."""
 
     def phi(a, b):
-        return float(surface.h(surface.retract(x, a * frame[:, 0] + b * frame[:, 1])))
+        delta = a * frame[:, 0] + b * frame[:, 1]
+        return float(surface.h(surface.project(x + delta)))
 
     h00 = phi(0, 0)
     h11 = (phi(eps, 0) - 2 * h00 + phi(-eps, 0)) / eps**2
@@ -533,12 +458,8 @@ def _shoot_batch(surface, criticals, source_idx, seeds_with_angles, tol):
     crit_embed = np.array([surface.embed(np.array(c.state)) for c in criticals])
     src = criticals[source_idx]
     rho = 10.0 * tol.tol_crit
-    x0 = np.array(
-        [
-            surface.retract(np.array(src.state), rho * d)
-            for _, d in seeds_with_angles
-        ]
-    )
+    start = np.array(src.state)
+    x0 = np.array([surface.project(start + rho * d) for _, d in seeds_with_angles])
     escaped = np.zeros(len(x0), dtype=bool)
     target = np.full(len(x0), -1, dtype=int)
 
@@ -604,34 +525,24 @@ def find_connections(surface, criticals, tol=Tolerances(), refine_rounds=2):
         segments.extend(batch)
         if crit.index != 0 or not batch:
             continue
-        # bisect between adjacent ring angles with different targets
-        outcome = {}
-        for seg in batch:
-            outcome[seg.seed_angle] = seg.target
-        angles = sorted(outcome)
+        # bisect between adjacent ring angles with different targets; the
+        # last angle is paired with the first one a turn later
+        outcome = {seg.seed_angle: seg.target for seg in batch}
         frame = surface.frame(np.array(crit.state))
-        for round_ in range(refine_rounds):
-            new_dirs = []
-            pairs = list(zip(angles, angles[1:]))
-            pairs.append((angles[-1], angles[0] + 2 * math.pi))
-            for a, b in pairs:
-                key_b = angles[0] if b == angles[0] + 2 * math.pi else b
-                if outcome.get(a) != outcome.get(key_b):
-                    for t in np.linspace(a, b, 6)[1:-1]:
-                        new_dirs.append(
-                            (
-                                float(t),
-                                math.cos(t) * frame[:, 0]
-                                + math.sin(t) * frame[:, 1],
-                            )
-                        )
+        for _ in range(refine_rounds):
+            angles = sorted(outcome)
+            ends = angles[1:] + [angles[0] + 2 * math.pi]
+            new_dirs = [
+                (float(t), math.cos(t) * frame[:, 0] + math.sin(t) * frame[:, 1])
+                for a, b, key_b in zip(angles, ends, angles[1:] + angles[:1])
+                if outcome[a] != outcome[key_b]
+                for t in np.linspace(a, b, 6)[1:-1]
+            ]
             if not new_dirs:
                 break
             batch = _shoot_batch(surface, criticals, ci, new_dirs, tol)
             segments.extend(batch)
-            for seg in batch:
-                outcome[seg.seed_angle] = seg.target
-            angles = sorted(outcome)
+            outcome.update((seg.seed_angle, seg.target) for seg in batch)
     return segments
 
 
@@ -710,10 +621,15 @@ def _path_points(surface, criticals, segments, ts, tol=Tolerances()):
     return out
 
 
-def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=None, segments=None, max_paths=64):
+# most broken trajectories that one call assembles
+MAX_PATHS = 64
+
+
+def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=None, segments=None):
     """Broken gradient trajectories from one critical point to another,
     assembled by chaining shooting segments through intermediate criticals
-    in increasing h and reparametrizing by height."""
+    in increasing h and reparametrizing by height.  If more than MAX_PATHS
+    are found, the first MAX_PATHS are kept and one warning says so."""
     if criticals is None:
         criticals = find_critical_points(surface, tol)
     start_idx = _locate_critical(surface, criticals, start, tol)
@@ -728,19 +644,27 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
     paths = []
 
     def extend(path):
-        if len(paths) >= max_paths:
+        if len(paths) > MAX_PATHS:
             return
-        last = path[-1].target
+        last = path[-1].target if path else start_idx
         if last == end_idx:
-            paths.append(list(path))
+            paths.append(path)
             return
         for seg in by_source.get(last, []):
             if criticals[seg.target].h > criticals[last].h:
                 extend(path + [seg])
 
-    for seg in by_source.get(start_idx, []):
-        if criticals[seg.target].h > criticals[start_idx].h:
-            extend([seg])
+    extend([])
+    if len(paths) > MAX_PATHS:
+        lo, hi = criticals[start_idx], criticals[end_idx]
+        warnings.warn(
+            f"{surface.name}: more than {MAX_PATHS} broken trajectories from "
+            f"critical point {start_idx} (index {lo.index}, h = {lo.h:.6f}) "
+            f"to critical point {end_idx} (index {hi.index}, h = {hi.h:.6f}); "
+            f"kept the first {MAX_PATHS}",
+            stacklevel=2,
+        )
+        del paths[MAX_PATHS:]
 
     out = []
     for path in paths:
@@ -754,10 +678,8 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
 def _locate_critical(surface, criticals, point, tol):
     if isinstance(point, int):
         return point
-    if isinstance(point, CriticalPoint):
-        target = surface.embed(np.array(point.state))
-    else:
-        target = surface.embed(np.asarray(point, dtype=float))
+    state = point.state if isinstance(point, CriticalPoint) else point
+    target = surface.embed(np.asarray(state, dtype=float))
     dists = [
         float(np.linalg.norm(surface.embed(np.array(c.state)) - target))
         for c in criticals
@@ -879,24 +801,26 @@ def euler_characteristic(criticals):
     return sum((-1) ** c.index for c in criticals)
 
 
-def render_svg(surface, criticals, segments, width=480, height=480):
+# width and height of the rendered flow plot, in px
+SVG_SIZE = 480
+
+
+def render_svg(surface, criticals, segments):
     """Flow lines over the parameter/plot domain as a standalone SVG."""
-    pts = []
-    for seg in segments:
-        pts.append(surface.plot_coords(seg.states))
     lo = np.array([-math.pi, -math.pi if surface.name == "torus" else 0.0])
     hi = np.array([math.pi, math.pi])
 
     def to_px(p):
         q = (p - lo) / (hi - lo)
-        return q[0] * width, (1 - q[1]) * height
+        return q[0] * SVG_SIZE, (1 - q[1]) * SVG_SIZE
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
-    for coords in pts:
+    for seg in segments:
+        coords = surface.plot_coords(seg.states)
         chunks = [[]]
         for k in range(len(coords)):
             if k > 0 and np.any(np.abs(coords[k] - coords[k - 1]) > math.pi):

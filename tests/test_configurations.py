@@ -12,6 +12,7 @@ from brokenlines.lines import BrokenLine
 from brokenlines.orders import (
     LinOrder,
     enumerate_amalgams,
+    enumerate_convex_equivalences,
 )
 from brokenlines.rep import stratum_samples
 
@@ -69,7 +70,7 @@ def test_k_of_roundtrip_through_amalgam_points():
 def test_u_membership_cases():
     left = right = LinOrder.standard(2)
     amalgams = enumerate_amalgams(left, right)
-    configs = sample_configurations(left, right, 1)
+    configs = sample_configurations(left, right)
     for config in configs:
         ks = k_of(config)
         assert u_membership(config, ks)
@@ -92,7 +93,7 @@ def test_u_membership_monotone_decreasing():
     left = LinOrder.standard(2)
     right = LinOrder.standard(3)
     amalgams = enumerate_amalgams(left, right)
-    configs = sample_configurations(left, right, 1)
+    configs = sample_configurations(left, right)
     for config in configs:
         for a in amalgams:
             for b in amalgams:
@@ -104,7 +105,7 @@ def test_covering_property():
     # some U_K contains every configuration: K = K_s works
     left = right = LinOrder.standard(3)
     amalgams = enumerate_amalgams(left, right)
-    for config in sample_configurations(left, right, 1):
+    for config in sample_configurations(left, right):
         ks = k_of(config)
         assert ks in amalgams
         assert u_membership(config, ks)
@@ -134,5 +135,8 @@ def test_join_identity_full_sweep():
 def test_k_of_is_valid_amalgam_for_all_samples():
     left = LinOrder.standard(2)
     right = LinOrder.standard(2)
-    for config in sample_configurations(left, right, 2):
-        k_of(config)  # Amalgam constructor re-validates both inclusions
+    for amalgam in enumerate_amalgams(left, right):
+        for rel in enumerate_convex_equivalences(amalgam.preorder):
+            for point in stratum_samples(amalgam.preorder, rel, 2):
+                # Amalgam constructor re-validates both inclusions
+                k_of(config_from_amalgam_point(amalgam, point))

@@ -5,9 +5,10 @@ import pytest
 
 from brokenlines.extreal import INF
 from brokenlines.morse import (
+    MAX_PATHS,
+    SURFACES,
     BrokenTrajectory,
     FlowSegment,
-    PerturbedSurface,
     SimplePath,
     Sphere,
     Tolerances,
@@ -25,6 +26,13 @@ from brokenlines.morse import (
 )
 
 TOL = Tolerances()
+# flow-time residual: capture times against their oracles, and the
+# re-integrated distance between two marks on one segment
+TOL_TIME = 1e-3
+# the perturbation of the stability tests: a Gaussian bump of this height
+# and width in embedding distance, added to h
+BUMP_HEIGHT = 1e-4
+BUMP_WIDTH = 0.7
 
 
 def rk4_step(surface, x, dt):
@@ -34,6 +42,57 @@ def rk4_step(surface, x, dt):
     k3 = surface.field(surface.project(x + 0.5 * dt * k2))
     k4 = surface.field(surface.project(x + dt * k3))
     return surface.project(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+def gaussian_bump(surface, x, center):
+    """The bump at states x around the state `center`, with the
+    embedding-space offsets from the center."""
+    diff = surface.embed(x) - surface.embed(center)
+    return BUMP_HEIGHT * np.exp(-np.sum(diff**2, axis=-1) / BUMP_WIDTH**2), diff
+
+
+class BumpedSphere(Sphere):
+    """The sphere with the bump at (1, 0, 0) added to h; the field adds
+    the bump's ambient gradient projected to the tangent plane."""
+
+    name = "sphere+bump"
+    center = np.array([1.0, 0.0, 0.0])
+
+    def h(self, x):
+        return super().h(x) + gaussian_bump(self, x, self.center)[0]
+
+    def field(self, x):
+        x = np.asarray(x, dtype=float)
+        bump, diff = gaussian_bump(self, x, self.center)
+        grad = (-2.0 * bump / BUMP_WIDTH**2)[..., None] * diff
+        grad -= np.sum(grad * x, axis=-1, keepdims=True) * x
+        return super().field(x) + grad
+
+
+class BumpedTorus(Torus):
+    """The torus with the bump at state (0.4, 0.8) added to h; the field
+    adds (dh/du / (R + r cos v)^2, dh/dv / r^2) of the bump."""
+
+    name = "torus+bump"
+    center = np.array([0.4, 0.8])
+
+    def h(self, x):
+        return super().h(x) + gaussian_bump(self, x, self.center)[0]
+
+    def field(self, x):
+        x = np.asarray(x, dtype=float)
+        u, v = x[..., 0], x[..., 1]
+        ring = self.R + self.r * np.cos(v)
+        bump, diff = gaussian_bump(self, x, self.center)
+        scale = -2.0 * bump / BUMP_WIDTH**2
+        # the derivatives of the embedding along u and along v
+        e_u = np.stack([-ring * np.sin(u), np.zeros_like(u), ring * np.cos(u)], axis=-1)
+        e_v = self.r * np.stack(
+            [-np.sin(v) * np.cos(u), np.cos(v), -np.sin(v) * np.sin(u)], axis=-1
+        )
+        du = scale * np.sum(diff * e_u, axis=-1) / ring**2
+        dv = scale * np.sum(diff * e_v, axis=-1) / self.r**2
+        return super().field(x) + np.stack([du, dv], axis=-1)
 
 
 def seed_direction(surface, critical, angle):
@@ -50,9 +109,9 @@ def rk4_capture_times(surface, criticals, segments, tol):
     source = np.array([s.source for s in segments])
     x = np.array(
         [
-            surface.retract(
-                np.array(criticals[s.source].state),
-                10.0 * tol.tol_crit * seed_direction(surface, criticals[s.source], s.seed_angle),
+            surface.project(
+                np.array(criticals[s.source].state)
+                + 10.0 * tol.tol_crit * seed_direction(surface, criticals[s.source], s.seed_angle)
             )
             for s in segments
         ]
@@ -126,7 +185,39 @@ def torus_trajectories(torus, torus_criticals, torus_segments):
     )
 
 
-# ----------------------------------------------------------- integration
+# ---------------------------------------------------------------- surfaces
+
+
+def metric_gradient(surface, x, eps=1e-5):
+    """Central-difference gradient of h at the state x: the slopes of h
+    along the columns of the orthonormal frame, recombined in that frame."""
+    frame = surface.frame(x)
+    out = np.zeros(surface.state_dim)
+    for j in range(2):
+        hp = surface.h(surface.project(x + eps * frame[:, j]))
+        hm = surface.h(surface.project(x - eps * frame[:, j]))
+        out += (hp - hm) / (2 * eps) * frame[:, j]
+    return out
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [make() for make in SURFACES.values()]
+    + [Torus(2.2, 0.9), BumpedSphere(), BumpedTorus()],
+    ids=lambda s: f"{s.name}-{s.R}-{s.r}" if isinstance(s, Torus) else s.name,
+)
+def test_surface_protocol(surface):
+    rng = np.random.default_rng(7)
+    x = surface.project(rng.uniform(-math.pi, math.pi, (9, surface.state_dim)))
+    for method in (surface.h, surface.field, surface.grad_norm):
+        batch = method(x)
+        assert batch.shape[0] == len(x)
+        assert np.array_equal(batch, np.array([method(row) for row in x]))
+    for row in x:
+        assert np.max(np.abs(surface.field(row) - metric_gradient(surface, row))) < 1e-6
+
+
+# ------------------------------------------------------------- integration
 
 
 def test_flow_from_equator_rises_to_north_pole(sphere):
@@ -203,12 +294,12 @@ def test_capture_times_match_rk4_oracle(torus, torus_criticals, torus_segments):
     assert all(torus_criticals[seg.target].index == 2 for seg in equator)
     exact = outer_equator_capture_time(torus, TOL)
     assert abs(exact - 86.7359) < 1e-4
-    assert all(abs(seg.times[-1] - exact) <= TOL.tol_time for seg in equator)
+    assert all(abs(seg.times[-1] - exact) <= TOL_TIME for seg in equator)
 
     oracle = rk4_capture_times(torus, torus_criticals, rest, TOL)
     captured = np.array([seg.times[-1] for seg in rest])
     assert not np.any(np.isnan(oracle))
-    assert np.max(np.abs(captured - oracle)) <= TOL.step + TOL.tol_time
+    assert np.max(np.abs(captured - oracle)) <= TOL.step + TOL_TIME
 
 
 @pytest.mark.parametrize(
@@ -257,16 +348,19 @@ def test_torus_criticals(torus_criticals):
 
 
 def test_critical_counts_stable_under_perturbation(torus, torus_criticals):
-    bumped = PerturbedSurface(torus, [0.4, 0.8], height=1e-4, width=0.7)
+    bumped = BumpedTorus()
+    assert abs(bumped.h(bumped.center) - torus.h(bumped.center) - BUMP_HEIGHT) < 1e-12
     crits = find_critical_points(bumped, TOL)
     assert len(crits) == len(torus_criticals)
     assert sorted(c.index for c in crits) == sorted(
         c.index for c in torus_criticals
     )
+    assert euler_characteristic(crits) == 0
 
 
 def test_sphere_counts_stable_under_perturbation(sphere, sphere_criticals):
-    bumped = PerturbedSurface(sphere, [1.0, 0.0, 0.0], height=1e-4, width=0.7)
+    bumped = BumpedSphere()
+    assert abs(bumped.h(bumped.center) - sphere.h(bumped.center) - BUMP_HEIGHT) < 1e-12
     crits = find_critical_points(bumped, TOL)
     assert len(crits) == len(sphere_criticals)
     assert euler_characteristic(crits) == 2
@@ -289,6 +383,31 @@ def test_sphere_has_many_unbroken_trajectories(sphere, sphere_criticals):
     assert all(t.component_count == 1 for t in trajectories)
     for t in trajectories[:4]:
         assert validate_trajectory(t, TOL).ok
+
+
+def test_trajectories_beyond_the_cap_are_reported(sphere, sphere_criticals):
+    tol = Tolerances(ring_seeds=80)
+    segments = find_connections(sphere, sphere_criticals, tol)
+    assert len(segments) == 80 > MAX_PATHS
+    with pytest.warns(UserWarning) as record:
+        trajectories = find_broken_trajectories(
+            sphere,
+            sphere_criticals[0],
+            sphere_criticals[-1],
+            tol,
+            criticals=sphere_criticals,
+            segments=segments,
+        )
+    assert len(trajectories) == MAX_PATHS
+    # the first MAX_PATHS segments, each a trajectory of its own, are kept
+    for traj, seg in zip(trajectories, segments):
+        assert len(traj.segments) == 1 and traj.segments[0] is seg
+    (warning,) = record
+    assert str(warning.message) == (
+        f"sphere: more than {MAX_PATHS} broken trajectories from critical "
+        "point 0 (index 0, h = -1.000000) to critical point 1 (index 2, "
+        f"h = 1.000000); kept the first {MAX_PATHS}"
+    )
 
 
 def test_torus_broken_trajectories_exist(torus_trajectories):
@@ -402,7 +521,7 @@ def test_within_segment_distance_matches_flow_time(torus, torus_trajectories):
     for _ in range(steps):
         state = rk4_step(torus, state, delta / steps)
     dist = float(np.linalg.norm(torus.embed(state) - torus.embed(seg.states[i2])))
-    assert dist < TOL.tol_time
+    assert dist < TOL_TIME
 
 
 # ------------------------------------------------------------------ report
