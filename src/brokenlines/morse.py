@@ -126,9 +126,10 @@ class Torus:
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
         ring = self.R + self.r * np.cos(v)
-        du = np.cos(u) / ring
-        dv = -np.sin(v) * np.sin(u) / self.r
-        return np.stack([du, dv], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = np.cos(u) / ring
+        out[..., 1] = -np.sin(v) * np.sin(u) / self.r
+        return out
 
     def grad_norm(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,9 +146,11 @@ class Torus:
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0], x[..., 1]
         ring = self.R + self.r * np.cos(v)
-        return np.stack(
-            [ring * np.cos(u), self.r * np.sin(v), ring * np.sin(u)], axis=-1
-        )
+        out = np.empty(x.shape[:-1] + (3,))
+        out[..., 0] = ring * np.cos(u)
+        out[..., 1] = self.r * np.sin(v)
+        out[..., 2] = ring * np.sin(u)
+        return out
 
     def frame(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,6 +6,11 @@ Objects are pairs (I, ~) of a standard linear order with a convex
 equivalence relation; a morphism is a monotone surjection that reflects
 the target relation into the source relation.  Functors are truncated at
 a size N; truncation is exact degree by degree.
+
+The action of an algebra's functor on f depends only on the fiber sizes
+of f, so `algebra_to_functor` builds one map per fiber shape and shares it
+between the morphisms of that shape.  `tw_enumerate`, `tw_generators` and
+`tw_restrict` are cached for the life of the process.
 """
 
 from __future__ import annotations
@@ -204,6 +209,7 @@ def comparison_morphism(x: TwObject) -> TwMorphism:
     return TwMorphism(sharp(x.n), x, range(x.n))
 
 
+@lru_cache(maxsize=None)
 def tw_restrict(x: TwObject, lo, hi):
     """The sub-object on positions lo..hi-1, relabeled to 0..hi-lo-1."""
     order = LinOrder.standard(hi - lo)
@@ -340,30 +346,27 @@ class TwFunctor:
 def algebra_to_functor(algebra: NonunitalAlgebra, N) -> TwFunctor:
     """The strictly monoidal functor of an algebra: value A^(x)|I| on
     every relation, action multiplying each fiber in order, identity lax
-    maps."""
+    maps.  The action of f depends only on its fiber sizes, so each shape
+    gets one map, shared by every morphism of that shape."""
     if algebra.validate() is not None:
         raise ValueError("structure constants are not associative")
-    a = algebra.space
+    d = algebra.dim
     objects, morphisms = tw_enumerate(N)
-    value = {x: tensor_all([a] * x.n) for x in objects}
+    value = {x: VectObject(d**x.n) for x in objects}
+    ident = LinMap.identity(algebra.space)
+    mult = algebra.multiplication()
+    mults = {1: ident}  # k -> the left-fold multiplication A^(x)k -> A
+    for k in range(2, N + 1):
+        mults[k] = mult @ tensor(mults[k - 1], ident)
+    by_shape = {}
     action = {}
     for f in morphisms:
-        factors = [
-            _iterated_mult(algebra, len(f.f.fiber(j))) for j in range(f.target.n)
-        ]
-        action[f] = tensor_all(factors)
+        shape = tuple(len(f.f.fiber(j)) for j in range(f.target.n))
+        if shape not in by_shape:
+            by_shape[shape] = tensor_all(mults[k] for k in shape)
+        action[f] = by_shape[shape]
     lax = {(x, y): LinMap.identity(value[tw_star(x, y)]) for x, y in tw_pairs(N)}
     return TwFunctor(N, value, action, lax, check=False)
-
-
-def _iterated_mult(algebra: NonunitalAlgebra, k) -> LinMap:
-    """Left-fold multiplication A^(x)k -> A."""
-    if k < 1:
-        raise ValueError("fibers of a surjection are nonempty")
-    out = LinMap.identity(algebra.space)
-    for _ in range(k - 1):
-        out = algebra.multiplication() @ tensor(out, LinMap.identity(algebra.space))
-    return out
 
 
 def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:

@@ -239,6 +239,14 @@ GOLDEN_STDOUT = {
         "457f77ce95c02452ea907b4f3de099d7e293ddf072d29001dfa4b7dc446421d9",
     "verify amalgams --left 3 --right 3":
         "b940c05b059ad43b9a5d2a58573881f5cd381020da87301c854812b82628ec23",
+    "roundtrip mainc --algebra builtin:mat2 --truncation 4":
+        "82c08df6f5816bf1ef3fa93b0f25c0d34c9f17920af261167f30868f56d1d1e7",
+    "roundtrip mainc --algebra builtin:nilpotent3 --truncation 5":
+        "002ff8d926ed6bd9dfddadb7239859dc40f003aacabb7fb2f7a684bbd363fffe",
+    "daycon --algebra builtin:nilpotent3 --truncation 4":
+        "ff43a3a0b32ed1be29fd63e18839f6b8ecf6ba318afa534e275cf51ae5158677",
+    "daycon --algebra builtin:mat2 --truncation 4":
+        "5b688c1c8c1dce44cf4fbea5db5112c0c5dddab9156838f032ecab13298fb237",
 }
 
 

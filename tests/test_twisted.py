@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -32,10 +33,13 @@ from brokenlines.twisted import (
 )
 from brokenlines.vect import (
     LinMap,
+    NonunitalAlgebra,
     VectObject,
     matrix_algebra_2x2,
     nilpotent_upper3,
     rational_algebra,
+    tensor,
+    tensor_all,
     zero_algebra,
 )
 
@@ -201,6 +205,18 @@ def test_restriction_relabels():
     assert sub.rel.classes == ((0, 1),)
 
 
+def test_restriction_cache_matches_uncached():
+    objects, _ = tw_enumerate(5)
+    for x in objects:
+        for lo in range(x.n):
+            with pytest.raises(ValueError):
+                tw_restrict(x, lo, lo)
+            for hi in range(lo + 1, x.n + 1):
+                sub = tw_restrict(x, lo, hi)
+                assert sub == tw_restrict.__wrapped__(x, lo, hi)
+                assert tw_restrict(x, lo, hi) is sub
+
+
 # ----------------------------------------------------- algebra functors
 
 
@@ -233,6 +249,93 @@ def test_nilpotent_merge_action():
     # order-reversed factor e23 (x) e12 multiplies to zero
     col_reverse = 2 * 3 + 0
     assert [row[col_reverse] for row in m.rows] == [0, 0, 0]
+
+
+def _mult_oracle(algebra, k):
+    """Left-fold multiplication A^(x)k -> A, rebuilt at every call."""
+    out = LinMap.identity(algebra.space)
+    for _ in range(k - 1):
+        out = algebra.multiplication() @ tensor(out, LinMap.identity(algebra.space))
+    return out
+
+
+def _fiber_shape(f):
+    return tuple(len(f.f.fiber(j)) for j in range(f.target.n))
+
+
+def _action_oracle(algebra, f):
+    """The action of f built on its own: one fold per fiber, tensored."""
+    return tensor_all([_mult_oracle(algebra, k) for k in _fiber_shape(f)])
+
+
+def _rebased(algebra, seed):
+    """`algebra` in a seeded unimodular basis P: mult' = P^-1 mult (P (x) P)."""
+    rng = random.Random(seed)
+    d = algebra.dim
+    perm = rng.sample(range(d), d)
+    p = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(d)]
+         for i in range(d)]
+    for _ in range(4):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    basis = LinMap(algebra.space, algebra.space, p)
+    rows = (basis.inverse() @ algebra.multiplication() @ tensor(basis, basis)).rows
+    out = NonunitalAlgebra(
+        d, [[rows[k][i * d : (i + 1) * d] for i in range(d)] for k in range(d)]
+    )
+    assert out.validate() is None and out != algebra
+    return out
+
+
+ORACLE_CASES = [
+    (name, make, N)
+    for name, make in (
+        ("zero1", zero_algebra),
+        ("rational", rational_algebra),
+        ("nilpotent3", nilpotent_upper3),
+        ("mat2", matrix_algebra_2x2),
+        ("mat2-seeded", lambda: _rebased(matrix_algebra_2x2(), 20181)),
+    )
+    for N in (1, 2, 3, 4)
+] + [("nilpotent3", nilpotent_upper3, 5)]
+
+
+@pytest.mark.parametrize(
+    "make, N", [c[1:] for c in ORACLE_CASES], ids=[f"{c[0]}-{c[2]}" for c in ORACLE_CASES]
+)
+def test_shared_actions_match_per_morphism_oracle(make, N):
+    algebra = make()
+    functor = algebra_to_functor(algebra, N)
+    objects, morphisms = tw_enumerate(N)
+    for x in objects:
+        assert functor.value[x] == tensor_all([algebra.space] * x.n)
+    for f in morphisms:
+        assert functor.act(f) == _action_oracle(algebra, f)
+
+
+def test_actions_of_equal_shape_differ_between_algebras():
+    zero = algebra_to_functor(zero_algebra(3), 3)
+    nil = algebra_to_functor(nilpotent_upper3(), 3)
+    _, morphisms = tw_enumerate(3)
+    for f in morphisms:
+        assert zero.act(f) == _action_oracle(zero_algebra(3), f)
+        assert nil.act(f) == _action_oracle(nilpotent_upper3(), f)
+        # the two agree on identities, and on a triple product, which is 0
+        # in both; a fiber of two multiplies by mu_2 != 0 only in nil
+        assert (zero.act(f) == nil.act(f)) == (2 not in _fiber_shape(f))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_one_action_object_per_fiber_shape(N):
+    functor = algebra_to_functor(nilpotent_upper3(), N)
+    by_shape = {}
+    for f, m in functor.action.items():
+        by_shape.setdefault(_fiber_shape(f), set()).add(id(m))
+    # the shapes are the compositions of 1..N, 2^(n-1) of each n
+    assert len(by_shape) == 2**N - 1
+    assert all(len(ids) == 1 for ids in by_shape.values())
+    assert len({id(m) for m in functor.action.values()}) == 2**N - 1
 
 
 def test_algebra_functors_validate():
