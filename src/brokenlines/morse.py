@@ -68,13 +68,14 @@ class Sphere:
         return np.asarray(x, dtype=float)
 
     def frame(self, x):
-        """Two orthonormal tangent vectors at x."""
+        """Two orthonormal tangent vectors at each x (..., 3), as the
+        columns of a (..., 3, 2) array."""
         x = np.asarray(x, dtype=float)
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(probe, x)) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        e1 = probe - np.dot(probe, x) * x
-        e1 /= np.linalg.norm(e1)
+        # project e_x, or e_y where x is close to the x-axis; vecdot is
+        # the dot product of a 1-D np.dot or np.linalg.norm, bit for bit
+        probe = np.where(np.abs(x[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        e1 = probe - np.vecdot(probe, x)[..., None] * x
+        e1 /= np.sqrt(np.vecdot(e1, e1))[..., None]
         e2 = np.cross(x, e1)
         return np.stack([e1, e2], axis=-1)
 
@@ -154,8 +155,10 @@ class Torus:
 
     def frame(self, x):
         x = np.asarray(x, dtype=float)
-        ring = self.R + self.r * math.cos(float(x[1]))
-        return np.array([[1.0 / ring, 0.0], [0.0, 1.0 / self.r]]).T
+        out = np.zeros(x.shape + (2,))
+        out[..., 0, 0] = 1.0 / (self.R + self.r * np.cos(x[..., 1]))
+        out[..., 1, 1] = 1.0 / self.r
+        return out
 
     def seeds(self):
         grid = np.linspace(-math.pi, math.pi, 8, endpoint=False)
@@ -245,6 +248,10 @@ def _hermite(a, fa, b, fb, h, s):
     )
 
 
+# how a row of _flow_rows ended, by its code there
+_ENDINGS = (None, "stop", "horizon", "stalled")
+
+
 def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
     """Flow every row of x0 (n, d) along sign * grad h for flow time up to
     `horizon`, all rows together, each with its own adaptive step.
@@ -269,9 +276,9 @@ def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
     step = np.full(n, float(tol.step))
     retried = np.zeros(n, dtype=bool)
     min_step = tol.step / 2.0**tol.max_halvings
-    times = [[0.0] for _ in range(n)]
-    states = [[row.copy()] for row in x]
-    ended = [None] * n
+    # one (rows, times, states) entry per accepted batch of steps
+    log = [(np.arange(n), t.copy(), x.copy())]
+    ended = np.zeros(n, dtype=int)  # index into _ENDINGS
     live = np.arange(n)
     while live.size:
         last = step[live] >= horizon - t[live]
@@ -299,18 +306,19 @@ def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
                 cut = _hermite(a[end], fa[end], b[ok][end], fb[ok][end], h[end], s[end])
                 x[rows[end]] = surface.project(cut)
                 t[rows[end]] = t_from[end] + s[end] * dt[ok][end]
-                for i in rows[end]:
-                    ended[i] = "stop"
-        for i in rows:
-            times[i].append(float(t[i]))
-            states[i].append(x[i].copy())
-        for i in live:
-            if ended[i] is None and t[i] >= horizon:
-                ended[i] = "horizon"
-            elif ended[i] is None and step[i] < min_step:
-                ended[i] = "stalled"
-        live = np.array([i for i in live if ended[i] is None], dtype=int)
-    return times, states, ended
+                ended[rows[end]] = 1
+        log.append((rows, t[rows], x[rows]))
+        going = ended[live] == 0
+        done = t[live] >= horizon
+        ended[live[going & done]] = 2
+        ended[live[going & ~done & (step[live] < min_step)]] = 3
+        live = live[ended[live] == 0]
+    rows, t, x = (np.concatenate(parts) for parts in zip(*log))
+    order = np.argsort(rows, kind="stable")
+    cuts = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    times = np.split(t[order], cuts)
+    states = np.split(x[order], cuts)
+    return times, states, [_ENDINGS[e] for e in ended]
 
 
 @dataclass
@@ -337,18 +345,14 @@ def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=Tolerances()):
 def find_critical_points(surface, tol=Tolerances()):
     """Grid-seeded Newton refinement of the gradient field, deduplicated,
     with Morse indices estimated from a finite-difference Hessian."""
-    found = []
-    for seed in surface.seeds():
-        x = _newton_refine(surface, np.array(seed, dtype=float), tol)
-        if x is None:
-            continue
-        if any(
-            np.linalg.norm(surface.embed(x) - surface.embed(np.array(c)))
-            < tol.tol_merge
-            for c in found
-        ):
+    refined, converged = _newton_refine(surface, surface.seeds(), tol)
+    refined = refined[converged]
+    found, embedded = [], []
+    for x, e in zip(refined, surface.embed(refined)):
+        if any(np.linalg.norm(e - c) < tol.tol_merge for c in embedded):
             continue
         found.append(tuple(float(v) for v in x))
+        embedded.append(e)
     out = [
         CriticalPoint(
             state=c,
@@ -363,36 +367,60 @@ def find_critical_points(surface, tol=Tolerances()):
 
 
 def _newton_refine(surface, x, tol, iters=120):
+    """Newton iteration on the field in the orthonormal frame, all rows of
+    x (n, d) in one batch, with a central-difference Jacobian.  A row stops
+    when its gradient norm is below 1e-14 or its Jacobian is singular.
+    Returns the projected state of least gradient norm of each row, and a
+    mask of the rows where that norm is below tol.tol_crit."""
     # iterate well past tol_crit: shooting seeds sit 1e-7 from the
     # critical point and state error amplifies exponentially downstream
     eps = 1e-6
-    best = None
-    best_norm = float("inf")
+    x = np.array(x, dtype=float)
+    best = x.copy()
+    best_norm = np.full(len(x), np.inf)
+    live = np.arange(len(x))
     for _ in range(iters):
-        norm = float(surface.grad_norm(x))
-        if norm < best_norm:
-            best, best_norm = surface.project(x), norm
-        if norm < 1e-14:
+        norm = surface.grad_norm(x[live])
+        better = norm < best_norm[live]
+        best[live[better]] = surface.project(x[live[better]])
+        best_norm[live[better]] = norm[better]
+        live = live[~(norm < 1e-14)]
+        if not live.size:
             break
-        frame = surface.frame(x)  # state_dim x 2
+        xs = x[live]
+        frame = surface.frame(xs)  # (rows, state_dim, 2)
+        probes = [xs]
+        for e in np.moveaxis(eps * frame, -1, 0):
+            probes += [surface.project(xs + e), surface.project(xs - e)]
+        # the field in the frame at x and at x +- eps along each frame
+        # vector, from one field call
+        local = (np.swapaxes(frame, -1, -2) @ surface.field(np.stack(probes))[..., None])[..., 0]
+        jac = np.stack([local[1] - local[2], local[3] - local[4]], axis=-1) / (2 * eps)
+        delta, solved = _solve_rows(jac, -local[0])
+        size = np.sqrt(np.vecdot(delta, delta))
+        big = size > 0.8
+        delta[big] *= (0.8 / size[big])[:, None]
+        live, xs, frame, delta = live[solved], xs[solved], frame[solved], delta[solved]
+        x[live] = surface.project(xs + (frame @ delta[..., None])[..., 0])
+    return best, best_norm < tol.tol_crit
 
-        def local_field(p):
-            return frame.T @ surface.field(p)
 
-        f0 = local_field(x)
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            xp = surface.project(x + eps * frame[:, j])
-            xm = surface.project(x - eps * frame[:, j])
-            jac[:, j] = (local_field(xp) - local_field(xm)) / (2 * eps)
+def _solve_rows(a, b):
+    """Solve a[i] y = b[i] for every row; np.linalg.solve fails a whole
+    batch on one singular matrix, so then every row is solved alone.
+    Returns the solutions and a mask of the rows that were solvable."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(b)
+    solved = np.ones(len(b), dtype=bool)
+    for i in range(len(b)):
         try:
-            delta = np.linalg.solve(jac, -f0)
+            out[i] = np.linalg.solve(a[i], b[i])
         except np.linalg.LinAlgError:
-            break
-        if np.linalg.norm(delta) > 0.8:
-            delta *= 0.8 / np.linalg.norm(delta)
-        x = surface.project(x + frame @ delta)
-    return best if best_norm < tol.tol_crit else None
+            solved[i] = False
+    return out, solved
 
 
 def _hessian(surface, x, frame, eps=1e-4):
@@ -556,6 +584,7 @@ class BrokenTrajectory:
     segments: list         # FlowSegments, one per component
     grid_t: np.ndarray
     points: np.ndarray
+    tol: Tolerances = Tolerances()  # the tolerances the path was found at
 
     @property
     def component_count(self):
@@ -565,7 +594,9 @@ class BrokenTrajectory:
         """The point of the path at height t, or one per entry of an array
         of heights."""
         t = np.asarray(t, dtype=float)
-        pts = _path_points(self.surface, self.criticals, self.segments, t.reshape(-1))
+        (pts,) = _path_points(
+            self.surface, [(self.criticals, self.segments, t.reshape(-1))], self.tol
+        )
         return pts.reshape(t.shape + pts.shape[-1:])
 
 
@@ -588,40 +619,45 @@ def _flow_to_height(surface, x, t_target, tol, iters=14):
     return x
 
 
-def _path_points(surface, criticals, segments, ts, tol=Tolerances()):
-    """Points at heights ts (n,) of the path through `criticals` along
-    `segments`: a critical point where the height is at or beyond the range
-    of its segment, otherwise the last stored state below the height.
-    That state is stepped by the flow time interpolated linearly in h
-    within its accepted step (no longer than that step, so as accurate),
-    then flowed to the height by `_flow_to_height`, all rows in one batch."""
-    heights = [c.h for c in criticals]
-    out = np.empty((len(ts), surface.state_dim))
-    rows, bases, lead = [], [], []
-    for r, t in enumerate(ts):
-        if t <= heights[0]:
-            out[r] = criticals[0].state
-            continue
-        if t >= heights[-1]:
-            out[r] = criticals[-1].state
-            continue
-        j = max(i for i in range(len(heights) - 1) if heights[i] <= t)
-        seg = segments[j]
-        hs = seg.h_values
-        if t <= hs[0]:
-            out[r] = criticals[j].state
-        elif t >= hs[-1]:
-            out[r] = criticals[j + 1].state
-        else:
-            k = max(0, int(np.searchsorted(hs, t)) - 1)
-            rows.append(r)
+def _path_points(surface, paths, tol):
+    """Points of each path (criticals, segments, ts) at its heights ts (n,):
+    a critical point where the height is at or beyond the range of its
+    segment, otherwise the last stored state below the height.  That state
+    is stepped by the flow time interpolated linearly in h within its
+    accepted step (no longer than that step, so as accurate), then flowed
+    to the height by `_flow_to_height`, the rows of all paths in one
+    batch.  Returns one (n, state_dim) array per path."""
+    outs, dests, bases, leads, targets = [], [], [], [], []
+    for criticals, segments, ts in paths:
+        out = np.empty((len(ts), surface.state_dim))
+        heights = [c.h for c in criticals]
+        # the segment of each height, and the index of the critical point
+        # it sits at, or -1 where it lies inside its segment's range
+        j = np.searchsorted(heights[:-1], ts, side="right") - 1
+        at = np.where(ts <= heights[0], 0, np.where(ts >= heights[-1], len(heights) - 1, -1))
+        for i, seg in enumerate(segments):
+            hs = seg.h_values
+            on = (j == i) & (at < 0)
+            below, above = ts <= hs[0], ts >= hs[-1]
+            at[on & below] = i
+            at[on & ~below & above] = i + 1
+            rows = np.flatnonzero(on & ~below & ~above)
+            t = ts[rows]
+            k = np.maximum(np.searchsorted(hs, t) - 1, 0)
+            dests.append((out, rows))
             bases.append(seg.states[k])
-            lead.append((t - hs[k]) / (hs[k + 1] - hs[k]) * (seg.times[k + 1] - seg.times[k]))
-    if rows:
-        x = np.array(bases)
-        x = surface.project(_dp_step(surface, x, surface.field(x), np.array(lead))[0])
-        out[rows] = _flow_to_height(surface, x, ts[rows], tol)
-    return out
+            leads.append((t - hs[k]) / (hs[k + 1] - hs[k]) * (seg.times[k + 1] - seg.times[k]))
+            targets.append(t)
+        for i, c in enumerate(criticals):
+            out[at == i] = c.state
+        outs.append(out)
+    x = np.concatenate(bases) if bases else np.empty((0, surface.state_dim))
+    if len(x):
+        x = surface.project(_dp_step(surface, x, surface.field(x), np.concatenate(leads))[0])
+        x = _flow_to_height(surface, x, np.concatenate(targets), tol)
+    for (out, rows), part in zip(dests, np.split(x, np.cumsum([len(r) for _, r in dests]))):
+        out[rows] = part
+    return outs
 
 
 # most broken trajectories that one call assembles
@@ -669,13 +705,14 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
         )
         del paths[MAX_PATHS:]
 
-    out = []
+    chains = []
     for path in paths:
         crits = [criticals[start_idx]] + [criticals[s.target] for s in path]
-        grid = np.linspace(crits[0].h, crits[-1].h, tol.grid_points)
-        pts = _path_points(surface, crits, path, grid, tol)
-        out.append(BrokenTrajectory(surface, crits, path, grid, pts))
-    return out
+        chains.append((crits, path, np.linspace(crits[0].h, crits[-1].h, tol.grid_points)))
+    return [
+        BrokenTrajectory(surface, crits, path, grid, pts, tol)
+        for (crits, path, grid), pts in zip(chains, _path_points(surface, chains, tol))
+    ]
 
 
 def _locate_critical(surface, criticals, point, tol):
@@ -815,7 +852,7 @@ def render_svg(surface, criticals, segments):
 
     def to_px(p):
         q = (p - lo) / (hi - lo)
-        return q[0] * SVG_SIZE, (1 - q[1]) * SVG_SIZE
+        return np.stack([q[..., 0] * SVG_SIZE, (1 - q[..., 1]) * SVG_SIZE], axis=-1).tolist()
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
@@ -824,21 +861,19 @@ def render_svg(surface, criticals, segments):
     ]
     for seg in segments:
         coords = surface.plot_coords(seg.states)
-        chunks = [[]]
-        for k in range(len(coords)):
-            if k > 0 and np.any(np.abs(coords[k] - coords[k - 1]) > math.pi):
-                chunks.append([])
-            chunks[-1].append(to_px(coords[k]))
-        for chunk in chunks:
-            if len(chunk) < 2:
+        # a polyline breaks where a coordinate wraps across +-pi
+        cuts = np.flatnonzero(np.any(np.abs(np.diff(coords, axis=0)) > math.pi, axis=1)) + 1
+        px = to_px(coords)
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(px)]):
+            if b - a < 2:
                 continue
-            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in chunk)
+            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in px[a:b])
             lines.append(
                 f'<polyline points="{path}" fill="none" stroke="#3366bb" '
                 f'stroke-width="1"/>'
             )
-    for c in criticals:
-        x, y = to_px(surface.plot_coords(np.array(c.state)))
+    centres = to_px(surface.plot_coords(np.array([c.state for c in criticals])))
+    for c, (x, y) in zip(criticals, centres):
         lines.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#bb3333"/>'
         )

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from brokenlines import morse
 from brokenlines.extreal import INF
 from brokenlines.morse import (
     MAX_PATHS,
     SURFACES,
+    SVG_SIZE,
     BrokenTrajectory,
     FlowSegment,
     SimplePath,
@@ -22,6 +24,10 @@ from brokenlines.morse import (
     render_svg,
     trajectory_to_line,
     validate_trajectory,
+    _dp_step,
+    _flow_to_height,
+    _newton_refine,
+    _path_points,
     _shoot_batch,
 )
 
@@ -93,6 +99,149 @@ class BumpedTorus(Torus):
         du = scale * np.sum(diff * e_u, axis=-1) / ring**2
         dv = scale * np.sum(diff * e_v, axis=-1) / self.r**2
         return super().field(x) + np.stack([du, dv], axis=-1)
+
+
+class CountingTorus(Torus):
+    """Torus() that counts its calls of field and of h."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {"field": 0, "h": 0}
+
+    def field(self, x):
+        self.calls["field"] += 1
+        return super().field(x)
+
+    def h(self, x):
+        self.calls["h"] += 1
+        return super().h(x)
+
+
+def newton_refine_one_seed(surface, x, tol, iters=120):
+    """Newton refinement of one seed at a time, the oracle for the batched
+    `_newton_refine`.  Returns the refined state (None if it did not
+    converge), the number of rounds and whether the Jacobian was singular."""
+    eps = 1e-6
+    best = None
+    best_norm = float("inf")
+    singular = False
+    for rounds in range(1, iters + 1):
+        norm = float(surface.grad_norm(x))
+        if norm < best_norm:
+            best, best_norm = surface.project(x), norm
+        if norm < 1e-14:
+            break
+        frame = surface.frame(x)  # state_dim x 2
+
+        def local_field(p):
+            return frame.T @ surface.field(p)
+
+        f0 = local_field(x)
+        jac = np.zeros((2, 2))
+        for j in range(2):
+            xp = surface.project(x + eps * frame[:, j])
+            xm = surface.project(x - eps * frame[:, j])
+            jac[:, j] = (local_field(xp) - local_field(xm)) / (2 * eps)
+        try:
+            delta = np.linalg.solve(jac, -f0)
+        except np.linalg.LinAlgError:
+            singular = True
+            break
+        if np.linalg.norm(delta) > 0.8:
+            delta *= 0.8 / np.linalg.norm(delta)
+        x = surface.project(x + frame @ delta)
+    return (best if best_norm < tol.tol_crit else None), rounds, singular
+
+
+def critical_states_one_seed_at_a_time(surface, tol):
+    """The deduplicated states of `find_critical_points`, from the oracle
+    refinement of each seed, in increasing h."""
+    found = []
+    for seed in surface.seeds():
+        x = newton_refine_one_seed(surface, np.array(seed, dtype=float), tol)[0]
+        if x is None:
+            continue
+        if any(
+            np.linalg.norm(surface.embed(x) - surface.embed(np.array(c))) < tol.tol_merge
+            for c in found
+        ):
+            continue
+        found.append(tuple(float(v) for v in x))
+    return sorted(found, key=lambda c: (float(surface.h(np.array(c))), c))
+
+
+def path_points_row_by_row(surface, criticals, segments, ts, tol):
+    """Points of one path at heights ts with the segment of each height
+    found row by row, the oracle for the batched lookup in `_path_points`."""
+    heights = [c.h for c in criticals]
+    out = np.empty((len(ts), surface.state_dim))
+    rows, bases, lead = [], [], []
+    for r, t in enumerate(ts):
+        if t <= heights[0]:
+            out[r] = criticals[0].state
+            continue
+        if t >= heights[-1]:
+            out[r] = criticals[-1].state
+            continue
+        j = max(i for i in range(len(heights) - 1) if heights[i] <= t)
+        seg = segments[j]
+        hs = seg.h_values
+        if t <= hs[0]:
+            out[r] = criticals[j].state
+        elif t >= hs[-1]:
+            out[r] = criticals[j + 1].state
+        else:
+            k = max(0, int(np.searchsorted(hs, t)) - 1)
+            rows.append(r)
+            bases.append(seg.states[k])
+            lead.append((t - hs[k]) / (hs[k + 1] - hs[k]) * (seg.times[k + 1] - seg.times[k]))
+    if rows:
+        x = np.array(bases)
+        x = surface.project(_dp_step(surface, x, surface.field(x), np.array(lead))[0])
+        out[rows] = _flow_to_height(surface, x, ts[rows], tol)
+    return out
+
+
+def render_svg_point_by_point(surface, criticals, segments):
+    """`render_svg` with the pixel coordinates and the +-pi wrap of every
+    point found one at a time, its oracle."""
+    size = SVG_SIZE
+    lo = np.array([-math.pi, -math.pi if surface.name == "torus" else 0.0])
+    hi = np.array([math.pi, math.pi])
+
+    def to_px(p):
+        q = (p - lo) / (hi - lo)
+        return q[0] * size, (1 - q[1]) * size
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    for seg in segments:
+        coords = surface.plot_coords(seg.states)
+        chunks = [[]]
+        for k in range(len(coords)):
+            if k > 0 and np.any(np.abs(coords[k] - coords[k - 1]) > math.pi):
+                chunks.append([])
+            chunks[-1].append(to_px(coords[k]))
+        for chunk in chunks:
+            if len(chunk) < 2:
+                continue
+            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in chunk)
+            lines.append(
+                f'<polyline points="{path}" fill="none" stroke="#3366bb" '
+                f'stroke-width="1"/>'
+            )
+    for c in criticals:
+        x, y = to_px(surface.plot_coords(np.array(c.state)))
+        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#bb3333"/>')
+        lines.append(
+            f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="12">'
+            f"idx {c.index}</text>"
+        )
+    lines.append("</svg>")
+    return "\n".join(lines)
 
 
 def seed_direction(surface, critical, angle):
@@ -209,12 +358,24 @@ def metric_gradient(surface, x, eps=1e-5):
 def test_surface_protocol(surface):
     rng = np.random.default_rng(7)
     x = surface.project(rng.uniform(-math.pi, math.pi, (9, surface.state_dim)))
-    for method in (surface.h, surface.field, surface.grad_norm):
+    for method in (surface.h, surface.field, surface.grad_norm, surface.frame):
         batch = method(x)
         assert batch.shape[0] == len(x)
         assert np.array_equal(batch, np.array([method(row) for row in x]))
     for row in x:
         assert np.max(np.abs(surface.field(row) - metric_gradient(surface, row))) < 1e-6
+
+
+def test_sphere_frame_batch_matches_rows(sphere):
+    # rows near the x-axis take e_y as the probe, the others e_x
+    x = sphere.project(np.array([[1.0, 0.2, 0.1], [-0.95, 0.1, 0.3], [0.3, 0.4, 0.8], [0.0, 0.0, -1.0]]))
+    frames = sphere.frame(x)
+    assert frames.shape == (4, 3, 2)
+    assert np.array_equal(frames, np.array([sphere.frame(row) for row in x]))
+    assert np.array_equal(frames[None], sphere.frame(x[None]))
+    for row, frame in zip(x, frames):
+        assert np.allclose(frame.T @ frame, np.eye(2), atol=1e-15)
+        assert np.allclose(frame.T @ row, 0.0, atol=1e-15)
 
 
 # ------------------------------------------------------------- integration
@@ -268,9 +429,8 @@ def test_batch_matches_single_rows(torus, torus_criticals):
     for seed, together in zip(seeds, batch):
         (alone,) = _shoot_batch(torus, torus_criticals, 0, [seed], tol)
         assert alone.target == together.target
-        assert alone.states.shape == together.states.shape
-        assert np.max(np.abs(alone.states - together.states)) <= 1e-12
-        assert np.max(np.abs(alone.times - together.times)) <= 1e-12
+        assert np.array_equal(alone.states, together.states)
+        assert np.array_equal(alone.times, together.times)
 
 
 def test_segment_heights_monotone(torus_segments):
@@ -345,6 +505,33 @@ def test_torus_criticals(torus_criticals):
     assert euler_characteristic(torus_criticals) == 0
     heights = [c.h for c in torus_criticals]
     assert np.allclose(heights, [-3.0, -1.0, 1.0, 3.0], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "surface", [Sphere(), Torus(), BumpedSphere(), BumpedTorus()], ids=lambda s: s.name
+)
+def test_batched_newton_matches_one_seed_at_a_time(surface):
+    seeds = surface.seeds()
+    refined, converged = _newton_refine(surface, seeds, TOL)
+    singular = 0
+    for seed, x, ok in zip(seeds, refined, converged):
+        alone, _, stopped = newton_refine_one_seed(surface, seed, TOL)
+        singular += stopped
+        assert ok == (alone is not None)
+        if ok:
+            assert np.array_equal(x, alone)
+    if type(surface) is Torus:
+        assert singular == 8
+    states = [c.state for c in find_critical_points(surface, TOL)]
+    assert states == critical_states_one_seed_at_a_time(surface, TOL)
+
+
+def test_newton_evaluates_all_seeds_together():
+    torus = CountingTorus()
+    rounds = max(newton_refine_one_seed(torus, seed, TOL)[1] for seed in torus.seeds())
+    torus.calls["field"] = 0
+    crits = find_critical_points(torus, TOL)
+    assert torus.calls["field"] <= 5 * rounds + 2 * len(crits)
 
 
 def test_critical_counts_stable_under_perturbation(torus, torus_criticals):
@@ -427,6 +614,52 @@ def test_torus_trajectories_validate(torus_trajectories):
         report = validate_trajectory(t, TOL)
         assert report.ok, report
         assert report.reparam_residual < TOL.tol_reparam
+
+
+def test_trajectory_points_match_one_path_at_a_time(torus, torus_trajectories):
+    assert len(torus_trajectories) >= 30
+    for traj in torus_trajectories:
+        path = (traj.criticals, traj.segments, traj.grid_t)
+        (alone,) = _path_points(torus, [path], TOL)
+        assert np.array_equal(traj.points, alone)
+        assert np.array_equal(alone, path_points_row_by_row(torus, *path, TOL))
+
+
+def test_trajectory_points_flow_all_paths_together(torus_criticals, torus_segments, torus_trajectories):
+    torus = CountingTorus()
+    ends = torus_criticals[0], torus_criticals[-1]
+
+    def calls(segments):
+        torus.calls.update(field=0, h=0)
+        find_broken_trajectories(
+            torus, *ends, TOL, criticals=torus_criticals, segments=segments
+        )
+        return dict(torus.calls)
+
+    one_path = calls(torus_trajectories[0].segments)
+    # every h call is one round of _flow_to_height
+    assert one_path["h"] >= 2
+    assert calls(torus_segments) == one_path
+
+
+def test_point_at_height_keeps_the_tolerances(torus, torus_criticals, torus_segments, monkeypatch):
+    # the Newton time cap of _flow_to_height is 50 * tol.step
+    tol = Tolerances(step=1e-2)
+    traj = find_broken_trajectories(
+        torus, torus_criticals[0], torus_criticals[-1], tol,
+        criticals=torus_criticals, segments=torus_segments,
+    )[0]
+    assert traj.tol is tol
+    seen = []
+    flow_to_height = morse._flow_to_height
+
+    def spy(surface, x, t, tol):
+        seen.append(tol)
+        return flow_to_height(surface, x, t, tol)
+
+    monkeypatch.setattr(morse, "_flow_to_height", spy)
+    traj.point_at_height(traj.grid_t[1:-1])
+    assert seen == [tol]
 
 
 def test_rejects_equal_endpoints(torus, torus_criticals, torus_segments):
@@ -532,6 +765,21 @@ def test_render_svg(torus, torus_criticals, torus_segments):
     assert svg.startswith("<svg")
     assert "polyline" in svg
     assert svg.count("circle") == len(torus_criticals)
+    assert svg == render_svg_point_by_point(torus, torus_criticals, torus_segments)
+
+
+def test_render_svg_matches_point_by_point(torus, torus_criticals, sphere, sphere_criticals):
+    segments = find_connections(sphere, sphere_criticals, TOL)
+    assert render_svg(sphere, sphere_criticals, segments) == render_svg_point_by_point(
+        sphere, sphere_criticals, segments
+    )
+    # v wraps across +-pi twice, once after the first point, which leaves
+    # a piece of one point that is not drawn
+    states = np.array([[0.0, 3.1], [0.1, -3.1], [0.2, -3.0], [0.3, 3.0], [0.4, 2.9], [0.5, 2.8]])
+    wrapping = FlowSegment(0, 3, 0.0, states, np.arange(6.0), torus.h(states))
+    svg = render_svg(torus, torus_criticals, [wrapping])
+    assert svg.count("<polyline") == 2
+    assert svg == render_svg_point_by_point(torus, torus_criticals, [wrapping])
 
 
 def test_demo_report_sphere():
