@@ -3,13 +3,18 @@
 Reports are machine-readable JSON first (canonical key order, rationals
 as p/q in lowest terms), human tables second.  Every report is written by
 `_json_text`, whose output is byte for byte
-`json.dumps(data, sort_keys=True, indent=2)`.
+`json.dumps(data, sort_keys=True, indent=2)`; it writes all siblings at
+one indentation together, a block at a time (`_json_texts`).  A malformed
+`--algebra` or `--family` file ends the run with a one-line error that
+names the file, and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -48,36 +53,67 @@ class RunConfig:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# Siblings are written at most this many at a time, so the texts of one
+# block's descendants are freed before the next block is written.
+_BLOCK = 1024
 
-def _json_text(node, pad="\n"):
-    """json.dumps(node, sort_keys=True, indent=2), byte for byte; pad is a
-    newline and the indentation of node's own line.
 
-    json.dumps with indent runs the pure-Python encoder, so strings, ints,
-    str-keyed dicts and nonempty lists and tuples are written here, a list
-    of ints in one join.  Every other node (floats, bools, None, empty
-    containers, non-str keys, subclasses) goes through json.dumps and is
+def _json_texts(values, pad):
+    """[json.dumps(v, sort_keys=True, indent=2) for v in values], byte for
+    byte, for values whose lines are indented like pad (a newline and the
+    indentation).
+
+    json.dumps with indent runs the pure-Python encoder, one call per node.
+    Here all siblings of one kind are written together: ints and strs by
+    one map, dicts sharing one set of str keys column by column, and
+    nonempty lists and tuples as the concatenation of their items, cut
+    back into one piece per list.  Siblings of mixed kinds are written one
+    at a time.  A lone float, bool, None, empty container, dict with a
+    non-str key or subclass instance goes through json.dumps and is
     re-indented, which is exact since JSON text holds no raw newline.
     """
-    kind = type(node)
-    if kind is str:
-        return _encode_str(node)
-    if kind is int:
-        return int.__repr__(node)
-    inner = pad + "  "
-    if kind is dict and set(map(type, node)) == {str}:
-        items = [
-            _encode_str(key) + ": " + _json_text(value, inner)
-            for key, value in sorted(node.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if (kind is list or kind is tuple) and node:
-        if set(map(type, node)) == {int}:
-            items = map(int.__repr__, node)
-        else:
-            items = [_json_text(value, inner) for value in node]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(node, sort_keys=True, indent=2).replace("\n", pad)
+    if len(values) > _BLOCK:
+        texts = []
+        for start in range(0, len(values), _BLOCK):
+            texts += _json_texts(values[start : start + _BLOCK], pad)
+        return texts
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is int:
+            return list(map(int.__repr__, values))
+        if kind is str:
+            return list(map(_encode_str, values))
+        inner = pad + "  "
+        if kind is dict:
+            shapes = set(map(frozenset, values))
+            keys = shapes.pop() if len(shapes) == 1 else ()
+            if keys and all(type(key) is str for key in keys):
+                parts = []
+                for n, key in enumerate(sorted(keys)):
+                    lead = ("{" if n == 0 else ",") + inner + _encode_str(key) + ": "
+                    column = list(map(operator.itemgetter(key), values))
+                    parts += [itertools.repeat(lead), _json_texts(column, inner)]
+                parts.append(itertools.repeat(pad + "}"))
+                return list(map("".join, zip(*parts)))
+        elif kind is list or kind is tuple:
+            lengths = list(map(len, values))
+            if all(lengths):
+                ends = list(itertools.accumulate(lengths))
+                items = _json_texts(list(itertools.chain.from_iterable(values)), inner)
+                sep = "," + inner
+                return [
+                    "[" + inner + sep.join(items[cut]) + pad + "]"
+                    for cut in map(slice, [0] + ends, ends)
+                ]
+    if len(values) > 1:
+        return [_json_texts([value], pad)[0] for value in values]
+    return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", pad)]
+
+
+def _json_text(node):
+    """json.dumps(node, sort_keys=True, indent=2), byte for byte."""
+    return _json_texts([node], "\n")[0]
 
 
 def _dump(data, out_dir, filename):
@@ -97,8 +133,27 @@ def _load_algebra(ref) -> NonunitalAlgebra:
                 f"choose from {sorted(BUILTIN_ALGEBRAS)}"
             )
         return BUILTIN_ALGEBRAS[name]()
-    with open(ref) as fh:
-        return NonunitalAlgebra.from_json(json.load(fh))
+    return _read_json(ref, NonunitalAlgebra.from_json)
+
+
+class _InputError(Exception):
+    """A file named on the command line that does not hold its object."""
+
+
+def _read_json(path, build):
+    """build(the JSON value in the file at path); a file that cannot be
+    read, is not JSON or does not describe the object raises _InputError
+    with a one-line reason that names the file."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except OSError as exc:
+        reason = exc.strerror
+    except KeyError as exc:
+        reason = f"missing key {exc}"
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        reason = str(exc)
+    raise _InputError(f"{path}: {reason}")
 
 
 def _read_config_file(path):
@@ -209,8 +264,7 @@ def cmd_verify(args, config):
 
 def cmd_sheaf(args, config):
     algebra = _load_algebra(args.algebra)
-    with open(args.family) as fh:
-        family = SampledFamily.from_json(json.load(fh))
+    family = _read_json(args.family, SampledFamily.from_json)
     sheaf = GlobalSheaf.from_algebra(algebra, max(1, family.index.n - 1))
     ev = evaluate_on_family(sheaf, family)
     payload = {
@@ -379,7 +433,10 @@ def main(argv=None):
     for name, value in bounds.items():
         if value < 1:
             parser.error(f"{name} must be a positive integer, got {value}")
-    return args.fn(args, config)
+    try:
+        return args.fn(args, config)
+    except _InputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -75,12 +75,6 @@ class BrokenLine:
     def terminal(self):
         return LinePoint(self.m, INF)
 
-    def fixed_points(self):
-        """The m+1 fixed points, in order."""
-        return [LinePoint(a, NEG_INF) for a in range(1, self.m + 1)] + [
-            self.terminal
-        ]
-
     def __eq__(self, other):
         if not isinstance(other, BrokenLine):
             return NotImplemented
@@ -98,16 +92,6 @@ class BrokenLine:
     @staticmethod
     def from_json(data):
         return BrokenLine(data["m"])
-
-    def point_from_json(self, data) -> LinePoint:
-        t = data["t"]
-        if t == "+inf":
-            coord = INF
-        elif t == "-inf":
-            coord = NEG_INF
-        else:
-            coord = ExtReal(Fraction(t))
-        return self.point(data["a"], coord)
 
 
 def compare(line: BrokenLine, x: LinePoint, y: LinePoint) -> int:

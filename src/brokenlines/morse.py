@@ -321,27 +321,6 @@ def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
     return times, states, [_ENDINGS[e] for e in ended]
 
 
-@dataclass
-class FlowResult:
-    states: np.ndarray
-    times: np.ndarray
-    truncated: bool
-
-
-def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=Tolerances()):
-    """Flow from x0 (not critical) up the gradient of h (direction >= 0)
-    or down it, for flow time `horizon`: the one-row case of the adaptive
-    Dormand-Prince loop `_flow_rows`.  Returns every accepted state with
-    its signed flow time; `truncated` is set when the step stalled before
-    the horizon."""
-    x = surface.project(np.asarray(x0, dtype=float))
-    if surface.grad_norm(x) < tol.tol_crit:
-        raise ValueError("flow must not start at a critical point")
-    sign = 1.0 if direction >= 0 else -1.0
-    (times,), (states,), (ended,) = _flow_rows(surface, x[None], sign, horizon, tol)
-    return FlowResult(np.array(states), sign * np.array(times), ended == "stalled")
-
-
 def find_critical_points(surface, tol=Tolerances()):
     """Grid-seeded Newton refinement of the gradient field, deduplicated,
     with Morse indices estimated from a finite-difference Hessian."""
@@ -744,28 +723,6 @@ class TrajectoryReport:
             and self.reparam_residual < self.tol.tol_reparam
             and self.invariance_residual < self.tol.tol_inv
         )
-
-
-class SimplePath:
-    """A bare sampled path (for validating arbitrary candidate paths);
-    point_at_height is linear interpolation on the stored grid."""
-
-    def __init__(self, surface, criticals, grid_t, points):
-        self.surface = surface
-        self.criticals = criticals
-        self.grid_t = np.asarray(grid_t, dtype=float)
-        self.points = np.asarray(points, dtype=float)
-
-    def point_at_height(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        grid = self.grid_t
-        i = np.clip(np.searchsorted(grid, flat) - 1, 0, len(grid) - 2)
-        lam = ((flat - grid[i]) / (grid[i + 1] - grid[i]))[:, None]
-        pts = self.surface.project((1 - lam) * self.points[i] + lam * self.points[i + 1])
-        pts = np.where((flat <= grid[0])[:, None], self.points[0], pts)
-        pts = np.where((flat >= grid[-1])[:, None], self.points[-1], pts)
-        return pts.reshape(t.shape + pts.shape[-1:])
 
 
 def validate_trajectory(traj, tol=Tolerances()):

@@ -3,19 +3,22 @@ equivalence relations, and amalgams.
 
 A preorder on labels 0..n-1 is stored as a rank vector whose image is an
 initial segment 0..k-1 of the naturals; i <= j holds iff rank(i) <= rank(j).
-Enumerators build their objects directly: preorders as packed words grown
-label by label, monotone surjections as cuts of the source order, amalgams
-as pairs of surjections onto a common [k].  Constructors check their
-invariants in time linear in the number of labels: monotonicity by
-comparing labels of equal and of adjacent ranks (`_monotone`), convexity
-by counting the labels in each class's rank range, refinement and
-reflection through a label -> class position tuple.
+Ranks and mapping entries must be integers: a float or a str is rejected,
+never truncated or parsed.  Enumerators build their objects directly:
+preorders as rank vectors grown in lexicographic order, each prefix with a
+bitmask of the ranks it uses, monotone surjections as cuts of the source
+order, amalgams as pairs of surjections onto a common [k].  Constructors
+check their invariants in time linear in the number of labels:
+monotonicity by comparing labels of equal and of adjacent ranks
+(`_monotone`), convexity by counting the labels in each class's rank
+range, refinement and reflection through a label -> class position tuple.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 
 
 class LinPreorder:
@@ -24,7 +27,7 @@ class LinPreorder:
     __slots__ = ("ranks",)
 
     def __init__(self, ranks):
-        ranks = tuple(map(int, ranks))
+        ranks = _integers("ranks", ranks)
         if not ranks:
             raise ValueError("preorders are nonempty")
         if min(ranks) < 0:
@@ -47,15 +50,12 @@ class LinPreorder:
     def leq(self, i, j):
         return self.ranks[i] <= self.ranks[j]
 
-    def lt(self, i, j):
-        return self.ranks[i] < self.ranks[j]
-
     def eq(self, i, j):
         return self.ranks[i] == self.ranks[j]
 
     @property
     def is_linear_order(self):
-        return len(set(self.ranks)) == len(self.ranks)
+        return max(self.ranks) + 1 == len(self.ranks)
 
     def classes(self):
         """The =-classes, as tuples of labels, in rank order."""
@@ -97,7 +97,7 @@ class LinPreorder:
         if len(ranks) != data["n"]:
             raise ValueError("rank vector length disagrees with n")
         p = LinPreorder(ranks)
-        return LinOrder(ranks) if p.is_linear_order else p
+        return LinOrder(p.ranks) if p.is_linear_order else p
 
 
 class LinOrder(LinPreorder):
@@ -124,22 +124,52 @@ def enumerate_linear_preorders(n) -> list:
     each, sorted lexicographically by rank vector."""
     if n < 1:
         raise ValueError("preorders are nonempty; n must be >= 1")
-    # (packed word, class count k): the next label joins class r < k, or
-    # opens a new class at rank r <= k and lifts the ranks >= r by one.
-    words = [((), 0)]
-    for _ in range(n):
+    # (rank prefix, bitmask of the ranks it uses), in lexicographic order;
+    # appending ranks in increasing order to each prefix in turn keeps it.
+    prefixes = [((), 0)]
+    for left in reversed(range(n)):
+        steps = {}
         grown = []
-        for word, k in words:
-            grown.extend((word + (r,), k) for r in range(k))
-            grown.extend(
-                (tuple(v + 1 if v >= r else v for v in word) + (r,), k + 1)
-                for r in range(k + 1)
-            )
-        words = grown
+        for word, used in prefixes:
+            step = steps.get(used)
+            if step is None:
+                step = steps[used] = _next_ranks(used, left)
+            grown += [(word + rank, mask) for rank, mask in step]
+        prefixes = grown
+    full = (1 << n) - 1
     return [
-        LinOrder(word) if k == n else LinPreorder(word)
-        for word, k in sorted(words)
+        LinOrder(word) if used == full else LinPreorder(word)
+        for word, used in prefixes
     ]
+
+
+def _next_ranks(used, left):
+    """The ranks v, as ((v,), used | 1 << v) in increasing order, that a
+    prefix using the ranks in bitmask `used` can take next, `left` labels
+    being left after it: the ranks still missing below the top must fit
+    in those labels."""
+    top = used.bit_length()
+    missing = top - used.bit_count()
+    step = []
+    for v in range(top + 1 + left - missing):
+        mask = used | 1 << v
+        if mask.bit_length() - mask.bit_count() <= left:
+            step.append(((v,), mask))
+    return step
+
+
+def _integers(what, values):
+    """values as a tuple of ints.  A float or a str, which int() would
+    truncate or parse, raises ValueError naming it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{what} must be integers, got {v!r}") from None
+        raise
 
 
 def _monotone(src_ranks, image_ranks):
@@ -165,7 +195,7 @@ class OrderMorphism:
     __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source, target, mapping):
-        mapping = tuple(int(v) for v in mapping)
+        mapping = _integers("mapping entries", mapping)
         if len(mapping) != source.n:
             raise ValueError("mapping length must equal source size")
         if any(not (0 <= v < target.n) for v in mapping):

@@ -23,15 +23,6 @@ from .families import SampledFamily
 from .vect import LinMap, NonunitalAlgebra, VectObject, tensor_all
 
 
-def merge_surjection(n, k) -> OrderMorphism:
-    """s_k: [n] -> [n-1], collapsing k and k+1 (standard orders; [n] has
-    n+1 elements)."""
-    if not (0 <= k <= n - 1):
-        raise ValueError("merge index out of range")
-    mapping = [x if x <= k else x - 1 for x in range(n + 1)]
-    return OrderMorphism(LinOrder.standard(n + 1), LinOrder.standard(n), mapping)
-
-
 class GlobalSheaf:
     """A functor on orders of size <= N+1 by generators and relations.
 

@@ -333,10 +333,6 @@ class TwFunctor:
         """The Fun_0 comparison map F(sharp) -> F(x)."""
         return self.action[comparison_morphism(x)]
 
-    def is_fun0(self) -> bool:
-        objects, _ = tw_enumerate(self.N)
-        return all(self.comparison(x).is_invertible() for x in objects)
-
     def is_monoidal(self) -> bool:
         if self.lax is None:
             return False

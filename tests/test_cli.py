@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines import acceptance
+from brokenlines import acceptance, cli
 from brokenlines.cli import _json_text, main
 from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
@@ -191,6 +192,30 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
     )
 
 
+@pytest.mark.parametrize(
+    "command, text, reason",
+    [
+        ("roundtrip mainc --algebra", '{"dim": 1, "c": [[["x"]]]}',
+         "Invalid literal for Fraction: 'x'"),
+        ("daycon --algebra", '{"c": [[[1]]]}', "missing key 'dim'"),
+        ("sheaf --family", '{"index": {"n": 2, "rank": [0.5, 1]}, "samples": []}',
+         "ranks must be integers, got 0.5"),
+        ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),
+        ("sheaf --family", "[1]", "list indices must be integers or slices, not str"),
+        ("sheaf --family", None, "No such file or directory"),
+    ],
+)
+def test_malformed_input_file_is_a_one_line_error(capsys, tmp_path, command, text, reason):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(command.split() + [str(path)])
+    assert err.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"brokenlines: error: {path}: {reason}")
+
+
 # ---------------------------------------------------------- report writer
 
 
@@ -224,6 +249,53 @@ json_trees = st.recursive(
 
 @given(json_trees)
 def test_report_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@st.composite
+def same_key_dicts(draw, values):
+    """A list of dicts with one set of keys, each inserted in its own order."""
+    keys = draw(st.lists(st.text(alphabet="ab\u00e9\"", max_size=3), unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        order = draw(st.permutations(keys))
+        rows.append({key: draw(values) for key in order})
+    return rows
+
+
+int_like = st.integers() | st.booleans() | st.integers().map(Count)
+int_lists = st.lists(st.lists(st.integers(), max_size=4), max_size=6)
+sibling_trees = st.recursive(
+    int_like | st.text(max_size=3),
+    lambda children: (
+        same_key_dicts(children)
+        | st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+    ),
+    max_leaves=40,
+)
+siblings = (
+    same_key_dicts(sibling_trees)
+    | st.lists(int_like, max_size=8)
+    | int_lists
+    | st.lists(int_lists, max_size=4)
+    | st.lists(sibling_trees, max_size=6)
+)
+
+
+@given(siblings)
+def test_report_writer_matches_json_dumps_on_siblings(tree):
+    expected = json.dumps(tree, sort_keys=True, indent=2)
+    # a block of 2 cuts every sibling list of three or more items
+    for block in (cli._BLOCK, 2):
+        with mock.patch.object(cli, "_BLOCK", block):
+            assert _json_text(tree) == expected
+
+
+def test_report_writer_on_more_siblings_than_one_block():
+    n = 2 * cli._BLOCK + 3
+    rows = [{"rank": [i % 7, i % 3], "n": 2} for i in range(n)]
+    tree = {"ints": list(range(-n, n)), "rows": rows, "mixed": [1, True, Count(2)] * n}
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 

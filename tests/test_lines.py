@@ -24,8 +24,7 @@ def test_canonical_form_glues_components():
     line = BrokenLine(3)
     assert line.point(1, INF) == line.point(2, NEG_INF)
     assert line.point(3, INF) == line.terminal
-    assert line.fixed_points()[0] == line.initial
-    assert len(line.fixed_points()) == 4
+    assert line.point(1, NEG_INF) == line.initial
 
 
 def test_fiber_over_singleton():
@@ -87,7 +86,7 @@ def test_compare_transitive_sampled():
         line.point(rng.randint(1, 3), Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
         for _ in range(120)
     ]
-    points += line.fixed_points()
+    points += [line.point(a, NEG_INF) for a in range(1, 4)] + [line.terminal]
     for _ in range(1000):
         x, y, z = (rng.choice(points) for _ in range(3))
         if compare(line, x, y) <= 0 and compare(line, y, z) <= 0:
@@ -278,7 +277,10 @@ def test_point_json_roundtrip():
     line = BrokenLine(3)
     for p in [line.point(2, Fraction(5, 3)), line.initial, line.terminal,
               line.point(1, INF)]:
-        assert line.point_from_json(p.to_json()) == p
+        data = p.to_json()
+        t = data["t"]
+        coord = {"+inf": INF, "-inf": NEG_INF}[t] if "inf" in t else ExtReal(Fraction(t))
+        assert line.point(data["a"], coord) == p
     assert BrokenLine.from_json(line.to_json()) == line
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from brokenlines.morse import (
     SVG_SIZE,
     BrokenTrajectory,
     FlowSegment,
-    SimplePath,
     Sphere,
     Tolerances,
     Torus,
@@ -20,11 +20,11 @@ from brokenlines.morse import (
     find_broken_trajectories,
     find_connections,
     find_critical_points,
-    integrate_flow,
     render_svg,
     trajectory_to_line,
     validate_trajectory,
     _dp_step,
+    _flow_rows,
     _flow_to_height,
     _newton_refine,
     _path_points,
@@ -381,6 +381,26 @@ def test_sphere_frame_batch_matches_rows(sphere):
 # ------------------------------------------------------------- integration
 
 
+@dataclass
+class FlowResult:
+    states: np.ndarray
+    times: np.ndarray
+    truncated: bool
+
+
+def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=TOL):
+    """Flow from x0 (not critical) up the gradient of h (direction >= 0)
+    or down it, for flow time `horizon`: the one-row case of `_flow_rows`.
+    Returns every accepted state with its signed flow time; `truncated` is
+    set when the step stalled before the horizon."""
+    x = surface.project(np.asarray(x0, dtype=float))
+    if surface.grad_norm(x) < tol.tol_crit:
+        raise ValueError("flow must not start at a critical point")
+    sign = 1.0 if direction >= 0 else -1.0
+    (times,), (states,), (ended,) = _flow_rows(surface, x[None], sign, horizon, tol)
+    return FlowResult(np.array(states), sign * np.array(times), ended == "stalled")
+
+
 def test_flow_from_equator_rises_to_north_pole(sphere):
     result = integrate_flow(sphere, [1.0, 0.0, 0.0], horizon=25.0, tol=TOL)
     hs = sphere.h(result.states)
@@ -672,6 +692,28 @@ def test_rejects_equal_endpoints(torus, torus_criticals, torus_segments):
             criticals=torus_criticals,
             segments=torus_segments,
         )
+
+
+class SimplePath:
+    """A bare sampled path for validating an arbitrary candidate path;
+    point_at_height is linear interpolation on the stored grid."""
+
+    def __init__(self, surface, criticals, grid_t, points):
+        self.surface = surface
+        self.criticals = criticals
+        self.grid_t = np.asarray(grid_t, dtype=float)
+        self.points = np.asarray(points, dtype=float)
+
+    def point_at_height(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        grid = self.grid_t
+        i = np.clip(np.searchsorted(grid, flat) - 1, 0, len(grid) - 2)
+        lam = ((flat - grid[i]) / (grid[i + 1] - grid[i]))[:, None]
+        pts = self.surface.project((1 - lam) * self.points[i] + lam * self.points[i + 1])
+        pts = np.where((flat <= grid[0])[:, None], self.points[0], pts)
+        pts = np.where((flat >= grid[-1])[:, None], self.points[-1], pts)
+        return pts.reshape(t.shape + pts.shape[-1:])
 
 
 def test_chord_counterexample_fails(torus, torus_criticals):

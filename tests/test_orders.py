@@ -159,10 +159,13 @@ def test_preorders_match_relation_matrix_oracle():
 
 def test_preorders_match_ordered_partition_oracle():
     for n in range(1, 7):
-        ours = [p.ranks for p in enumerate_linear_preorders(n)]
+        items = enumerate_linear_preorders(n)
+        ours = [p.ranks for p in items]
         assert len(ours) == len(set(ours)), "duplicates"
         assert ours == sorted(ours), "not sorted lexicographically"
         assert set(ours) == ordered_partition_oracle(n)
+        for p in items:
+            assert isinstance(p, LinOrder) == (len(set(p.ranks)) == n)
 
 
 def test_preorders_all_validate():
@@ -180,6 +183,25 @@ def test_zero_rejected():
 def test_rank_image_must_be_initial_segment():
     with pytest.raises(ValueError):
         LinPreorder([0, 2])
+
+
+@pytest.mark.parametrize(
+    "ranks, bad", [([0.9, 1.2], "0.9"), (["1", "0"], "'1'"), ([0, 1.0], "1.0")]
+)
+def test_non_integer_ranks_rejected(ranks, bad):
+    # int() would truncate 0.9 and 1.2 to the linear order [0, 1] and parse "1"
+    message = re.escape(f"ranks must be integers, got {bad}")
+    for build in (LinPreorder, LinOrder):
+        with pytest.raises(ValueError, match=message):
+            build(ranks)
+    with pytest.raises(ValueError, match=message):
+        LinPreorder.from_json({"n": 2, "rank": ranks})
+
+
+def test_non_integer_mapping_rejected():
+    two, one = LinOrder.standard(2), LinOrder.standard(1)
+    with pytest.raises(ValueError, match=re.escape("mapping entries must be integers, got 0.0")):
+        OrderMorphism(two, one, [0, 0.0])
 
 
 def test_json_roundtrip():

@@ -19,7 +19,6 @@ from brokenlines.sheaves import (
     apply_surjection,
     evaluate_on_family,
     global_to_constructible,
-    merge_surjection,
     stalk,
 )
 from brokenlines.vect import (
@@ -61,7 +60,7 @@ def test_apply_surjection_identity(nil_sheaf):
 
 
 def test_apply_surjection_single_merge(nil_sheaf):
-    f = merge_surjection(1, 0)  # [1] -> [0]
+    f = OrderMorphism(LinOrder.standard(2), LinOrder.standard(1), [0, 0])  # s_0: [1] -> [0]
     assert apply_surjection(nil_sheaf, f) == nil_sheaf.gen[(1, 0)]
 
 

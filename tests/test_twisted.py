@@ -342,7 +342,8 @@ def test_algebra_functors_validate():
     for make in (zero_algebra, nilpotent_upper3, rational_algebra):
         functor = algebra_to_functor(make(), 3)
         assert functor.validate() is None
-        assert functor.is_fun0()
+        objects, _ = tw_enumerate(3)
+        assert all(functor.comparison(x).is_invertible() for x in objects)
         assert functor.is_monoidal()
 
 
