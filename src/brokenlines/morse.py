@@ -454,22 +454,25 @@ class FlowSegment:
     h_values: np.ndarray
 
 
-def _shoot_batch(surface, criticals, source_idx, seeds_with_angles, tol):
-    """Flow a batch of seeds, each started 10 * tol_crit from one critical
-    point along its direction, up the gradient until it comes within
-    tol.capture of another critical point after leaving tol.escape of its
-    source.  All seeds are stepped together by `_flow_rows`, each with its
-    own step size.  The capture is located inside the step where it
-    happens, on the cubic Hermite interpolant of the step, and the segment
-    ends there.  A seed that stalls or reaches tol.horizon first gives no
-    segment and one warning."""
-    if not seeds_with_angles:
+def _shoot_batch(surface, criticals, shots, tol):
+    """Flow a batch of shots (source index, angle, direction), each started
+    10 * tol_crit from its source critical point along its direction, up
+    the gradient until it comes within tol.capture of another critical
+    point after leaving tol.escape of its own source.  All shots are
+    stepped together by `_flow_rows`, each with its own step size.  The
+    capture is located inside the step where it happens, on the cubic
+    Hermite interpolant of the step, and the segment ends there.
+
+    Returns per shot its FlowSegment, or how it ended when it stalled or
+    reached tol.horizon first: "stalled" or "horizon"."""
+    if not shots:
         return []
     crit_embed = np.array([surface.embed(np.array(c.state)) for c in criticals])
-    src = criticals[source_idx]
+    source = np.array([ci for ci, _, _ in shots])
     rho = 10.0 * tol.tol_crit
-    start = np.array(src.state)
-    x0 = np.array([surface.project(start + rho * d) for _, d in seeds_with_angles])
+    x0 = np.array(
+        [surface.project(np.array(criticals[ci].state) + rho * d) for ci, _, d in shots]
+    )
     escaped = np.zeros(len(x0), dtype=bool)
     target = np.full(len(x0), -1, dtype=int)
 
@@ -478,10 +481,11 @@ def _shoot_batch(surface, criticals, source_idx, seeds_with_angles, tol):
 
     def capture(rows, a, fa, b, fb, h):
         dists = distance(b[:, None, :], crit_embed[None, :, :])
-        escaped[rows] |= dists[:, source_idx] > tol.escape
+        own = source[rows]
+        k = np.arange(len(rows))
+        escaped[rows] |= dists[k, own] > tol.escape
         nearest = np.argmin(dists, axis=1)
-        min_dist = dists[np.arange(len(rows)), nearest]
-        hit = escaped[rows] & (min_dist < tol.capture) & (nearest != source_idx)
+        hit = escaped[rows] & (dists[k, nearest] < tol.capture) & (nearest != own)
         target[rows[hit]] = nearest[hit]
         s = np.ones(len(rows))
         if hit.any():
@@ -498,61 +502,103 @@ def _shoot_batch(surface, criticals, source_idx, seeds_with_angles, tol):
         return hit, s
 
     times, states, ended = _flow_rows(surface, x0, 1.0, tol.horizon, tol, capture)
-    segments = []
-    for i, (angle, _) in enumerate(seeds_with_angles):
+    out = []
+    for i, (ci, angle, _) in enumerate(shots):
         if ended[i] != "stop":
-            warnings.warn(
-                f"{surface.name}: seed at angle {angle:.6f} from critical "
-                f"point {source_idx} (index {src.index}, h = {src.h:.6f}) "
-                f"lost: {ended[i]}",
-                stacklevel=3,
-            )
+            out.append(ended[i])
             continue
         sts = np.array(states[i])
-        segments.append(
-            FlowSegment(
-                source=source_idx,
-                target=int(target[i]),
-                seed_angle=angle,
-                states=sts,
-                times=np.array(times[i]),
-                h_values=surface.h(sts),
-            )
-        )
-    return segments
+        out.append(FlowSegment(ci, int(target[i]), angle, sts, np.array(times[i]), surface.h(sts)))
+    return out
+
+
+def _bisection_angles(outcome):
+    """The 4 angles that split each interval between adjacent ring angles
+    (keys of `outcome`) with different outcomes into 5; the last angle is
+    paired with the first one a turn later."""
+    angles = sorted(outcome)
+    ends = angles[1:] + [angles[0] + 2 * math.pi]
+    return [
+        float(t)
+        for a, b, key_b in zip(angles, ends, angles[1:] + angles[:1])
+        if outcome[a] != outcome[key_b]
+        for t in np.linspace(a, b, 6)[1:-1]
+    ]
 
 
 def find_connections(surface, criticals, tol=Tolerances(), refine_rounds=2):
     """All flow segments found by unstable-sphere shooting, with bisection
     refinement on ring angles whose outcomes differ (the basin-boundary
-    indicator)."""
+    indicator): each of `refine_rounds` rounds shoots the 4 angles that
+    split each such interval of a minimum's ring into 5.
+
+    Every unstable direction of every critical point is shot in one
+    `_shoot_batch`.  Unless there is no round to run, or only two critical
+    points (so that every ring seed has the same target), that batch also
+    runs the first round ahead of time, as if every pair of neighbouring
+    ring seeds had different targets.  The real first round then takes the
+    shots it wants from there; a lost ring seed changes the intervals, and
+    the angles that were not run early go into one more batch.  Later
+    rounds shoot one batch each, for all minima together.
+
+    Segments, and one warning per shot that stalls or reaches
+    tol.horizon, come out per critical point: its unstable directions,
+    then its rounds in order.  An early shot that no round asks for gives
+    neither."""
+    shots = [
+        (ci, angle, d)
+        for ci, crit in enumerate(criticals)
+        for angle, d in _unstable_directions(surface, crit, tol)
+    ]
+    # per critical point, the angles whose shots give output, in order
+    asked = {ci: [a for c, a, _ in shots if c == ci] for ci in range(len(criticals))}
+    minima = [ci for ci, crit in enumerate(criticals) if crit.index == 0]
+    frames = {ci: surface.frame(np.array(criticals[ci].state)) for ci in minima}
+
+    def ring_shots(keys):
+        return [
+            (ci, t, math.cos(t) * frames[ci][:, 0] + math.sin(t) * frames[ci][:, 1])
+            for ci, t in keys
+        ]
+
+    early = []
+    if refine_rounds and len(criticals) > 2:
+        early = ring_shots(
+            (ci, t) for ci in minima for t in _bisection_angles({a: a for a in asked[ci]})
+        )
+    batch = shots + early
+    results = dict(
+        zip([(ci, a) for ci, a, _ in batch], _shoot_batch(surface, criticals, batch, tol))
+    )
+
+    def outcome(ci):
+        found = (results[ci, a] for a in asked[ci])
+        return {seg.seed_angle: seg.target for seg in found if isinstance(seg, FlowSegment)}
+
+    for _ in range(refine_rounds):
+        # a minimum whose ring gave no segment is not refined
+        wanted = [
+            (ci, t) for ci in minima if (seen := outcome(ci)) for t in _bisection_angles(seen)
+        ]
+        if not wanted:
+            break
+        missing = [key for key in wanted if key not in results]
+        results.update(zip(missing, _shoot_batch(surface, criticals, ring_shots(missing), tol)))
+        for ci, t in wanted:
+            asked[ci].append(t)
     segments = []
-    for ci, crit in enumerate(criticals):
-        dirs = _unstable_directions(surface, crit, tol)
-        if not dirs:
-            continue
-        batch = _shoot_batch(surface, criticals, ci, dirs, tol)
-        segments.extend(batch)
-        if crit.index != 0 or not batch:
-            continue
-        # bisect between adjacent ring angles with different targets; the
-        # last angle is paired with the first one a turn later
-        outcome = {seg.seed_angle: seg.target for seg in batch}
-        frame = surface.frame(np.array(crit.state))
-        for _ in range(refine_rounds):
-            angles = sorted(outcome)
-            ends = angles[1:] + [angles[0] + 2 * math.pi]
-            new_dirs = [
-                (float(t), math.cos(t) * frame[:, 0] + math.sin(t) * frame[:, 1])
-                for a, b, key_b in zip(angles, ends, angles[1:] + angles[:1])
-                if outcome[a] != outcome[key_b]
-                for t in np.linspace(a, b, 6)[1:-1]
-            ]
-            if not new_dirs:
-                break
-            batch = _shoot_batch(surface, criticals, ci, new_dirs, tol)
-            segments.extend(batch)
-            outcome.update((seg.seed_angle, seg.target) for seg in batch)
+    for ci, angles in asked.items():
+        for a in angles:
+            found = results[ci, a]
+            if isinstance(found, FlowSegment):
+                segments.append(found)
+                continue
+            src = criticals[ci]
+            warnings.warn(
+                f"{surface.name}: seed at angle {a:.6f} from critical point {ci} "
+                f"(index {src.index}, h = {src.h:.6f}) lost: {found}",
+                stacklevel=2,
+            )
     return segments
 
 
@@ -725,37 +771,49 @@ class TrajectoryReport:
         )
 
 
-def validate_trajectory(traj, tol=Tolerances()):
-    """Check the three defining clauses at their tolerances: endpoints hit
-    the critical points, h(p(t)) = t on the grid, and the image is
+def validate_trajectories(trajs, tol=Tolerances()):
+    """A TrajectoryReport per trajectory, for trajectories on one surface.
+    Each checks the three defining clauses at their tolerances: endpoints
+    hit the critical points, h(p(t)) = t on the grid, and the image is
     invariant under short flows: every sampled grid point is flowed by
-    +-0.05 (ten fixed Dormand-Prince steps, all samples in one batch) and
-    compared with the path at the height it reaches."""
-    surface = traj.surface
-    grid = traj.grid_t
-    points = traj.points
-    start = surface.embed(np.array(traj.criticals[0].state))
-    end = surface.embed(np.array(traj.criticals[-1].state))
-    endpoint = max(
-        float(np.linalg.norm(surface.embed(points[0]) - start)),
-        float(np.linalg.norm(surface.embed(points[-1]) - end)),
-    )
-    reparam = float(np.max(np.abs(surface.h(points) - grid)))
-    samples = points[:: max(1, len(grid) // 24)]
-    z = np.concatenate([samples, samples])
+    +-0.05 (ten fixed Dormand-Prince steps, the samples of all
+    trajectories in one batch) and compared with the path at the height
+    it reaches, which each path finds by its own `point_at_height`."""
+    if not trajs:
+        return []
+    surface = trajs[0].surface
+    samples = [traj.points[:: max(1, len(traj.grid_t) // 24)] for traj in trajs]
+    z = np.concatenate([np.concatenate([s, s]) for s in samples])
     nsub = 10
-    dt = np.repeat([0.05 / nsub, -0.05 / nsub], len(samples))
+    dt = np.concatenate([np.repeat([0.05 / nsub, -0.05 / nsub], len(s)) for s in samples])
     for _ in range(nsub):
         z = surface.project(_dp_step(surface, z, surface.field(z), dt)[0])
-    t_z = surface.h(z)
-    inside = (grid[0] <= t_z) & (t_z <= grid[-1])
-    invariance = 0.0
-    if inside.any():
-        q = traj.point_at_height(t_z[inside])
-        invariance = float(
-            np.max(np.linalg.norm(surface.embed(z[inside]) - surface.embed(q), axis=-1))
+    reports = []
+    for traj, flowed in zip(trajs, np.split(z, np.cumsum([2 * len(s) for s in samples])[:-1])):
+        grid, points = traj.grid_t, traj.points
+        start = surface.embed(np.array(traj.criticals[0].state))
+        end = surface.embed(np.array(traj.criticals[-1].state))
+        endpoint = max(
+            float(np.linalg.norm(surface.embed(points[0]) - start)),
+            float(np.linalg.norm(surface.embed(points[-1]) - end)),
         )
-    return TrajectoryReport(endpoint, reparam, invariance, tol)
+        reparam = float(np.max(np.abs(surface.h(points) - grid)))
+        t_z = surface.h(flowed)
+        inside = (grid[0] <= t_z) & (t_z <= grid[-1])
+        invariance = 0.0
+        if inside.any():
+            q = traj.point_at_height(t_z[inside])
+            invariance = float(
+                np.max(np.linalg.norm(surface.embed(flowed[inside]) - surface.embed(q), axis=-1))
+            )
+        reports.append(TrajectoryReport(endpoint, reparam, invariance, tol))
+    return reports
+
+
+def validate_trajectory(traj, tol=Tolerances()):
+    """The TrajectoryReport of one trajectory: `validate_trajectories` on
+    a batch of one."""
+    return validate_trajectories([traj], tol)[0]
 
 
 def trajectory_to_line(traj, marks_per_segment=1):
@@ -854,8 +912,7 @@ def demo_report(surface_name, tol=Tolerances()):
         surface, minimum, maximum, tol, criticals=criticals, segments=segments
     )
     traj_entries = []
-    for traj in trajectories:
-        report = validate_trajectory(traj, tol)
+    for traj, report in zip(trajectories, validate_trajectories(trajectories, tol)):
         line, rep, _marks = trajectory_to_line(traj)
         traj_entries.append(
             {

@@ -441,8 +441,9 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     if N is None:
         N = min(left.N, right.N)
     objects, morphisms = tw_enumerate(N)
-    value = {x: direct_sum(_summands(left, right, x).values()) for x in objects}
-    action = {f: _day_action(left, right, f) for f in morphisms}
+    summands = {x: _summands(left, right, x) for x in objects}
+    value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
+    action = {f: _day_action(left, right, f, summands) for f in morphisms}
     return TwFunctor(N, value, action, lax=None, check=False)
 
 
@@ -455,13 +456,14 @@ def _summands(left, right, x: TwObject) -> dict:
     }
 
 
-def _day_action(left, right, f: TwMorphism) -> LinMap:
+def _day_action(left, right, f: TwMorphism, summands) -> LinMap:
     """The summand at cut k of the source goes to the summand at the image
     cut f(k-1)+1 by left(f on the first part) (x) right(f on the rest).
-    The image cut is injective in k, so each row block holds one block."""
+    The image cut is injective in k, so each row block holds one block.
+    `summands` holds `_summands(left, right, x)` for every object x."""
     x, y = f.source, f.target
-    cols = _summands(left, right, x)
-    targets = _summands(left, right, y)
+    cols = summands[x]
+    targets = summands[y]
     rows = list(targets)
     blocks = {}
     for ci, k in enumerate(cols):

@@ -20,6 +20,7 @@ entry.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import accumulate
 
@@ -32,6 +33,15 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _dimension(dim):
+    """dim as an int.  A float or a str, which int() would truncate or
+    parse, raises ValueError naming it."""
+    try:
+        return operator.index(dim)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dim!r}") from None
+
+
 class VectObject:
     """A vector space, recorded by its dimension (dim 0 is the zero
     object, the empty coproduct)."""
@@ -39,7 +49,7 @@ class VectObject:
     __slots__ = ("dim",)
 
     def __init__(self, dim):
-        dim = int(dim)
+        dim = _dimension(dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dim", dim)
@@ -310,7 +320,7 @@ class NonunitalAlgebra:
     __slots__ = ("dim", "c")
 
     def __init__(self, dim, c):
-        dim = int(dim)
+        dim = _dimension(dim)
         c = tuple(
             tuple(tuple(_exact(Fraction(x)) for x in row) for row in plane)
             for plane in c

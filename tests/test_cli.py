@@ -198,6 +198,10 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
         ("roundtrip mainc --algebra", '{"dim": 1, "c": [[["x"]]]}',
          "Invalid literal for Fraction: 'x'"),
         ("daycon --algebra", '{"c": [[[1]]]}', "missing key 'dim'"),
+        ("daycon --algebra", '{"dim": 1.9, "c": [[["1"]]]}',
+         "dimension must be an integer, got 1.9"),
+        ("roundtrip mainc --algebra", '{"dim": "1", "c": [[["1"]]]}',
+         "dimension must be an integer, got '1'"),
         ("sheaf --family", '{"index": {"n": 2, "rank": [0.5, 1]}, "samples": []}',
          "ranks must be integers, got 0.5"),
         ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),

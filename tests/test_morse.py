@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from brokenlines.morse import (
     find_critical_points,
     render_svg,
     trajectory_to_line,
+    validate_trajectories,
     validate_trajectory,
     _dp_step,
     _flow_rows,
@@ -29,6 +31,7 @@ from brokenlines.morse import (
     _newton_refine,
     _path_points,
     _shoot_batch,
+    _unstable_directions,
 )
 
 TOL = Tolerances()
@@ -249,6 +252,52 @@ def seed_direction(surface, critical, angle):
     return math.cos(angle) * frame[:, 0] + math.sin(angle) * frame[:, 1]
 
 
+def connections_one_batch_per_round(surface, criticals, tol, refine_rounds):
+    """`find_connections` with one `_shoot_batch` per source and per
+    refinement round, its oracle.  Returns the segments and the text of
+    the lost-seed warnings, both in order."""
+    segments, lost = [], []
+
+    def shoot(ci, seeds):
+        shots = [(ci, angle, direction) for angle, direction in seeds]
+        found = []
+        for (_, angle, _), result in zip(shots, _shoot_batch(surface, criticals, shots, tol)):
+            if isinstance(result, FlowSegment):
+                found.append(result)
+                continue
+            src = criticals[ci]
+            lost.append(
+                f"{surface.name}: seed at angle {angle:.6f} from critical point {ci} "
+                f"(index {src.index}, h = {src.h:.6f}) lost: {result}"
+            )
+        segments.extend(found)
+        return found
+
+    for ci, crit in enumerate(criticals):
+        dirs = _unstable_directions(surface, crit, tol)
+        if not dirs:
+            continue
+        batch = shoot(ci, dirs)
+        if crit.index != 0 or not batch:
+            continue
+        # bisect between adjacent ring angles with different targets; the
+        # last angle is paired with the first one a turn later
+        outcome = {seg.seed_angle: seg.target for seg in batch}
+        for _ in range(refine_rounds):
+            angles = sorted(outcome)
+            ends = angles[1:] + [angles[0] + 2 * math.pi]
+            new = [
+                (float(t), seed_direction(surface, crit, float(t)))
+                for a, b, key_b in zip(angles, ends, angles[1:] + angles[:1])
+                if outcome[a] != outcome[key_b]
+                for t in np.linspace(a, b, 6)[1:-1]
+            ]
+            if not new:
+                break
+            outcome.update((seg.seed_angle, seg.target) for seg in shoot(ci, new))
+    return segments, lost
+
+
 def rk4_capture_times(surface, criticals, segments, tol):
     """Capture time of each segment's seed under fixed-step RK4 at
     tol.step, all seeds in one batch, captured at the first step that ends
@@ -440,17 +489,96 @@ def test_flow_along_meridian_matches_closed_form(sphere, direction):
 
 def test_batch_matches_single_rows(torus, torus_criticals):
     tol = Tolerances(step=1e-2, ring_seeds=8)
-    source = torus_criticals[0]
-    seeds = [
-        (a, seed_direction(torus, source, a)) for a in (0.3, 1.0, 2.5, 4.0, 5.9)
+    # ring seeds off the minimum mixed with the unstable directions of
+    # both saddles, each captured away from its own source
+    shots = [
+        (0, a, seed_direction(torus, torus_criticals[0], a)) for a in (0.3, 1.0, 2.5, 4.0, 5.9)
     ]
-    batch = _shoot_batch(torus, torus_criticals, 0, seeds, tol)
-    assert len(batch) == len(seeds)
-    for seed, together in zip(seeds, batch):
-        (alone,) = _shoot_batch(torus, torus_criticals, 0, [seed], tol)
+    for ci in (1, 2):
+        shots[ci:ci] = [(ci, a, d) for a, d in _unstable_directions(torus, torus_criticals[ci], tol)]
+    batch = _shoot_batch(torus, torus_criticals, shots, tol)
+    assert len(batch) == len(shots)
+    assert [seg.source for seg in batch] == [ci for ci, _, _ in shots]
+    assert all(seg.target != seg.source for seg in batch)
+    for shot, together in zip(shots, batch):
+        (alone,) = _shoot_batch(torus, torus_criticals, [shot], tol)
+        assert alone.seed_angle == together.seed_angle == shot[1]
         assert alone.target == together.target
         assert np.array_equal(alone.states, together.states)
         assert np.array_equal(alone.times, together.times)
+        assert np.array_equal(alone.h_values, together.h_values)
+
+
+CONNECTION_CASES = [
+    pytest.param(
+        surface, Tolerances(step=1e-2, ring_seeds=seeds), rounds,
+        id=f"{name}-seeds{seeds}-rounds{rounds}",
+    )
+    for name, surface in [
+        ("sphere", Sphere()),
+        ("torus", Torus()),
+        ("torus-2.023-0.927", Torus(2.023, 0.927)),
+        ("torus-2.162-1.085", Torus(2.162, 1.085)),
+    ]
+    for seeds in (8, 16)
+    for rounds in (0, 1, 2)
+] + [
+    # ring seeds between targets 1 and 3 are lost, so the first round
+    # needs angles that the early round did not run
+    pytest.param(
+        Torus(), Tolerances(step=1e-2, ring_seeds=16, horizon=52.7), 1, id="torus-follow-up"
+    ),
+]
+
+
+@pytest.mark.parametrize("surface, tol, rounds", CONNECTION_CASES)
+def test_connections_match_one_batch_per_round(surface, tol, rounds):
+    criticals = find_critical_points(surface, TOL)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        segments = find_connections(surface, criticals, tol, rounds)
+    want, lost = connections_one_batch_per_round(surface, criticals, tol, rounds)
+    assert [str(w.message) for w in record] == lost
+    assert len(segments) == len(want)
+    for got, seg in zip(segments, want):
+        assert (got.source, got.target, got.seed_angle) == (seg.source, seg.target, seg.seed_angle)
+        assert np.array_equal(got.states, seg.states)
+        assert np.array_equal(got.times, seg.times)
+        assert np.array_equal(got.h_values, seg.h_values)
+
+
+@pytest.mark.parametrize(
+    "surface, tol, rounds, rows",
+    [
+        # two critical points: every ring seed has the same target, so
+        # there is no early round
+        (Sphere(), Tolerances(step=1e-2, ring_seeds=8), 1, [8]),
+        # the ring, both saddles and the early round, 4 angles per interval
+        (Torus(), Tolerances(step=1e-2, ring_seeds=8), 1, [8 + 4 + 4 * 8]),
+        (Torus(), Tolerances(step=1e-2, ring_seeds=8), 0, [8 + 4]),
+        # at horizon 52.7 the ring seeds at k pi / 8 for k = 10, 11, 13
+        # and 14 are lost, so the intervals from 9 pi / 8 to 12 pi / 8 and
+        # on to 15 pi / 8 join a seed to the maximum and one to the
+        # saddle; 3 of their 8 angles differ in the last bit from the
+        # early ones and go into one follow-up batch
+        (Torus(), Tolerances(step=1e-2, ring_seeds=16, horizon=52.7), 1, [16 + 4 + 4 * 16, 3]),
+    ],
+    ids=["sphere", "torus", "torus-rounds0", "torus-follow-up"],
+)
+def test_connections_flow_in_one_batch(surface, tol, rounds, rows, monkeypatch):
+    criticals = find_critical_points(surface, TOL)
+    seen = []
+    flow_rows = morse._flow_rows
+
+    def spy(surface, x0, *args):
+        seen.append(len(x0))
+        return flow_rows(surface, x0, *args)
+
+    monkeypatch.setattr(morse, "_flow_rows", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        find_connections(surface, criticals, tol, rounds)
+    assert seen == rows
 
 
 def test_segment_heights_monotone(torus_segments):
@@ -716,19 +844,31 @@ class SimplePath:
         return pts.reshape(t.shape + pts.shape[-1:])
 
 
-def test_chord_counterexample_fails(torus, torus_criticals):
+def chord(torus, torus_criticals):
+    """The straight chord in the parameter plane from the minimum to the
+    maximum, at the 101 heights between them: not a flow line."""
     start = np.array(torus_criticals[0].state)
     end = np.array(torus_criticals[-1].state)
     grid = np.linspace(torus_criticals[0].h, torus_criticals[-1].h, 101)
     lam = (grid - grid[0]) / (grid[-1] - grid[0])
     points = np.array([(1 - l) * start + l * end for l in lam])
-    chord = SimplePath(
-        torus, [torus_criticals[0], torus_criticals[-1]], grid, points
-    )
-    report = validate_trajectory(chord, TOL)
+    return SimplePath(torus, [torus_criticals[0], torus_criticals[-1]], grid, points)
+
+
+def test_chord_counterexample_fails(torus, torus_criticals):
+    report = validate_trajectory(chord(torus, torus_criticals), TOL)
     assert not report.ok
     assert report.reparam_residual >= TOL.tol_reparam
     assert report.invariance_residual >= TOL.tol_inv
+
+
+def test_validate_trajectories_matches_one_at_a_time(torus, torus_criticals, torus_trajectories):
+    # a bare path with its own point_at_height among the found ones
+    paths = [*torus_trajectories[:3], chord(torus, torus_criticals), *torus_trajectories[3:]]
+    reports = validate_trajectories(paths, TOL)
+    assert reports == [validate_trajectory(path, TOL) for path in paths]
+    assert [r.ok for r in reports] == [True] * 3 + [False] + [True] * (len(paths) - 4)
+    assert validate_trajectories([], TOL) == []
 
 
 def test_time_shifted_segments_validate_identically(torus, torus_trajectories):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from brokenlines import twisted
 from brokenlines.orders import (
     ConvexEquiv,
     LinOrder,
@@ -449,6 +450,19 @@ def test_day_dims_with_relations(nil_functor):
     # only the cut after position 2 survives: dim 9 * 3
     assert conv.value[x].dim == 27
     assert conv.value[flat(3)].dim == 3 * 9 + 9 * 3
+
+
+def test_day_builds_summands_once_per_object(nil_functor, monkeypatch):
+    calls = []
+    summands = twisted._summands
+
+    def spy(left, right, x):
+        calls.append(x)
+        return summands(left, right, x)
+
+    monkeypatch.setattr(twisted, "_summands", spy)
+    day_convolution(nil_functor, nil_functor, 4)
+    assert sorted(calls, key=repr) == sorted(tw_enumerate(4)[0], key=repr)
 
 
 def test_day_functor_is_a_functor(nil_functor):

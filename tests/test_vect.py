@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,16 @@ def test_multiplication_map_shape():
 def test_algebra_json_roundtrip():
     alg = nilpotent_upper3()
     assert NonunitalAlgebra.from_json(alg.to_json()) == alg
+
+
+@pytest.mark.parametrize("dim", [1.9, 1.0, "1"], ids=repr)
+def test_dimension_must_be_an_integer(dim):
+    # int() would truncate 1.9 and parse "1"
+    message = f"dimension must be an integer, got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NonunitalAlgebra.from_json({"dim": dim, "c": [[["1"]]]})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VectObject(dim)
 
 
 # ------------------------------------------- sparse maps vs a dense oracle
