@@ -385,21 +385,13 @@ def _newton_refine(surface, x, tol, iters=120):
 
 
 def _solve_rows(a, b):
-    """Solve a[i] y = b[i] for every row; np.linalg.solve fails a whole
-    batch on one singular matrix, so then every row is solved alone.
-    Returns the solutions and a mask of the rows that were solvable."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(b)
-    solved = np.ones(len(b), dtype=bool)
-    for i in range(len(b)):
-        try:
-            out[i] = np.linalg.solve(a[i], b[i])
-        except np.linalg.LinAlgError:
-            solved[i] = False
-    return out, solved
+    """Solve a[i] y = b[i] for every row in one batch.  A row whose LU
+    factorization (the one np.linalg.solve runs) has a zero pivot, shown
+    by a zero slogdet sign, would fail the batch: it is solved against the
+    identity instead.  Returns the solutions and the mask of solvable rows."""
+    solved = np.linalg.slogdet(a)[0] != 0
+    a = np.where(solved[:, None, None], a, np.eye(a.shape[-1]))
+    return np.linalg.solve(a, b[..., None])[..., 0], solved
 
 
 def _hessian(surface, x, frame, eps=1e-4):

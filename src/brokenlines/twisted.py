@@ -7,15 +7,17 @@ equivalence relation; a morphism is a monotone surjection that reflects
 the target relation into the source relation.  Functors are truncated at
 a size N; truncation is exact degree by degree.
 
-The action of an algebra's functor on f depends only on the fiber sizes
-of f, so `algebra_to_functor` builds one map per fiber shape and shares it
-between the morphisms of that shape.  `tw_enumerate`, `tw_generators` and
+`tw_enumerate` builds each morphism once, from its target; the functor
+axioms, naturality and intertwining are checked on grade-one generators.
+An algebra's functor acts on f by a map that depends only on the fiber
+sizes of f, built once per shape.  `tw_enumerate`, `tw_generators` and
 `tw_restrict` are cached for the life of the process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .orders import (
     ConvexEquiv,
@@ -163,7 +165,12 @@ def star_morphism(f: TwMorphism, g: TwMorphism) -> TwMorphism:
 @lru_cache(maxsize=None)
 def tw_enumerate(N):
     """All objects of size <= N and all morphisms between them (on
-    canonical labels).  Returns (objects, morphisms)."""
+    canonical labels), the morphisms sorted by (source, target, mapping).
+
+    Each morphism is built once, from its target y and surjection f: f
+    reflects y's relation exactly when the source relation coarsens its
+    pullback, cut where f(k-1) and f(k) lie in different classes of y.
+    So f has one source per subset of those cuts."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
     orders = [LinOrder.standard(n) for n in range(1, N + 1)]
@@ -172,19 +179,19 @@ def tw_enumerate(N):
         for order in orders
         for rel in enumerate_convex_equivalences(order)
     ]
-    surjections = {
-        (a.n, b.n): [f.mapping for f in enumerate_surjections(a, b)]
-        for a in orders
-        for b in orders[: a.n]
-    }
-    morphisms = []
-    for x in objects:
-        for y in objects:
-            for mapping in surjections.get((x.n, y.n), ()):
-                try:
-                    morphisms.append(TwMorphism(x, y, mapping))
-                except ValueError:
-                    continue  # the surjection does not reflect y's relation
+    index = {x: i for i, x in enumerate(objects)}
+    by_cuts = {(x.n, tuple(valid_cuts(x))): x for x in objects}
+    found = []
+    for y in objects:
+        rel = y.rel.index
+        for a in orders[y.n - 1 :]:
+            for f in enumerate_surjections(a, y.order):
+                m = f.mapping
+                cuts = [k for k in range(1, a.n) if rel[m[k - 1]] != rel[m[k]]]
+                for r in range(len(cuts) + 1):
+                    for starts in combinations(cuts, r):
+                        found.append((index[by_cuts[(a.n, starts)]], index[y], m))
+    morphisms = (TwMorphism(objects[i], objects[j], m) for i, j, m in sorted(found))
     return tuple(objects), tuple(morphisms)
 
 
@@ -213,22 +220,15 @@ def comparison_morphism(x: TwObject) -> TwMorphism:
 def tw_restrict(x: TwObject, lo, hi):
     """The sub-object on positions lo..hi-1, relabeled to 0..hi-lo-1."""
     order = LinOrder.standard(hi - lo)
-    classes = []
-    for c in x.rel.classes:
-        part = tuple(i - lo for i in c if lo <= i < hi)
-        if part:
-            classes.append(part)
-    return TwObject(order, ConvexEquiv(order, classes))
+    parts = (tuple(i - lo for i in c if lo <= i < hi) for c in x.rel.classes)
+    return TwObject(order, ConvexEquiv(order, [p for p in parts if p]))
 
 
 def valid_cuts(x: TwObject):
     """Positions k where I splits as (first k) ⊔ (rest) with both parts
-    nonempty and no relation class straddling the cut."""
-    cuts = []
-    for k in range(1, x.n):
-        if all(max(c) < k or min(c) >= k for c in x.rel.classes):
-            cuts.append(k)
-    return cuts
+    nonempty and no relation class straddling the cut: the starts of the
+    classes after the first, as the classes are convex and in order."""
+    return [c[0] for c in x.rel.classes[1:]]
 
 
 class TwFunctor:
@@ -406,24 +406,29 @@ def roundtrip_natural_iso(functor: TwFunctor) -> dict:
 
     Returns {TwObject: invertible LinMap}; raises if any naturality
     square or monoidal compatibility fails.
+
+    Naturality is checked on `tw_generators(N)` only.  This presumes that
+    F is a functor (validated, or built by `algebra_to_functor` or
+    `day_convolution`), as the rebuilt side is: squares for f and g then
+    paste to one for f then g, and every non-identity morphism is a
+    composite of generators, the induction `TwFunctor.validate` uses.
     """
     algebra = functor_to_algebra(functor)
     rebuilt = algebra_to_functor(algebra, functor.N)
-    objects, morphisms = tw_enumerate(functor.N)
+    objects, _ = tw_enumerate(functor.N)
 
     pt = point()
-    folds = {1: LinMap.identity(functor.value[pt])}
+    ident = LinMap.identity(functor.value[pt])
+    folds = {1: ident}  # F(pt)^(x)n -> F(flat n); unfolds go on to F(sharp n)
     for n in range(2, functor.N + 1):
-        folds[n] = functor.lax[(flat(n - 1), pt)] @ tensor(
-            folds[n - 1], LinMap.identity(functor.value[pt])
-        )
+        folds[n] = functor.lax[(flat(n - 1), pt)] @ tensor(folds[n - 1], ident)
+    unfolds = {n: functor.comparison(flat(n)).inverse() @ u for n, u in folds.items()}
     eta = {}
     for x in objects:
-        cmp_flat = functor.comparison(flat(x.n))
-        eta[x] = functor.comparison(x) @ cmp_flat.inverse() @ folds[x.n]
+        eta[x] = functor.comparison(x) @ unfolds[x.n]
         if not eta[x].is_invertible():
             raise ValueError(f"component at {x} is not invertible")
-    for f in morphisms:
+    for f in tw_generators(functor.N):
         if eta[f.target] @ rebuilt.act(f) != functor.act(f) @ eta[f.source]:
             raise ValueError(f"naturality fails at {f}")
     for x, y in tw_pairs(functor.N):
@@ -462,22 +467,14 @@ def _day_action(left, right, f: TwMorphism, summands) -> LinMap:
     The image cut is injective in k, so each row block holds one block.
     `summands` holds `_summands(left, right, x)` for every object x."""
     x, y = f.source, f.target
-    cols = summands[x]
-    targets = summands[y]
+    cols, targets = summands[x], summands[y]
     rows = list(targets)
     blocks = {}
     for ci, k in enumerate(cols):
         kk = f(k - 1) + 1
-        f0 = TwMorphism(
-            tw_restrict(x, 0, k),
-            tw_restrict(y, 0, kk),
-            [f(i) for i in range(k)],
-        )
-        f1 = TwMorphism(
-            tw_restrict(x, k, x.n),
-            tw_restrict(y, kk, y.n),
-            [f(i) - kk for i in range(k, x.n)],
-        )
+        f0 = TwMorphism(tw_restrict(x, 0, k), tw_restrict(y, 0, kk), f.mapping[:k])
+        rest = [v - kk for v in f.mapping[k:]]
+        f1 = TwMorphism(tw_restrict(x, k, x.n), tw_restrict(y, kk, y.n), rest)
         blocks[(rows.index(kk), ci)] = tensor(left.act(f0), right.act(f1))
     return block_map(targets.values(), cols.values(), blocks)
 
@@ -490,24 +487,25 @@ def day_square(functor: TwFunctor, N=None) -> TwFunctor:
     if N is None:
         N = functor.N
     bare = day_convolution(functor, functor, N)
-    lax = {(x, y): _day_square_lax(functor, bare, x, y) for x, y in tw_pairs(N)}
+    sums = {x: _summands(functor, functor, x) for x in bare.value}
+    lax = {(x, y): _day_square_lax(functor, bare, sums, x, y) for x, y in tw_pairs(N)}
     return TwFunctor(N, bare.value, bare.action, lax, check=False)
 
 
-def _day_square_lax(F, bare, x, y) -> LinMap:
+def _day_square_lax(F, bare, summands, x, y) -> LinMap:
     """(F⊛F)(x) (x) (F⊛F)(y) -> (F⊛F)(x*y), sending the summand pair
     (x0|x1), (y0|y1) to the summand (x0 | x1*y) via F's lax maps.
 
     The source is a sum over the x-summands X_i of X_i (x) (F⊛F)(y); each
     of those is distributed over the y-summands Y_j, and the pieces
-    X_i (x) Y_j are then sent to the target by blocks."""
+    X_i (x) Y_j are then sent to the target by blocks.  `summands` holds
+    `_summands(F, F, x)` for every object x."""
     xy = tw_star(x, y)
-    x_sums = _summands(F, F, x)
-    y_sums = _summands(F, F, y)
+    x_sums, y_sums = summands[x], summands[y]
     src = tensor(bare.value[x], bare.value[y])
     if not x_sums or not y_sums:
         return LinMap.zero(src, bare.value[xy])
-    targets = _summands(F, F, xy)
+    targets = summands[xy]
     rows = list(targets)
     sources = []
     blocks = {}
@@ -529,7 +527,12 @@ def _day_square_lax(F, bare, x, y) -> LinMap:
 
 def day_assoc_check(f1: TwFunctor, f2: TwFunctor, f3: TwFunctor, N) -> dict:
     """Compare ((f1⊛f2)⊛f3) and (f1⊛(f2⊛f3)) through the canonical
-    summand reindexing; the permutation must intertwine all actions."""
+    summand reindexing; the permutation must intertwine all actions.
+
+    Both sides are functors, built by `day_convolution`, so intertwining
+    is checked on `tw_generators(N)` only and pastes along composites, by
+    the induction `TwFunctor.validate` uses; `morphisms_checked` counts
+    every morphism, each covered through its generators."""
     lhs = day_convolution(day_convolution(f1, f2, N), f3, N)
     rhs = day_convolution(f1, day_convolution(f2, f3, N), N)
     objects, morphisms = tw_enumerate(N)
@@ -542,7 +545,7 @@ def day_assoc_check(f1: TwFunctor, f2: TwFunctor, f3: TwFunctor, N) -> dict:
             mismatches.append(("shape", repr(x)))
             continue
         perms[x] = perm
-    for f in morphisms:
+    for f in tw_generators(N):
         if f.source not in perms or f.target not in perms:
             continue
         if perms[f.target] @ lhs.act(f) != rhs.act(f) @ perms[f.source]:

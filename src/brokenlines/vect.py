@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 _ZERO = Fraction(0)
@@ -111,13 +112,11 @@ class LinMap:
         return tuple(out)
 
     def is_identity(self) -> bool:
-        return self.source.dim == self.target.dim and all(
-            row == ((i, 1),) for i, row in enumerate(self.sparse)
-        )
+        return self.sparse == _identity_rows(self.source.dim)
 
     @staticmethod
     def identity(obj: VectObject) -> "LinMap":
-        return LinMap._of(obj, obj, tuple(((i, 1),) for i in range(obj.dim)))
+        return LinMap._of(obj, obj, _identity_rows(obj.dim))
 
     @staticmethod
     def zero(source: VectObject, target: VectObject) -> "LinMap":
@@ -224,6 +223,12 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.target.dim}x{self.source.dim})"
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(n):
+    """The sparse rows of the n x n identity, one tuple shared per n."""
+    return tuple(((i, 1),) for i in range(n))
 
 
 def _canonical(acc):

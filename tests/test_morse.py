@@ -31,6 +31,7 @@ from brokenlines.morse import (
     _newton_refine,
     _path_points,
     _shoot_batch,
+    _solve_rows,
     _unstable_directions,
 )
 
@@ -680,6 +681,24 @@ def test_newton_evaluates_all_seeds_together():
     torus.calls["field"] = 0
     crits = find_critical_points(torus, TOL)
     assert torus.calls["field"] <= 5 * rounds + 2 * len(crits)
+
+
+def test_solve_rows_masks_singular_rows():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(6, 2, 2))
+    b = rng.normal(size=(6, 2))
+    a[1] = 0.0
+    a[4] = np.outer([1.0, 2.0], [3.0, -1.0])  # rank 1
+    out, solved = _solve_rows(a, b)
+    assert solved.tolist() == [True, False, True, True, False, True]
+    for i in range(len(a)):
+        try:
+            alone = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            assert not solved[i]
+            continue
+        assert solved[i]
+        assert np.array_equal(out[i], alone)
 
 
 def test_critical_counts_stable_under_perturbation(torus, torus_criticals):

@@ -10,6 +10,7 @@ from brokenlines.orders import (
     LinOrder,
     OrderMorphism,
     enumerate_convex_equivalences,
+    enumerate_surjections,
 )
 from brokenlines.twisted import (
     TwFunctor,
@@ -58,14 +59,18 @@ def test_enumerate_sizes():
         assert len(objects) == sum(2 ** (k - 1) for k in range(1, n + 1))
 
 
-def tw_oracle(N):
-    """Objects of size <= N, and every map between them that TwMorphism
-    accepts, in itertools.product order."""
-    objects = [
+def tw_objects(N):
+    return [
         TwObject(LinOrder.standard(n), rel)
         for n in range(1, N + 1)
         for rel in enumerate_convex_equivalences(LinOrder.standard(n))
     ]
+
+
+def tw_oracle(N):
+    """Objects of size <= N, and every map between them that TwMorphism
+    accepts, in itertools.product order."""
+    objects = tw_objects(N)
     morphisms = []
     for x in objects:
         for y in objects:
@@ -80,6 +85,29 @@ def tw_oracle(N):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_enumerate_matches_product_oracle(N):
     assert tw_enumerate(N) == tw_oracle(N)
+
+
+def surjection_filter_oracle(N):
+    """Objects of size <= N, and every monotone surjection between them
+    that reflects the target relation: each surjection is tried, and the
+    ones TwMorphism rejects are dropped.  In (source, target, mapping)
+    order."""
+    objects = tw_objects(N)
+    morphisms = []
+    for x in objects:
+        for y in objects:
+            for g in enumerate_surjections(x.order, y.order):
+                try:
+                    morphisms.append(TwMorphism(x, y, g.mapping))
+                except ValueError:
+                    continue  # the surjection does not reflect y's relation
+    return tuple(objects), tuple(morphisms)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_enumerate_matches_surjection_filter_oracle(N):
+    # element for element: the order of the morphisms is part of the result
+    assert tw_enumerate(N) == surjection_filter_oracle(N)
 
 
 def test_composition_closed():
@@ -196,6 +224,9 @@ def test_valid_cuts_respect_classes():
     assert valid_cuts(x) == [2]
     assert valid_cuts(sharp(3)) == []
     assert valid_cuts(flat(3)) == [1, 2]
+    for x in tw_enumerate(5)[0]:
+        straddled = {k for c in x.rel.classes for k in range(min(c) + 1, max(c) + 1)}
+        assert valid_cuts(x) == [k for k in range(1, x.n) if k not in straddled]
 
 
 def test_restriction_relabels():
@@ -374,6 +405,82 @@ def test_reverse_roundtrip_natural_iso():
         assert all(m.is_invertible() for m in eta.values())
 
 
+BUILTINS = [zero_algebra, nilpotent_upper3, matrix_algebra_2x2]
+
+
+def roundtrip_on_all_morphisms(functor):
+    """roundtrip_natural_iso with the naturality square checked on every
+    morphism, not only on generators: the oracle for the generator check."""
+    rebuilt = algebra_to_functor(functor_to_algebra(functor), functor.N)
+    objects, morphisms = tw_enumerate(functor.N)
+    pt = point()
+    ident = LinMap.identity(functor.value[pt])
+    folds = {1: ident}
+    for n in range(2, functor.N + 1):
+        folds[n] = functor.lax[(flat(n - 1), pt)] @ tensor(folds[n - 1], ident)
+    eta = {}
+    for x in objects:
+        cmp_flat = functor.comparison(flat(x.n))
+        eta[x] = functor.comparison(x) @ cmp_flat.inverse() @ folds[x.n]
+        if not eta[x].is_invertible():
+            raise ValueError(f"component at {x} is not invertible")
+    for f in morphisms:
+        if eta[f.target] @ rebuilt.act(f) != functor.act(f) @ eta[f.source]:
+            raise ValueError(f"naturality fails at {f}")
+    for x, y in twisted.tw_pairs(functor.N):
+        lhs = eta[tw_star(x, y)] @ rebuilt.lax[(x, y)]
+        if lhs != functor.lax[(x, y)] @ tensor(eta[x], eta[y]):
+            raise ValueError(f"monoidal compatibility fails at ({x},{y})")
+    return eta
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("make", BUILTINS, ids=lambda make: make.__name__)
+def test_roundtrip_on_generators_matches_all_morphisms(make, N):
+    functor = algebra_to_functor(make(), N)
+    assert roundtrip_natural_iso(functor) == roundtrip_on_all_morphisms(functor)
+
+
+def with_zero_action(functor, f):
+    """An unchecked copy of functor that acts by zero on f."""
+    action = dict(functor.action)
+    action[f] = LinMap.zero(functor.value[f.source], functor.value[f.target])
+    return TwFunctor(functor.N, functor.value, action, functor.lax, check=False)
+
+
+def test_roundtrip_names_a_non_natural_generator():
+    three = LinOrder.standard(3)
+    x = TwObject(three, ConvexEquiv(three, [(0, 1), (2,)]))
+    merge = TwMorphism(x, flat(2), [0, 0, 1])
+    assert merge in tw_generators(4)
+    broken = with_zero_action(algebra_to_functor(nilpotent_upper3(), 4), merge)
+    with pytest.raises(ValueError) as exc:
+        roundtrip_natural_iso(broken)
+    assert str(exc.value) == f"naturality fails at {merge}"
+    with pytest.raises(ValueError, match="naturality fails at"):
+        roundtrip_on_all_morphisms(broken)
+
+
+def test_validate_names_a_fault_off_the_generators():
+    # the premise of checking naturality on generators only: a wrong
+    # action on a composite of generators is caught by validate(), and
+    # not by the generator squares of roundtrip_natural_iso
+    composite = TwMorphism(sharp(3), flat(2), [0, 0, 1])
+    assert composite not in tw_generators(4)
+    broken = with_zero_action(algebra_to_functor(nilpotent_upper3(), 4), composite)
+    _, morphisms = tw_enumerate(4)
+    naming = {
+        f"functoriality fails at {g} o {f}"
+        for f in morphisms
+        for g in tw_generators(4)
+        if g.source == f.target and composite in (f, f.then(g))
+    }
+    assert broken.validate() in naming
+    roundtrip_natural_iso(broken)
+    with pytest.raises(ValueError, match="naturality fails at"):
+        roundtrip_on_all_morphisms(broken)
+
+
 def test_functor_to_algebra_rejects_low_truncation():
     functor = algebra_to_functor(rational_algebra(), 2)
     with pytest.raises(ValueError):
@@ -511,6 +618,55 @@ def test_day_assoc_mixed(const_functor, nil_functor):
     assert report["ok"], report["mismatches"]
 
 
+def intertwine_on_all_morphisms(f1, f2, f3, N):
+    """The intertwining mismatches of day_assoc_check, checked on every
+    morphism, not only on generators: the oracle for the generator check."""
+    lhs = day_convolution(day_convolution(f1, f2, N), f3, N)
+    rhs = day_convolution(f1, day_convolution(f2, f3, N), N)
+    objects, morphisms = tw_enumerate(N)
+    perms = {x: twisted._assoc_permutation(f1, f2, f3, x) for x in objects}
+    return [
+        ("intertwine", repr(f))
+        for f in morphisms
+        if perms[f.target] @ lhs.act(f) != rhs.act(f) @ perms[f.source]
+    ]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("make", BUILTINS, ids=lambda make: make.__name__)
+def test_day_assoc_on_generators_matches_all_morphisms(make, N):
+    functor = algebra_to_functor(make(), N)
+    objects, morphisms = tw_enumerate(N)
+    assert day_assoc_check(functor, functor, functor, N) == {
+        "objects_checked": len(objects),
+        "morphisms_checked": len(morphisms),
+        "mismatches": [],
+        "ok": True,
+    }
+    assert intertwine_on_all_morphisms(functor, functor, functor, N) == []
+
+
+def test_day_assoc_reports_a_permutation_that_does_not_intertwine(monkeypatch):
+    functor = algebra_to_functor(matrix_algebra_2x2(), 4)
+    assoc_permutation = twisted._assoc_permutation
+
+    def swapped(f1, f2, f3, x):
+        perm = assoc_permutation(f1, f2, f3, x)
+        if x != flat(3):
+            return perm
+        rows = list(perm.sparse)
+        rows[0], rows[1] = rows[1], rows[0]
+        return LinMap._of(perm.source, perm.target, tuple(rows))
+
+    monkeypatch.setattr(twisted, "_assoc_permutation", swapped)
+    report = day_assoc_check(functor, functor, functor, 4)
+    assert not report["ok"]
+    assert report["mismatches"]
+    assert {kind for kind, _ in report["mismatches"]} == {"intertwine"}
+    oracle = intertwine_on_all_morphisms(functor, functor, functor, 4)
+    assert set(report["mismatches"]) <= set(oracle)
+
+
 # ------------------------------------------------------- factorizability
 
 
@@ -545,8 +701,6 @@ def test_day_square_of_constant_not_factorizable(const_functor):
 
 
 def test_sharp_left_adjoint_to_forgetful():
-    from brokenlines.orders import enumerate_surjections
-
     objects, morphisms = tw_enumerate(3)
     for x in objects:
         for n in (1, 2, 3):
