@@ -434,7 +434,12 @@ def main(argv=None):
         if value < 1:
             parser.error(f"{name} must be a positive integer, got {value}")
     try:
-        return args.fn(args, config)
+        code = args.fn(args, config)
+        sys.stdout.flush()  # so a reader that quit early (`| head`) shows here
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

@@ -365,6 +365,23 @@ def algebra_to_functor(algebra: NonunitalAlgebra, N) -> TwFunctor:
     return TwFunctor(N, value, action, lax, check=False)
 
 
+def _unfolds(functor: TwFunctor, top) -> dict:
+    """{n: F(pt)^(x)n -> F(flat n) -> F(sharp n)} for n = 1..top: F's lax
+    maps fold, then the inverse of the Fun_0 comparison map, taken once."""
+    pt = point()
+    ident = fold = LinMap.identity(functor.value[pt])
+    unfolds = {}
+    for n in range(1, top + 1):
+        if n > 1:
+            fold = functor.lax[(flat(n - 1), pt)] @ tensor(fold, ident)
+        try:
+            inverse = functor.comparison(flat(n)).inverse()
+        except ValueError:
+            raise ValueError(f"Fun_0 comparison map at {flat(n)} is not invertible") from None
+        unfolds[n] = inverse @ fold
+    return unfolds
+
+
 def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
     """Recover the algebra of a monoidal Fun_0 functor from its value on
     the one-point object, certifying associativity via size-3 data."""
@@ -372,27 +389,14 @@ def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
         raise ValueError("truncation must be at least 3")
     if functor.lax is None or not functor.is_monoidal():
         raise ValueError("functor must be monoidal (invertible lax maps)")
-    pt = point()
-    cmp2 = functor.comparison(flat(2))
-    if not cmp2.is_invertible():
-        raise ValueError("Fun_0 comparison map is not invertible")
-    merge2 = TwMorphism(sharp(2), pt, [0, 0])
-    mult = functor.act(merge2) @ cmp2.inverse() @ functor.lax[(pt, pt)]
-
-    # associativity certificate from size-3 functoriality
-    cmp3 = functor.comparison(flat(3))
-    if not cmp3.is_invertible():
-        raise ValueError("Fun_0 comparison map is not invertible")
-    merge3 = TwMorphism(sharp(3), pt, [0, 0, 0])
-    fold3 = functor.lax[(flat(2), pt)] @ tensor(
-        functor.lax[(pt, pt)], LinMap.identity(functor.value[pt])
-    )
-    mu3 = functor.act(merge3) @ cmp3.inverse() @ fold3
-    ident = LinMap.identity(functor.value[pt])
+    unfolds = _unfolds(functor, 3)  # then merge all n points: F(sharp n) -> F(pt)
+    mult, mu3 = (functor.act(TwMorphism(sharp(n), point(), [0] * n)) @ unfolds[n]
+                 for n in (2, 3))
+    ident = LinMap.identity(functor.value[point()])
     if mult @ tensor(mult, ident) != mu3 or mult @ tensor(ident, mult) != mu3:
         raise ValueError("functor data is not associative")
 
-    d = functor.value[pt].dim
+    d = ident.source.dim
     rows = mult.rows
     c = [[rows[k][i * d : (i + 1) * d] for i in range(d)] for k in range(d)]
     algebra = NonunitalAlgebra(d, c)
@@ -416,13 +420,7 @@ def roundtrip_natural_iso(functor: TwFunctor) -> dict:
     algebra = functor_to_algebra(functor)
     rebuilt = algebra_to_functor(algebra, functor.N)
     objects, _ = tw_enumerate(functor.N)
-
-    pt = point()
-    ident = LinMap.identity(functor.value[pt])
-    folds = {1: ident}  # F(pt)^(x)n -> F(flat n); unfolds go on to F(sharp n)
-    for n in range(2, functor.N + 1):
-        folds[n] = functor.lax[(flat(n - 1), pt)] @ tensor(folds[n - 1], ident)
-    unfolds = {n: functor.comparison(flat(n)).inverse() @ u for n, u in folds.items()}
+    unfolds = _unfolds(functor, functor.N)
     eta = {}
     for x in objects:
         eta[x] = functor.comparison(x) @ unfolds[x.n]
@@ -442,9 +440,13 @@ def roundtrip_natural_iso(functor: TwFunctor) -> dict:
 def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     """Day convolution by the decomposition formula: the value on (I, ~)
     is the direct sum over downward-closed ~-invariant proper cuts of
-    left(first part) (x) right(second part)."""
+    left(first part) (x) right(second part).  Both parts are proper, so
+    truncation N needs factors truncated at N - 1 or more."""
     if N is None:
         N = min(left.N, right.N)
+    if N > min(left.N, right.N) + 1:
+        raise ValueError(f"Day convolution at truncation {N} needs factors truncated "
+                         f"at {N - 1} or more, got {left.N} and {right.N}")
     objects, morphisms = tw_enumerate(N)
     summands = {x: _summands(left, right, x) for x in objects}
     value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
@@ -563,34 +565,27 @@ def _assoc_permutation(f1, f2, f3, x: TwObject) -> LinMap:
 
     Both sides decompose over double cuts l < k of x into summands
     T(l, k) = f1[0:l] (x) f2[l:k] (x) f3[k:n].  On the left the inner sum
-    sits in the left tensor factor, so the left side is literally the sum
-    of the T(l, k) in (k, l) order; `reorder` puts them in (l, k) order.
-    On the right the inner sum sits in the right factor; `spread`
-    distributes f1[0:l] over it, taking the right side to the same sum in
-    (l, k) order.
+    sits in the left factor, so each T(l, k) is one contiguous block, in
+    (k, l) order.  On the right it sits in the right factor: for each l,
+    row i of f1[0:l] runs through the f2 (x) f3 parts of every T(l, k) in
+    turn.  Row r has its 1 where the r-th right basis vector sits on the left.
     """
     cuts = valid_cuts(x)
-    if not cuts:
-        return LinMap.zero(VectObject(0), VectObject(0))
-    lhs = [
-        ((l, k), tensor(s, f3.value[tw_restrict(x, k, x.n)]))
-        for k in cuts
-        for l, s in _summands(f1, f2, tw_restrict(x, 0, k)).items()
-    ]
-    order = sorted(range(len(lhs)), key=lambda i: lhs[i][0])
-    reorder = block_map(
-        [lhs[i][1] for i in order],
-        [t for _, t in lhs],
-        {(r, i): LinMap.identity(lhs[i][1]) for r, i in enumerate(order)},
-    )
-    spread = direct_sum(
-        distribute(
-            f1.value[tw_restrict(x, 0, l)],
-            _summands(f2, f3, tw_restrict(x, l, x.n)).values(),
-        )
-        for l in cuts
-    )
-    return spread.inverse() @ reorder
+    d1 = {l: f1.value[tw_restrict(x, 0, l)].dim for l in cuts}
+    blocks = {l: [] for l in cuts}  # l -> (left offset, dim of f2 (x) f3) per k
+    offset = 0
+    for j, k in enumerate(cuts):
+        d3 = f3.value[tw_restrict(x, k, x.n)].dim
+        for l in cuts[:j]:
+            size = f2.value[tw_restrict(x, l, k)].dim * d3
+            blocks[l].append((offset, size))
+            offset += d1[l] * size
+    cols = []
+    for l in cuts:
+        for i in range(d1[l]):
+            for start, size in blocks[l]:
+                cols.extend(range(start + i * size, start + (i + 1) * size))
+    return LinMap.permutation(cols)
 
 
 def factorizable_check(functor: TwFunctor) -> bool:

@@ -14,15 +14,15 @@ integer matrices multiply in `int` arithmetic.  `3 == Fraction(3)`, the
 two hash alike and print alike, so equality, hashing and JSON cannot
 tell them apart.  `LinMap.rows` is a dense view of `Fraction`s, built on
 demand for JSON output and tests.  Maps between direct sums are
-assembled from blocks (`block_map`, `distribute`) rather than entry by
-entry.
+assembled from blocks (`block_map`) rather than entry by entry, and every
+reindexing of a basis is one `LinMap.permutation`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 _ZERO = Fraction(0)
@@ -122,6 +122,15 @@ class LinMap:
     def zero(source: VectObject, target: VectObject) -> "LinMap":
         return LinMap._of(source, target, ((),) * target.dim)
 
+    @staticmethod
+    def permutation(cols) -> "LinMap":
+        """The reindexing with a single 1 in row r, at column cols[r]."""
+        cols = tuple(cols)
+        if sorted(cols) != list(range(len(cols))):
+            raise ValueError(f"columns must permute range({len(cols)})")
+        obj = VectObject(len(cols))
+        return LinMap._of(obj, obj, tuple(((c, 1),) for c in cols))
+
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """self o other (apply other first)."""
         if other.target != self.source:
@@ -156,8 +165,6 @@ class LinMap:
         return self.source.dim == self.target.dim
 
     def is_invertible(self) -> bool:
-        if not self.is_square:
-            return False
         try:
             self.inverse()
             return True
@@ -259,10 +266,7 @@ def tensor_all(items):
     items = list(items)
     if not items:
         raise ValueError("tensor of an empty list is not defined here")
-    out = items[0]
-    for x in items[1:]:
-        out = tensor(out, x)
-    return out
+    return reduce(tensor, items)
 
 
 def direct_sum(items):
@@ -304,17 +308,13 @@ def distribute(a: VectObject, parts) -> LinMap:
     (a (x) p_m).  With the second index fastest, the basis vector
     (i, q) of a (x) p_j sits at i * sum(p) + offset_j + q on the left
     and contiguously, block by block, on the right."""
-    parts = list(parts)
-    total = direct_sum(parts)
-    sparse = []
-    offset = 0
-    for p in parts:
-        for i in range(a.dim):
-            start = i * total.dim + offset
-            sparse.extend(((start + q, 1),) for q in range(p.dim))
-        offset += p.dim
-    return LinMap._of(
-        tensor(a, total), direct_sum(tensor(a, p) for p in parts), tuple(sparse)
+    dims = [p.dim for p in parts]
+    total = sum(dims)
+    return LinMap.permutation(
+        i * total + offset + q
+        for offset, dim in zip(accumulate([0, *dims]), dims)
+        for i in range(a.dim)
+        for q in range(dim)
     )
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +17,8 @@ from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
 from brokenlines.orders import LinOrder
 from brokenlines.rep import rep_from_gaps
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -141,6 +147,23 @@ def test_config_file_overrides(capsys, tmp_path):
     code, out = run(capsys, "--config", str(cfg), "enumerate", "convex", "--n", "2")
     assert code == 0
     assert json.loads(out)["count"] == 8  # config n=4 wins over the flag
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the report is far larger than a pipe buffer, so the writer is still
+    # writing when the reader quits after one line, as `| head -1` does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("BROKENLINES_OUT", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brokenlines.cli", "enumerate", "preorders", "--n", "7"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) != 0
+    proc.stderr.close()
+    assert stderr == b""
 
 
 def test_usage_error_exit_code():

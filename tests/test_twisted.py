@@ -37,6 +37,9 @@ from brokenlines.vect import (
     LinMap,
     NonunitalAlgebra,
     VectObject,
+    block_map,
+    direct_sum,
+    distribute,
     matrix_algebra_2x2,
     nilpotent_upper3,
     rational_algebra,
@@ -496,8 +499,31 @@ def test_functor_to_algebra_requires_invertible_comparison():
     # fix functoriality by zeroing everything out of flat(2) too; simpler:
     # construct without checks and confirm the error path fires
     broken = TwFunctor(3, base.value, action, base.lax, check=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+        f"Fun_0 comparison map at {flat(2)} is not invertible"
+    )):
         functor_to_algebra(broken)
+
+
+def with_singular_comparison(functor, n):
+    """functor with its Fun_0 comparison map at flat(n) set to zero."""
+    action = dict(functor.action)
+    action[comparison_morphism(flat(n))] = LinMap.zero(
+        functor.value[sharp(n)], functor.value[flat(n)]
+    )
+    return TwFunctor(functor.N, functor.value, action, functor.lax, check=False)
+
+
+def test_singular_comparison_is_named_by_its_object():
+    msg = "Fun_0 comparison map at {} is not invertible"
+    broken = with_singular_comparison(algebra_to_functor(nilpotent_upper3(), 3), 3)
+    with pytest.raises(ValueError, match=re.escape(msg.format(flat(3)))):
+        functor_to_algebra(broken)
+    # the roundtrip unfolds every size; functor_to_algebra reads sizes 2 and 3
+    broken = with_singular_comparison(algebra_to_functor(nilpotent_upper3(), 4), 4)
+    assert functor_to_algebra(broken) == nilpotent_upper3()
+    with pytest.raises(ValueError, match=re.escape(msg.format(flat(4)))):
+        roundtrip_natural_iso(broken)
 
 
 def test_validate_rejects_altered_composite_action():
@@ -572,6 +598,24 @@ def test_day_builds_summands_once_per_object(nil_functor, monkeypatch):
     assert sorted(calls, key=repr) == sorted(tw_enumerate(4)[0], key=repr)
 
 
+def test_day_needs_factors_one_size_below_the_truncation():
+    small = algebra_to_functor(nilpotent_upper3(), 3)
+    # (L ⊛ R)(x) reads L and R on proper parts of x only
+    assert day_convolution(small, small, 4).validate() is None
+    assert day_square(small, 4).validate() is None
+    assert day_assoc_check(small, small, small, 4)["ok"]
+    msg = re.escape("at truncation 5 needs factors truncated at 4 or more, got 3 and 3")
+    for build in (
+        lambda: day_convolution(small, small, 5),
+        lambda: day_square(small, 5),
+        lambda: day_assoc_check(small, small, small, 5),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            build()
+    with pytest.raises(ValueError, match="got 4 and 3"):
+        day_convolution(algebra_to_functor(nilpotent_upper3(), 4), small, 5)
+
+
 def test_day_functor_is_a_functor(nil_functor):
     conv = day_convolution(nil_functor, nil_functor, 3)
     assert conv.validate() is None
@@ -644,6 +688,98 @@ def test_day_assoc_on_generators_matches_all_morphisms(make, N):
         "ok": True,
     }
     assert intertwine_on_all_morphisms(functor, functor, functor, N) == []
+
+
+def assoc_permutation_oracle(f1, f2, f3, x):
+    """The reindexing ((f1⊛f2)⊛f3)(x) -> (f1⊛(f2⊛f3))(x) built from blocks:
+    `reorder` takes the left side's T(l, k) from (k, l) to (l, k) order,
+    and the inverse of `spread`, which distributes f1[0:l] over the right
+    side's inner sum, takes them on to the right side."""
+    cuts = valid_cuts(x)
+    if not cuts:
+        return LinMap.zero(VectObject(0), VectObject(0))
+    lhs = [
+        ((l, k), tensor(s, f3.value[tw_restrict(x, k, x.n)]))
+        for k in cuts
+        for l, s in twisted._summands(f1, f2, tw_restrict(x, 0, k)).items()
+    ]
+    order = sorted(range(len(lhs)), key=lambda i: lhs[i][0])
+    reorder = block_map(
+        [lhs[i][1] for i in order],
+        [t for _, t in lhs],
+        {(r, i): LinMap.identity(lhs[i][1]) for r, i in enumerate(order)},
+    )
+    spread = direct_sum(
+        distribute(
+            f1.value[tw_restrict(x, 0, l)],
+            twisted._summands(f2, f3, tw_restrict(x, l, x.n)).values(),
+        )
+        for l in cuts
+    )
+    return spread.inverse() @ reorder
+
+
+ASSOC_CASES = [
+    (make.__name__, make, N)
+    for make in (zero_algebra, rational_algebra, nilpotent_upper3, matrix_algebra_2x2)
+    for N in (3, 4, 5)
+] + [("mat2-seeded", lambda: _rebased(matrix_algebra_2x2(), 20181), 4)]
+
+
+@pytest.mark.parametrize(
+    "make, N", [c[1:] for c in ASSOC_CASES], ids=[f"{c[0]}-{c[2]}" for c in ASSOC_CASES]
+)
+def test_assoc_permutation_matches_block_oracle(make, N):
+    functor = algebra_to_functor(make(), N)
+    objects, _ = tw_enumerate(N)
+    for x in objects:
+        want = assoc_permutation_oracle(functor, functor, functor, x)
+        assert twisted._assoc_permutation(functor, functor, functor, x) == want
+
+
+def test_assoc_permutation_of_three_different_factors():
+    f1, f2, f3 = (
+        algebra_to_functor(make(), 4)
+        for make in (rational_algebra, nilpotent_upper3, matrix_algebra_2x2)
+    )
+    for x in tw_enumerate(4)[0]:
+        want = assoc_permutation_oracle(f1, f2, f3, x)
+        assert twisted._assoc_permutation(f1, f2, f3, x) == want
+    assert day_assoc_check(f1, f2, f3, 4)["ok"]
+
+
+def test_day_assoc_check_reads_summands_through_day_convolution_only(
+    nil_functor, monkeypatch
+):
+    depth, calls = [0], []
+    summands, convolution = twisted._summands, twisted.day_convolution
+
+    def summands_spy(left, right, x):
+        calls.append(depth[0])
+        return summands(left, right, x)
+
+    def convolution_spy(*args):
+        depth[0] += 1
+        try:
+            return convolution(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(twisted, "_summands", summands_spy)
+    monkeypatch.setattr(twisted, "day_convolution", convolution_spy)
+    assert day_assoc_check(nil_functor, nil_functor, nil_functor, 4)["ok"]
+    # four convolutions, each building the summands of every object once
+    assert calls == [1] * (4 * len(tw_enumerate(4)[0]))
+
+
+def test_day_assoc_check_inverts_nothing(monkeypatch):
+    functor = algebra_to_functor(matrix_algebra_2x2(), 4)
+
+    def no_inverse(self):
+        raise AssertionError("LinMap.inverse called")
+
+    monkeypatch.setattr(LinMap, "inverse", no_inverse)
+    assert day_assoc_check(functor, functor, functor, 4)["ok"]
 
 
 def test_day_assoc_reports_a_permutation_that_does_not_intertwine(monkeypatch):

@@ -395,6 +395,27 @@ def test_distribute_matches_oracle(a, parts):
     assert as_dense(out) == [[Fraction(int(s == t)) for s in src] for t in tgt]
 
 
+@given(st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_matches_dense_oracle(cols):
+    n = len(cols)
+    out = LinMap.permutation(cols)
+    assert_canonical(out)
+    assert out.source == out.target == VectObject(n)
+    assert as_dense(out) == [[Fraction(int(c == cols[r])) for c in range(n)]
+                             for r in range(n)]
+    # a permutation's inverse is its transpose
+    back = [cols.index(c) for c in range(n)]
+    assert out.inverse() == LinMap.permutation(back)
+
+
+@given(st.lists(st.integers(-2, 7), max_size=6).filter(
+    lambda cols: sorted(cols) != list(range(len(cols)))
+))
+def test_permutation_rejects_other_columns(cols):
+    with pytest.raises(ValueError, match="must permute"):
+        LinMap.permutation(cols)
+
+
 @st.composite
 def square_maps(draw):
     n = draw(dims)
