@@ -32,7 +32,7 @@ from .twisted import (
     roundtrip_natural_iso,
     sharp,
 )
-from .vect import matrix_algebra_2x2, nilpotent_upper3, zero_algebra
+from .vect import BUILTIN_ALGEBRAS, nilpotent_upper3, rational_algebra, zero_algebra
 from . import morse as morse_mod
 
 
@@ -50,28 +50,33 @@ def _run(name, body):
     }
 
 
-def criterion_mainc_roundtrip():
-    """Criterion 1: algebra -> functor -> algebra is the identity on
-    structure constants, and the reverse roundtrip has an exact natural
-    isomorphism at truncation 4, for the three reference algebras."""
+def _roundtrips(names, N, assoc=False):
+    """For each named builtin algebra: algebra -> functor -> algebra is the
+    identity on structure constants, the reverse roundtrip has an exact
+    natural isomorphism at truncation N and, with `assoc`, F⊛F⊛F reindexes."""
 
     def body():
-        notes = []
-        for name, make in (
-            ("zero1", zero_algebra),
-            ("nilpotent3", nilpotent_upper3),
-            ("mat2", matrix_algebra_2x2),
-        ):
-            algebra = make()
-            functor = algebra_to_functor(algebra, 4)
-            back = functor_to_algebra(functor)
-            if back != algebra:
+        for name in names:
+            algebra = BUILTIN_ALGEBRAS[name]()
+            functor = algebra_to_functor(algebra, N)
+            if functor_to_algebra(functor) != algebra:
                 return False, f"{name}: structure constants changed"
             roundtrip_natural_iso(functor)  # raises on failure
-            notes.append(name)
-        return True, f"exact roundtrips for {', '.join(notes)}"
+            if assoc:
+                mismatches = day_assoc_check(functor, functor, functor, N)["mismatches"]
+                if mismatches:
+                    return False, f"{name}: associativity reindexing: {mismatches[:3]}"
+        checks = "roundtrips and Day associativity" if assoc else "roundtrips"
+        return True, f"exact {checks} for {', '.join(names)}"
 
-    return _run("factorization roundtrip", body)
+    return body
+
+
+def criterion_mainc_roundtrip():
+    """Criterion 1: the roundtrips of `_roundtrips` at truncation 4, for
+    the three reference algebras."""
+    return _run("factorization roundtrip",
+                _roundtrips(["zero1", "nilpotent3", "mat2"], 4))
 
 
 def criterion_pullback_squares():
@@ -194,11 +199,8 @@ def criterion_stratification():
 
 def _oracle_convex_count(n):
     """Independent oracle: filter all set partitions by interval-ness."""
-    out = []
-    for partition in _set_partitions(list(range(n))):
-        if all(max(b) - min(b) + 1 == len(b) for b in partition):
-            out.append(partition)
-    return out
+    return [p for p in _set_partitions(list(range(n)))
+            if all(max(b) - min(b) + 1 == len(b) for b in p)]
 
 
 def _set_partitions(items):
@@ -218,8 +220,6 @@ def criterion_day_convolution():
     indiscrete inputs of size >= 2."""
 
     def body():
-        from .vect import rational_algebra
-
         const = algebra_to_functor(rational_algebra(), 4)
         conv = day_convolution(const, const, 4)
         if conv.value[flat(3)].dim != 2:
@@ -230,10 +230,7 @@ def criterion_day_convolution():
             if conv.value[sharp(n)].dim != 0:
                 return False, f"indiscrete size {n} should be the zero object"
         nil = algebra_to_functor(nilpotent_upper3(), 4)
-        for trip in (
-            (const, const, const),
-            (nil, nil, nil),
-        ):
+        for trip in ((const, const, const), (nil, nil, nil)):
             report = day_assoc_check(*trip, 4)
             if not report["ok"]:
                 return False, f"associativity reindexing: {report['mismatches'][:3]}"
@@ -340,6 +337,12 @@ def criterion_morse_demo():
     return _run("morse demo", body)
 
 
+def criterion_truncation_five():
+    """Criterion 10: the roundtrips of `_roundtrips` and Day associativity
+    at truncation 5, for every builtin algebra."""
+    return _run("truncation 5", _roundtrips(list(BUILTIN_ALGEBRAS), 5, assoc=True))
+
+
 CRITERIA = [
     criterion_mainc_roundtrip,
     criterion_pullback_squares,
@@ -350,6 +353,7 @@ CRITERIA = [
     criterion_representability_roundtrip,
     criterion_cospecialization_demo,
     criterion_morse_demo,
+    criterion_truncation_five,
 ]
 
 

@@ -37,7 +37,6 @@ from .twisted import (
     day_convolution,
     functor_to_algebra,
     roundtrip_natural_iso,
-    tw_enumerate,
 )
 from .vect import BUILTIN_ALGEBRAS, NonunitalAlgebra
 from . import morse as morse_mod
@@ -306,12 +305,11 @@ def cmd_daycon(args, config):
     algebra = _load_algebra(args.algebra)
     functor = algebra_to_functor(algebra, config.truncation)
     conv = day_convolution(functor, functor, config.truncation)
-    objects, _ = tw_enumerate(config.truncation)
     assoc = day_assoc_check(functor, functor, functor, config.truncation)
     payload = {
         "algebra": args.algebra,
         "truncation": config.truncation,
-        "square_dims": {repr(x): conv.value[x].dim for x in objects},
+        "square_dims": {repr(x): v.dim for x, v in conv.value.items()},
         "associativity_ok": assoc["ok"],
         "mismatches": [list(map(str, m)) for m in assoc["mismatches"]],
     }

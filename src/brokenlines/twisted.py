@@ -10,12 +10,14 @@ a size N; truncation is exact degree by degree.
 `tw_enumerate` builds each morphism once, from its target; the functor
 axioms, naturality and intertwining are checked on grade-one generators.
 An algebra's functor acts on f by a map that depends only on the fiber
-sizes of f, built once per shape.  `tw_enumerate`, `tw_generators` and
-`tw_restrict` are cached for the life of the process.
+sizes of f, built once per shape.  A Day convolution builds each action
+on its first read, so `action` may be built on demand.  `tw_enumerate`,
+`tw_generators` and `tw_restrict` are cached for the life of the process.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
 
@@ -236,7 +238,8 @@ class TwFunctor:
     lax monoidal structure maps.
 
     value: TwObject -> VectObject for all objects of size <= N;
-    action: TwMorphism -> LinMap for all enumerated morphisms;
+    action: TwMorphism -> LinMap for all enumerated morphisms, built on
+    demand for a Day convolution (an `_Actions`, kept as given);
     lax: (x, y) -> LinMap value(x) (x) value(y) -> value(x * y) for
     |x| + |y| <= N, or None for a bare functor.
     """
@@ -246,7 +249,9 @@ class TwFunctor:
     def __init__(self, N, value, action, lax=None, check=True):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "value", dict(value))
-        object.__setattr__(self, "action", dict(action))
+        if not isinstance(action, _Actions):
+            action = dict(action)
+        object.__setattr__(self, "action", action)
         object.__setattr__(self, "lax", None if lax is None else dict(lax))
         if check:
             problem = self.validate()
@@ -337,6 +342,29 @@ class TwFunctor:
         if self.lax is None:
             return False
         return all(u.is_invertible() for u in self.lax.values())
+
+
+class _Actions(Mapping):
+    """A read-only action on `morphisms`, in their order, that builds f's
+    map by `build(f)` on its first read and keeps it; `in`, `len` and
+    iteration build nothing, and any other key raises KeyError."""
+
+    def __init__(self, morphisms, build):
+        self._built, self._build = dict.fromkeys(morphisms), build
+
+    def __getitem__(self, f):
+        if self._built[f] is None:
+            self._built[f] = self._build(f)
+        return self._built[f]
+
+    def __contains__(self, f):
+        return f in self._built
+
+    def __iter__(self):
+        return iter(self._built)
+
+    def __len__(self):
+        return len(self._built)
 
 
 def algebra_to_functor(algebra: NonunitalAlgebra, N) -> TwFunctor:
@@ -441,7 +469,8 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     """Day convolution by the decomposition formula: the value on (I, ~)
     is the direct sum over downward-closed ~-invariant proper cuts of
     left(first part) (x) right(second part).  Both parts are proper, so
-    truncation N needs factors truncated at N - 1 or more."""
+    truncation N needs factors truncated at N - 1 or more.  Each action
+    is built on its first read, so checks on generators build few."""
     if N is None:
         N = min(left.N, right.N)
     if N > min(left.N, right.N) + 1:
@@ -450,7 +479,7 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     objects, morphisms = tw_enumerate(N)
     summands = {x: _summands(left, right, x) for x in objects}
     value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
-    action = {f: _day_action(left, right, f, summands) for f in morphisms}
+    action = _Actions(morphisms, lambda f: _day_action(left, right, f, summands))
     return TwFunctor(N, value, action, lax=None, check=False)
 
 
@@ -486,12 +515,11 @@ def day_square(functor: TwFunctor, N=None) -> TwFunctor:
     structure maps across the cut."""
     if functor.lax is None:
         raise ValueError("day_square needs a lax functor")
-    if N is None:
-        N = functor.N
     bare = day_convolution(functor, functor, N)
     sums = {x: _summands(functor, functor, x) for x in bare.value}
-    lax = {(x, y): _day_square_lax(functor, bare, sums, x, y) for x, y in tw_pairs(N)}
-    return TwFunctor(N, bare.value, bare.action, lax, check=False)
+    lax = {(x, y): _day_square_lax(functor, bare, sums, x, y)
+           for x, y in tw_pairs(bare.N)}
+    return TwFunctor(bare.N, bare.value, bare.action, lax, check=False)
 
 
 def _day_square_lax(F, bare, summands, x, y) -> LinMap:

@@ -48,3 +48,29 @@ def test_criterion_8_cospecialization_demo():
 
 def test_criterion_9_morse_demo():
     _check(acceptance.criterion_morse_demo())
+
+
+def test_criterion_10_truncation_five(monkeypatch):
+    truncations = []
+    day_assoc_check = acceptance.day_assoc_check
+
+    def spy(f1, f2, f3, N):
+        truncations.append(N)
+        return day_assoc_check(f1, f2, f3, N)
+
+    monkeypatch.setattr(acceptance, "day_assoc_check", spy)
+    # about 1.2 s on a 2-core host that drifts up to 1.8x: 10 s is over 4x
+    _check(acceptance.criterion_truncation_five(), budget=10.0)
+    assert truncations == [5] * 4  # one check per builtin algebra
+
+
+def test_roundtrip_criteria_name_the_algebra_that_fails(monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "day_assoc_check", lambda *args: {"mismatches": [("shape", "x")]}
+    )
+    assert acceptance._roundtrips(["zero1", "mat2"], 3, assoc=True)() == (
+        False, "zero1: associativity reindexing: [('shape', 'x')]"
+    )
+    assert acceptance._roundtrips(["zero1", "mat2"], 3)() == (
+        True, "exact roundtrips for zero1, mat2"
+    )

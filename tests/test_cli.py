@@ -346,6 +346,8 @@ GOLDEN_STDOUT = {
         "ff43a3a0b32ed1be29fd63e18839f6b8ecf6ba318afa534e275cf51ae5158677",
     "daycon --algebra builtin:mat2 --truncation 4":
         "5b688c1c8c1dce44cf4fbea5db5112c0c5dddab9156838f032ecab13298fb237",
+    "daycon --algebra builtin:mat2 --truncation 5":
+        "be8666f86abc9efd7edb85eaed453e7647d8a91073ca5d08ceecb603dbae58e2",
 }
 
 

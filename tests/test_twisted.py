@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from brokenlines import twisted
+from brokenlines import cli, twisted
 from brokenlines.orders import (
     ConvexEquiv,
     LinOrder,
@@ -34,6 +34,7 @@ from brokenlines.twisted import (
     valid_cuts,
 )
 from brokenlines.vect import (
+    BUILTIN_ALGEBRAS,
     LinMap,
     NonunitalAlgebra,
     VectObject,
@@ -801,6 +802,106 @@ def test_day_assoc_reports_a_permutation_that_does_not_intertwine(monkeypatch):
     assert {kind for kind, _ in report["mismatches"]} == {"intertwine"}
     oracle = intertwine_on_all_morphisms(functor, functor, functor, 4)
     assert set(report["mismatches"]) <= set(oracle)
+
+
+# ------------------------------------------------ lazily built Day actions
+
+
+def eager_day_actions(left, right, N):
+    """Every action of left ⊛ right built up front, one `_day_action` per
+    morphism: the oracle for the actions day_convolution builds on read."""
+    objects, morphisms = tw_enumerate(N)
+    summands = {x: twisted._summands(left, right, x) for x in objects}
+    return {f: twisted._day_action(left, right, f, summands) for f in morphisms}
+
+
+def spy_day_action(monkeypatch):
+    """Patch twisted._day_action to log (summands, f) per call; the summands
+    dict, one per convolution, tells the convolutions apart."""
+    calls = []
+    day_action = twisted._day_action
+
+    def spy(left, right, f, summands):
+        calls.append((summands, f))
+        return day_action(left, right, f, summands)
+
+    monkeypatch.setattr(twisted, "_day_action", spy)
+    return calls
+
+
+DAY_PAIRS = [(name, name) for name in BUILTIN_ALGEBRAS] + [("nilpotent3", "zero1")]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("names", DAY_PAIRS, ids="⊛".join)
+def test_lazy_day_actions_match_eager_oracle(names, N):
+    left, right = (algebra_to_functor(BUILTIN_ALGEBRAS[name](), N) for name in names)
+    conv = day_convolution(left, right, N)
+    want = eager_day_actions(left, right, N)
+    assert list(conv.action) == list(want)
+    for f in reversed(tw_enumerate(N)[1]):  # the order of first reads is free
+        assert conv.action[f] == want[f]
+
+
+def test_lazy_day_actions_of_a_lazy_factor_match_eager_oracle(nil_functor):
+    inner = day_convolution(nil_functor, nil_functor, 4)
+    eager_inner = TwFunctor(
+        4, inner.value, eager_day_actions(nil_functor, nil_functor, 4), check=False
+    )
+    outer = day_convolution(inner, nil_functor, 4)
+    want = eager_day_actions(eager_inner, nil_functor, 4)
+    for f in tw_enumerate(4)[1]:
+        assert outer.action[f] == want[f]
+
+
+def test_day_actions_are_built_once_on_first_read(nil_functor, monkeypatch):
+    calls = spy_day_action(monkeypatch)
+    conv = day_convolution(nil_functor, nil_functor, 4)
+    _, morphisms = tw_enumerate(4)
+    assert all(f in conv.action for f in morphisms)
+    assert list(conv.action) == list(morphisms)
+    assert len(conv.action) == len(morphisms)
+    assert calls == []
+    f = morphisms[len(morphisms) // 2]
+    first = conv.action[f]
+    assert conv.action[f] is first and conv.act(f) is first
+    assert [g for _, g in calls] == [f]
+    with pytest.raises(TypeError):
+        conv.action[f] = first
+    beyond = next(g for g in tw_enumerate(5)[1] if g.source.n == 5)
+    assert beyond not in conv.action
+    with pytest.raises(KeyError):
+        conv.action[beyond]
+    assert conv.validate() is None
+    built = [g for _, g in calls]
+    assert len(built) == len(morphisms) and set(built) == set(morphisms)
+
+
+def test_functor_keeps_lazy_actions_and_copies_others(nil_functor, monkeypatch):
+    calls = spy_day_action(monkeypatch)
+    conv = day_convolution(nil_functor, nil_functor, 3)
+    assert TwFunctor(3, conv.value, conv.action, check=False).action is conv.action
+    square = day_square(nil_functor, 3)
+    assert isinstance(square.action, twisted._Actions)
+    assert calls == []  # the lax maps of day_square read no action
+    plain = dict(nil_functor.action)
+    assert TwFunctor(4, nil_functor.value, plain, check=False).action is not plain
+    assert square.validate() is None
+
+
+def test_daycon_builds_only_the_actions_it_reads(monkeypatch, capsys):
+    calls = spy_day_action(monkeypatch)
+    assert cli.main(["--truncation", "4", "daycon", "--algebra", "builtin:nilpotent3"]) == 0
+    capsys.readouterr()
+    per_convolution = {}
+    for summands, _ in calls:
+        per_convolution[id(summands)] = per_convolution.get(id(summands), 0) + 1
+    # day_assoc_check reads its two outer convolutions on the 34 generators,
+    # and those build 13 actions of each inner one; the printed square
+    # builds none.  All five built every action before: 5 * 85 = 425.
+    assert len(tw_generators(4)) == 34
+    assert sorted(per_convolution.values()) == [13, 13, 34, 34]
+    assert len(calls) == 94
 
 
 # ------------------------------------------------------- factorizability
