@@ -59,9 +59,10 @@ def _roundtrips(names, N, assoc=False):
         for name in names:
             algebra = BUILTIN_ALGEBRAS[name]()
             functor = algebra_to_functor(algebra, N)
-            if functor_to_algebra(functor) != algebra:
+            back = functor_to_algebra(functor)
+            if back != algebra:
                 return False, f"{name}: structure constants changed"
-            roundtrip_natural_iso(functor)  # raises on failure
+            roundtrip_natural_iso(functor, back)  # raises on failure
             if assoc:
                 mismatches = day_assoc_check(functor, functor, functor, N)["mismatches"]
                 if mismatches:

@@ -195,11 +195,13 @@ def cmd_enumerate(args, config):
     elif args.what == "convex":
         base = LinOrder.standard(config.n)
         rels = enumerate_convex_equivalences(base)
+        # a refines b iff every cut of b, where a class starts, cuts a too
+        cuts = [frozenset(c[0] for c in r.classes[1:]) for r in rels]
         edges = [
             [i, j]
-            for i, a in enumerate(rels)
-            for j, b in enumerate(rels)
-            if i != j and a.refines(b)
+            for i, a in enumerate(cuts)
+            for j, b in enumerate(cuts)
+            if i != j and b <= a
         ]
         _dump(
             {
@@ -291,7 +293,7 @@ def cmd_roundtrip(args, config):
                 "original": algebra.to_json(),
             }
         else:
-            eta = roundtrip_natural_iso(functor)
+            eta = roundtrip_natural_iso(functor, back)
             payload["ok"] = True
             payload["natural_iso_components"] = len(eta)
     except ValueError as exc:

@@ -3,6 +3,8 @@
 Finite values are rationals (``fractions.Fraction``), the infinities are
 real elements of the type rather than floats.  Addition follows
 t + inf = inf; the combination inf + (-inf) has no value and raises.
+A `Fraction` is stored as given and any other rational is converted;
+comparing or adding two ExtReals builds no Fraction but the sum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class ExtReal:
             object.__setattr__(self, "finite", value.finite)
             return
         object.__setattr__(self, "sign", 0)
-        object.__setattr__(self, "finite", Fraction(value))
+        object.__setattr__(
+            self, "finite", value if type(value) is Fraction else Fraction(value)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
@@ -39,7 +43,8 @@ class ExtReal:
         return self.sign == 0
 
     def __add__(self, other):
-        other = as_ext(other)
+        if type(other) is not ExtReal:
+            other = as_ext(other)
         if self.sign == 0 and other.sign == 0:
             return ExtReal(self.finite + other.finite)
         if self.sign != 0 and other.sign != 0 and self.sign != other.sign:
@@ -62,19 +67,18 @@ class ExtReal:
 
     def _key(self):
         # -inf and +inf compare below/above every rational
-        if self.sign < 0:
-            return (-1, Fraction(0))
-        if self.sign > 0:
-            return (1, Fraction(0))
-        return (0, self.finite)
+        if self.sign == 0:
+            return (0, self.finite)
+        return _NEG_KEY if self.sign < 0 else _POS_KEY
 
     def __eq__(self, other):
-        # only rationals are coerced, so that equal values hash alike
+        if type(other) is ExtReal:
+            return self.sign == other.sign and self.finite == other.finite
+        # only rationals are compared, so that equal values hash alike;
+        # the finite part of +-inf is None, which equals no rational
         if isinstance(other, (int, Fraction)):
-            other = ExtReal(other)
-        elif not isinstance(other, ExtReal):
-            return NotImplemented
-        return self._key() == other._key()
+            return self.finite == other
+        return NotImplemented
 
     def __lt__(self, other):
         return self._key() < as_ext(other)._key()
@@ -119,6 +123,10 @@ class ExtReal:
         if data == "-inf":
             return NEG_INF
         return ExtReal(Fraction(data["fin"]))
+
+
+_NEG_KEY = (-1, 0)
+_POS_KEY = (1, 0)
 
 
 def _make_infinite(sign):

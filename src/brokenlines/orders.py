@@ -7,7 +7,12 @@ Ranks and mapping entries must be integers: a float or a str is rejected,
 never truncated or parsed.  Enumerators build their objects directly:
 preorders as rank vectors grown in lexicographic order, each prefix with a
 bitmask of the ranks it uses, monotone surjections as cuts of the source
-order, amalgams as pairs of surjections onto a common [k].  Constructors
+order, amalgams as pairs of surjections onto a common [k].  Preorders and
+surjections are correct by construction, so their enumerators wrap them
+through the private `_of` constructors, which check nothing; that the
+ranks of a preorder form an initial segment is still checked, on its
+bitmask.  The public constructors are the one validating path, and the
+tests rebuild every enumerated object through them as the oracle.  They
 check their invariants in time linear in the number of labels:
 monotonicity by comparing labels of equal and of adjacent ranks
 (`_monotone`), convexity by counting the labels in each class's rank
@@ -35,6 +40,14 @@ class LinPreorder:
         if len(set(ranks)) != max(ranks) + 1:
             raise ValueError("rank image must be an initial segment 0..k-1")
         object.__setattr__(self, "ranks", ranks)
+
+    @classmethod
+    def _of(cls, ranks):
+        """Wrap a tuple of ints already known to be a valid rank vector
+        (one of a linear order, for LinOrder)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ranks", ranks)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("LinPreorder is immutable")
@@ -89,7 +102,7 @@ class LinPreorder:
         return f"{type(self).__name__}({list(self.ranks)})"
 
     def to_json(self):
-        return {"n": self.n, "rank": list(self.ranks)}
+        return {"n": len(self.ranks), "rank": list(self.ranks)}
 
     @staticmethod
     def from_json(data):
@@ -124,38 +137,46 @@ def enumerate_linear_preorders(n) -> list:
     each, sorted lexicographically by rank vector."""
     if n < 1:
         raise ValueError("preorders are nonempty; n must be >= 1")
-    # (rank prefix, bitmask of the ranks it uses), in lexicographic order;
-    # appending ranks in increasing order to each prefix in turn keeps it.
-    prefixes = [((), 0)]
+    # rank prefixes in lexicographic order, each with the bitmask of the
+    # ranks it uses; appending ranks in increasing order to each prefix in
+    # turn keeps the order
+    words, masks = [()], [0]
     for left in reversed(range(n)):
         steps = {}
-        grown = []
-        for word, used in prefixes:
+        grown_words, grown_masks = [], []
+        for word, used in zip(words, masks):
             step = steps.get(used)
             if step is None:
                 step = steps[used] = _next_ranks(used, left)
-            grown += [(word + rank, mask) for rank, mask in step]
-        prefixes = grown
+            grown_words += [word + rank for rank in step[0]]
+            grown_masks += step[1]
+        words, masks = grown_words, grown_masks
+    # each word is a tuple of ranks >= 0 as built; that they fill 0..k-1,
+    # which _next_ranks leaves room for, is checked on its bitmask
+    for word, used in zip(words, masks):
+        if used & (used + 1):
+            raise ValueError(f"ranks {word} are no initial segment 0..k-1")
     full = (1 << n) - 1
     return [
-        LinOrder(word) if used == full else LinPreorder(word)
-        for word, used in prefixes
+        LinOrder._of(word) if used == full else LinPreorder._of(word)
+        for word, used in zip(words, masks)
     ]
 
 
 def _next_ranks(used, left):
-    """The ranks v, as ((v,), used | 1 << v) in increasing order, that a
-    prefix using the ranks in bitmask `used` can take next, `left` labels
-    being left after it: the ranks still missing below the top must fit
-    in those labels."""
+    """The ranks v, as (v,), in increasing order, that a prefix using the
+    ranks in bitmask `used` can take next, `left` labels being left after
+    it, and the bitmasks used | 1 << v: the ranks still missing below the
+    top must fit in those labels."""
     top = used.bit_length()
     missing = top - used.bit_count()
-    step = []
+    ranks, masks = [], []
     for v in range(top + 1 + left - missing):
         mask = used | 1 << v
         if mask.bit_length() - mask.bit_count() <= left:
-            step.append(((v,), mask))
-    return step
+            ranks.append((v,))
+            masks.append(mask)
+    return ranks, masks
 
 
 def _integers(what, values):
@@ -213,6 +234,16 @@ class OrderMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mapping", mapping)
+
+    @staticmethod
+    def _of(source, target, mapping) -> "OrderMorphism":
+        """Wrap a tuple of ints already known to map source onto target
+        nondecreasingly and essentially surjectively."""
+        obj = object.__new__(OrderMorphism)
+        object.__setattr__(obj, "source", source)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "mapping", mapping)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderMorphism is immutable")
@@ -274,7 +305,7 @@ def enumerate_surjections(source: LinOrder, target: LinOrder) -> list:
         tuple(images[bisect.bisect_right(cuts, pos)] for pos in source.ranks)
         for cuts in itertools.combinations(range(1, source.n), target.n - 1)
     )
-    return [OrderMorphism(source, target, mapping) for mapping in mappings]
+    return [OrderMorphism._of(source, target, mapping) for mapping in mappings]
 
 
 class ConvexEquiv:

@@ -7,12 +7,14 @@ equivalence relation; a morphism is a monotone surjection that reflects
 the target relation into the source relation.  Functors are truncated at
 a size N; truncation is exact degree by degree.
 
-`tw_enumerate` builds each morphism once, from its target; the functor
-axioms, naturality and intertwining are checked on grade-one generators.
-An algebra's functor acts on f by a map that depends only on the fiber
-sizes of f, built once per shape.  A Day convolution builds each action
-on its first read, so `action` may be built on demand.  `tw_enumerate`,
-`tw_generators` and `tw_restrict` are cached for the life of the process.
+`tw_enumerate` builds each morphism once, from its target, and wraps it
+unchecked (`TwMorphism.__init__` is the validating path and the tests'
+oracle); the functor axioms, naturality and intertwining are checked on
+grade-one generators.  An algebra's functor acts on f by a map that
+depends only on the fiber sizes of f, built once per shape.  A Day
+convolution builds each action on its first read, so `action` may be
+built on demand.  `tw_enumerate`, `tw_generators` and `tw_restrict` are
+cached for the life of the process.
 """
 
 from __future__ import annotations
@@ -113,6 +115,16 @@ class TwMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "f", f)
 
+    @staticmethod
+    def _of(source, target, f) -> "TwMorphism":
+        """Wrap an OrderMorphism f of the orders of source and target
+        already known to be surjective and to reflect target's relation."""
+        obj = object.__new__(TwMorphism)
+        object.__setattr__(obj, "source", source)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "f", f)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("TwMorphism is immutable")
 
@@ -172,7 +184,8 @@ def tw_enumerate(N):
     Each morphism is built once, from its target y and surjection f: f
     reflects y's relation exactly when the source relation coarsens its
     pullback, cut where f(k-1) and f(k) lie in different classes of y.
-    So f has one source per subset of those cuts."""
+    So f has one source per subset of those cuts.  Every morphism is
+    correct by construction and wrapped through `TwMorphism._of`."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
     orders = [LinOrder.standard(n) for n in range(1, N + 1)]
@@ -181,10 +194,9 @@ def tw_enumerate(N):
         for order in orders
         for rel in enumerate_convex_equivalences(order)
     ]
-    index = {x: i for i, x in enumerate(objects)}
-    by_cuts = {(x.n, tuple(valid_cuts(x))): x for x in objects}
+    by_cuts = {(x.n, tuple(valid_cuts(x))): i for i, x in enumerate(objects)}
     found = []
-    for y in objects:
+    for j, y in enumerate(objects):
         rel = y.rel.index
         for a in orders[y.n - 1 :]:
             for f in enumerate_surjections(a, y.order):
@@ -192,8 +204,9 @@ def tw_enumerate(N):
                 cuts = [k for k in range(1, a.n) if rel[m[k - 1]] != rel[m[k]]]
                 for r in range(len(cuts) + 1):
                     for starts in combinations(cuts, r):
-                        found.append((index[by_cuts[(a.n, starts)]], index[y], m))
-    morphisms = (TwMorphism(objects[i], objects[j], m) for i, j, m in sorted(found))
+                        found.append((by_cuts[(a.n, starts)], j, m, f))
+    found.sort(key=lambda entry: entry[:3])
+    morphisms = (TwMorphism._of(objects[i], objects[j], f) for i, j, _, f in found)
     return tuple(objects), tuple(morphisms)
 
 
@@ -433,11 +446,13 @@ def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
     return algebra
 
 
-def roundtrip_natural_iso(functor: TwFunctor) -> dict:
+def roundtrip_natural_iso(functor: TwFunctor, algebra=None) -> dict:
     """Explicit natural isomorphism algebra_to_functor(functor_to_algebra(F)) -> F.
 
     Returns {TwObject: invertible LinMap}; raises if any naturality
-    square or monoidal compatibility fails.
+    square or monoidal compatibility fails.  A caller that has already
+    recovered `functor_to_algebra(F)` passes it as `algebra`, so that it
+    is not recovered twice.
 
     Naturality is checked on `tw_generators(N)` only.  This presumes that
     F is a functor (validated, or built by `algebra_to_functor` or
@@ -445,7 +460,8 @@ def roundtrip_natural_iso(functor: TwFunctor) -> dict:
     paste to one for f then g, and every non-identity morphism is a
     composite of generators, the induction `TwFunctor.validate` uses.
     """
-    algebra = functor_to_algebra(functor)
+    if algebra is None:
+        algebra = functor_to_algebra(functor)
     rebuilt = algebra_to_functor(algebra, functor.N)
     objects, _ = tw_enumerate(functor.N)
     unfolds = _unfolds(functor, functor.N)
@@ -471,6 +487,12 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     left(first part) (x) right(second part).  Both parts are proper, so
     truncation N needs factors truncated at N - 1 or more.  Each action
     is built on its first read, so checks on generators build few."""
+    return _day_convolution(left, right, N)[0]
+
+
+def _day_convolution(left, right, N):
+    """day_convolution(left, right, N) and the `_summands` of each of its
+    objects, which its actions and `day_square` read."""
     if N is None:
         N = min(left.N, right.N)
     if N > min(left.N, right.N) + 1:
@@ -480,7 +502,7 @@ def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
     summands = {x: _summands(left, right, x) for x in objects}
     value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
     action = _Actions(morphisms, lambda f: _day_action(left, right, f, summands))
-    return TwFunctor(N, value, action, lax=None, check=False)
+    return TwFunctor(N, value, action, lax=None, check=False), summands
 
 
 def _summands(left, right, x: TwObject) -> dict:
@@ -515,8 +537,7 @@ def day_square(functor: TwFunctor, N=None) -> TwFunctor:
     structure maps across the cut."""
     if functor.lax is None:
         raise ValueError("day_square needs a lax functor")
-    bare = day_convolution(functor, functor, N)
-    sums = {x: _summands(functor, functor, x) for x in bare.value}
+    bare, sums = _day_convolution(functor, functor, N)
     lax = {(x, y): _day_square_lax(functor, bare, sums, x, y)
            for x, y in tw_pairs(bare.N)}
     return TwFunctor(bare.N, bare.value, bare.action, lax, check=False)

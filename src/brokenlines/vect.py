@@ -149,17 +149,6 @@ class LinMap:
             out.append(_canonical(acc))
         return LinMap._of(other.source, self.target, tuple(out))
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("maps must be parallel to add")
-        out = []
-        for ra, rb in zip(self.sparse, other.sparse):
-            acc = dict(ra)
-            for c, x in rb:
-                acc[c] = acc.get(c, 0) + x
-            out.append(_canonical(acc))
-        return LinMap._of(self.source, self.target, tuple(out))
-
     @property
     def is_square(self):
         return self.source.dim == self.target.dim

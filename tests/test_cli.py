@@ -15,7 +15,7 @@ from brokenlines import acceptance, cli
 from brokenlines.cli import _json_text, main
 from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
-from brokenlines.orders import LinOrder
+from brokenlines.orders import LinOrder, enumerate_convex_equivalences
 from brokenlines.rep import rep_from_gaps
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +46,20 @@ def test_enumerate_convex(capsys):
     code, out = run(capsys, "enumerate", "convex", "--n", "4")
     data = json.loads(out)
     assert data["count"] == 8
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_convex_edges_match_all_pairs_refinement(capsys, n):
+    rels = enumerate_convex_equivalences(LinOrder.standard(n))
+    code, out = run(capsys, "enumerate", "convex", "--n", str(n))
+    data = json.loads(out)
+    assert data["relations"] == [[list(c) for c in r.classes] for r in rels]
+    assert data["refinement_edges"] == [
+        [i, j]
+        for i, a in enumerate(rels)
+        for j, b in enumerate(rels)
+        if i != j and a.refines(b)
+    ]
 
 
 def test_verify_amalgams(capsys):

@@ -68,3 +68,31 @@ def test_equality_with_other_types():
     assert ExtReal(1) != "1"
     assert ExtReal(0) != float("inf")
     assert INF != float("inf")
+
+
+def oracle_key(x):
+    """(sign, value): -inf and +inf as signs -1 and 1 with value 0, a
+    rational as sign 0 and its Fraction value."""
+    if isinstance(x, ExtReal):
+        return (x.sign, 0) if x.sign else (0, x.finite)
+    return (0, Fraction(x))
+
+
+@given(extended, extended)
+def test_comparisons_and_hash_match_key_oracle(a, b):
+    ka, kb = oracle_key(a), oracle_key(b)
+    x = as_ext(a)
+    assert (x == b) == (ka == kb)
+    assert (b == x) == (ka == kb)
+    assert (x < b) == (ka < kb)
+    assert (x <= b) == (ka <= kb)
+    assert (x > b) == (ka > kb)
+    assert (x >= b) == (ka >= kb)
+    if ka == kb:
+        assert hash(x) == hash(as_ext(b)) == hash(b)
+
+
+@given(rationals)
+def test_fraction_is_stored_as_given(a):
+    assert ExtReal(a).finite is a
+    assert type(ExtReal(1).finite) is Fraction

@@ -173,6 +173,24 @@ def test_preorders_all_validate():
         LinPreorder(p.ranks)  # re-validation must not raise
 
 
+def fubini(n):
+    """Ordered set partitions of an n-set: choose the k labels of the
+    lowest class, then order the rest."""
+    return 1 if n == 0 else sum(math.comb(n, k) * fubini(n - k) for k in range(1, n + 1))
+
+
+def test_enumerated_preorders_equal_their_validated_rebuilds():
+    # the enumerator wraps its rank words unchecked; the validating
+    # constructors are the oracle
+    for n in range(1, 8):
+        items = enumerate_linear_preorders(n)
+        assert len(items) == fubini(n)
+        for p in items:
+            is_order = sorted(p.ranks) == list(range(n))
+            assert type(p) is (LinOrder if is_order else LinPreorder)
+            assert type(p)(p.ranks) == p
+
+
 def test_zero_rejected():
     with pytest.raises(ValueError):
         enumerate_linear_preorders(0)
@@ -267,6 +285,8 @@ def test_surjections_match_product_oracle(source, target):
     maps = enumerate_surjections(source, target)
     assert [f.mapping for f in maps] == surjection_oracle(source, target)
     assert all(f.source == source and f.target == target for f in maps)
+    # they are wrapped unchecked; the validating constructor is the oracle
+    assert all(OrderMorphism(source, target, f.mapping) == f for f in maps)
     if source.n >= target.n:
         assert len(maps) == math.comb(source.n - 1, target.n - 1)
 

@@ -29,6 +29,8 @@ from brokenlines.vect import (
     zero_algebra,
 )
 
+from test_vect import add
+
 
 @pytest.fixture(scope="module")
 def nil_sheaf():
@@ -233,7 +235,7 @@ def test_constructible_rejects_altered_restriction():
     good = global_to_constructible(GlobalSheaf.from_algebra(rational_algebra(), 2), base)
     restriction = dict(good.restriction)
     key = (ConvexEquiv.discrete(base), ConvexEquiv.indiscrete(base))
-    restriction[key] = restriction[key] + restriction[key]
+    restriction[key] = add(restriction[key], restriction[key])
     with pytest.raises(ValueError, match="restrictions fail to compose"):
         ConstructibleSheaf(base, good.value, restriction)
 

@@ -49,6 +49,8 @@ from brokenlines.vect import (
     zero_algebra,
 )
 
+from test_vect import add
+
 
 # ------------------------------------------------------------ enumeration
 
@@ -112,6 +114,15 @@ def surjection_filter_oracle(N):
 def test_enumerate_matches_surjection_filter_oracle(N):
     # element for element: the order of the morphisms is part of the result
     assert tw_enumerate(N) == surjection_filter_oracle(N)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_enumerated_morphisms_equal_their_validated_rebuilds(N):
+    # tw_enumerate wraps what it builds unchecked; the validating
+    # constructors are the oracle
+    for f in tw_enumerate(N)[1]:
+        assert TwMorphism(f.source, f.target, f.mapping) == f
+        assert OrderMorphism(f.source.order, f.target.order, f.mapping) == f.f
 
 
 def test_composition_closed():
@@ -531,7 +542,7 @@ def test_validate_rejects_altered_composite_action():
     functor = algebra_to_functor(rational_algebra(), 3)
     merge3 = TwMorphism(sharp(3), point(), [0, 0, 0])  # a composite of merges
     action = dict(functor.action)
-    action[merge3] = action[merge3] + action[merge3]
+    action[merge3] = add(action[merge3], action[merge3])
     broken = TwFunctor(3, functor.value, action, functor.lax, check=False)
     assert broken.validate().startswith("functoriality fails")
     with pytest.raises(ValueError, match="functoriality fails"):
@@ -542,7 +553,7 @@ def test_validate_rejects_unnatural_lax_map():
     functor = algebra_to_functor(rational_algebra(), 3)
     lax = dict(functor.lax)
     u = lax[(point(), point())]
-    lax[(point(), point())] = u + u  # right shape, not natural in the merges
+    lax[(point(), point())] = add(u, u)  # right shape, not natural in the merges
     broken = TwFunctor(3, functor.value, functor.action, lax, check=False)
     assert broken.validate().startswith("lax naturality fails")
 
@@ -597,6 +608,20 @@ def test_day_builds_summands_once_per_object(nil_functor, monkeypatch):
     monkeypatch.setattr(twisted, "_summands", spy)
     day_convolution(nil_functor, nil_functor, 4)
     assert sorted(calls, key=repr) == sorted(tw_enumerate(4)[0], key=repr)
+
+
+def test_day_square_builds_summands_once_per_object(monkeypatch):
+    calls = []
+    summands = twisted._summands
+
+    def spy(left, right, x):
+        calls.append(x)
+        return summands(left, right, x)
+
+    monkeypatch.setattr(twisted, "_summands", spy)
+    day_square(algebra_to_functor(matrix_algebra_2x2(), 5), 5)
+    assert len(calls) == 31
+    assert set(calls) == set(tw_enumerate(5)[0])
 
 
 def test_day_needs_factors_one_size_below_the_truncation():
