@@ -238,6 +238,8 @@ def tensor(a, b):
     if isinstance(a, VectObject) and isinstance(b, VectObject):
         return VectObject(a.dim * b.dim)
     if isinstance(a, LinMap) and isinstance(b, LinMap):
+        if a.is_identity() and b.is_identity():
+            return LinMap.identity(tensor(a.source, b.source))
         nb = b.source.dim
         sparse = tuple(
             tuple((j * nb + c, _exact(x * y)) for j, x in a_row for c, y in b_row)

@@ -354,6 +354,8 @@ GOLDEN_STDOUT = {
         "b940c05b059ad43b9a5d2a58573881f5cd381020da87301c854812b82628ec23",
     "roundtrip mainc --algebra builtin:mat2 --truncation 4":
         "82c08df6f5816bf1ef3fa93b0f25c0d34c9f17920af261167f30868f56d1d1e7",
+    "roundtrip mainc --algebra builtin:mat2 --truncation 6":
+        "735a128be7ec13a41c0677d7da177214630c41d137fdffb09e3ba9ea5f773dfc",
     "roundtrip mainc --algebra builtin:nilpotent3 --truncation 5":
         "002ff8d926ed6bd9dfddadb7239859dc40f003aacabb7fb2f7a684bbd363fffe",
     "daycon --algebra builtin:nilpotent3 --truncation 4":

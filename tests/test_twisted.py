@@ -264,6 +264,14 @@ def test_restriction_cache_matches_uncached():
                 assert tw_restrict(x, lo, hi) is sub
 
 
+def test_star_cache_matches_validated_constructors():
+    for x, y in twisted.tw_pairs(5):
+        order = LinOrder.standard(x.n + y.n)
+        classes = list(x.rel.classes) + [tuple(i + x.n for i in c) for c in y.rel.classes]
+        assert tw_star(x, y) == TwObject(order, ConvexEquiv(order, classes))
+        assert tw_star(x, y) is tw_star(x, y)
+
+
 # ----------------------------------------------------- algebra functors
 
 
@@ -385,6 +393,12 @@ def test_one_action_object_per_fiber_shape(N):
     assert len({id(m) for m in functor.action.values()}) == 2**N - 1
 
 
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_algebra_actions_follow_enumeration_order(N):
+    functor = algebra_to_functor(nilpotent_upper3(), N)
+    assert list(functor.action) == list(tw_enumerate(N)[1])
+
+
 def test_algebra_functors_validate():
     for make in (zero_algebra, nilpotent_upper3, rational_algebra):
         functor = algebra_to_functor(make(), 3)
@@ -449,8 +463,17 @@ def roundtrip_on_all_morphisms(functor):
     return eta
 
 
-@pytest.mark.parametrize("N", [3, 4])
-@pytest.mark.parametrize("make", BUILTINS, ids=lambda make: make.__name__)
+ROUNDTRIP_CASES = [
+    (make.__name__, make, N) for N in (3, 4) for make in BUILTINS
+] + [
+    ("nilpotent_upper3", nilpotent_upper3, 5),
+    ("mat2-seeded", lambda: _rebased(matrix_algebra_2x2(), 20181), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "make, N", [c[1:] for c in ROUNDTRIP_CASES], ids=[f"{c[0]}-{c[2]}" for c in ROUNDTRIP_CASES]
+)
 def test_roundtrip_on_generators_matches_all_morphisms(make, N):
     functor = algebra_to_functor(make(), N)
     assert roundtrip_natural_iso(functor) == roundtrip_on_all_morphisms(functor)
@@ -494,6 +517,93 @@ def test_validate_names_a_fault_off_the_generators():
     roundtrip_natural_iso(broken)
     with pytest.raises(ValueError, match="naturality fails at"):
         roundtrip_on_all_morphisms(broken)
+
+
+def test_validate_names_a_lax_fault_off_the_sharp_pairs():
+    # the premise of checking monoidal compatibility on sharp pairs only:
+    # a wrong lax map at a pair the roundtrip does not read is caught by
+    # validate(), and not by roundtrip_natural_iso.  Its unfolds read the
+    # lax maps at (flat(k), point()), so the fault sits elsewhere.
+    three = LinOrder.standard(3)
+    x = TwObject(three, ConvexEquiv(three, [(0, 1), (2,)]))
+    pair = (x, point())
+    functor = algebra_to_functor(nilpotent_upper3(), 4)
+    lax = dict(functor.lax)
+    lax[pair] = add(lax[pair], lax[pair])
+    broken = TwFunctor(4, functor.value, functor.action, lax, check=False)
+    objects, _ = tw_enumerate(4)
+    naming = set()
+    for g in tw_generators(4):
+        for y in objects:
+            if g.source.n + y.n > 4:
+                continue
+            ident = TwMorphism.identity(y)
+            for f, h in ((g, ident), (ident, g)):
+                if pair in ((f.target, h.target), (f.source, h.source)):
+                    naming.add(f"lax naturality fails at ({f}, {h})")
+    for a, b in twisted.tw_pairs(3):
+        if tw_star(a, b) == x:
+            naming.add(f"lax associativity fails at ({a}, {b}, {point()})")
+    assert broken.validate() in naming
+    assert roundtrip_natural_iso(broken) == roundtrip_natural_iso(functor)
+    with pytest.raises(ValueError, match=re.escape(
+        f"monoidal compatibility fails at ({x},{point()})"
+    )):
+        roundtrip_on_all_morphisms(broken)
+
+
+def test_roundtrip_names_a_lax_fault_at_a_sharp_pair():
+    pair = (sharp(2), point())
+    functor = algebra_to_functor(nilpotent_upper3(), 4)
+    lax = dict(functor.lax)
+    lax[pair] = add(lax[pair], lax[pair])
+    broken = TwFunctor(4, functor.value, functor.action, lax, check=False)
+    msg = re.escape(f"monoidal compatibility fails at ({sharp(2)},{point()})")
+    with pytest.raises(ValueError, match=msg):
+        roundtrip_natural_iso(broken)
+    with pytest.raises(ValueError, match=msg):
+        roundtrip_on_all_morphisms(broken)
+
+
+def _signed_permutation(dim, rng):
+    cols = rng.sample(range(dim), dim)
+    obj = VectObject(dim)
+    return LinMap(obj, obj, [[rng.choice((-1, 1)) if c == j else 0 for j in range(dim)]
+                             for c in cols])
+
+
+def transported(functor, seed):
+    """functor transported along a seeded signed permutation eta_x of each
+    value, eta_point the identity, and the planted eta: F'(f) = eta_y F(f)
+    eta_x^-1 and lax'(x, y) = eta_{x*y} lax(x, y) (eta_x (x) eta_y)^-1."""
+    rng = random.Random(seed)
+    eta = {x: LinMap.identity(v) if x == point() else _signed_permutation(v.dim, rng)
+           for x, v in functor.value.items()}
+    inv = {x: m.inverse() for x, m in eta.items()}
+    action = {f: eta[f.target] @ m @ inv[f.source] for f, m in functor.action.items()}
+    lax = {(x, y): eta[tw_star(x, y)] @ u @ tensor(inv[x], inv[y])
+           for (x, y), u in functor.lax.items()}
+    return TwFunctor(functor.N, functor.value, action, lax), eta
+
+
+TRANSPORT_CASES = [
+    ("nilpotent3", nilpotent_upper3),
+    ("mat2-seeded", lambda: _rebased(matrix_algebra_2x2(), 20181)),
+]
+
+
+@pytest.mark.parametrize(
+    "make", [c[1] for c in TRANSPORT_CASES], ids=[c[0] for c in TRANSPORT_CASES]
+)
+def test_roundtrip_of_a_transported_functor(make):
+    # TwFunctor's check=True is part of the test: the transport is a functor
+    algebra = make()
+    functor, eta = transported(algebra_to_functor(algebra, 4), seed=17)
+    assert [x for x, m in eta.items() if m.is_identity()] == [point()]
+    assert functor.is_monoidal()
+    assert functor_to_algebra(functor) == algebra
+    # eta_x F'(c_x) unfolds to eta_x itself, as F's own components are identities
+    assert roundtrip_natural_iso(functor) == roundtrip_on_all_morphisms(functor) == eta
 
 
 def test_functor_to_algebra_rejects_low_truncation():

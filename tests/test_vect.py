@@ -20,6 +20,7 @@ from brokenlines.vect import (
     tensor,
     zero_algebra,
     _canonical,
+    _identity_rows,
 )
 
 # ------------------------------------------------------- matrix oracle
@@ -356,6 +357,17 @@ def test_tensor_matches_oracle(f, g):
     assert out.source.dim == f.source.dim * g.source.dim
     assert out.target.dim == f.target.dim * g.target.dim
     assert as_dense(out) == dense_kron(as_dense(f), as_dense(g))
+
+
+def test_tensor_of_identities_is_the_shared_identity():
+    for a, b in itertools.product(range(5), repeat=2):
+        dense = [[int(i == j) for j in range(a)] for i in range(a)]
+        g = LinMap.identity(VectObject(b))
+        # a shared identity, and one built entry by entry that equals it
+        for f in (LinMap.identity(VectObject(a)), LinMap(VectObject(a), VectObject(a), dense)):
+            out = tensor(f, g)
+            assert as_dense(out) == dense_kron(as_dense(f), as_dense(g))
+            assert out.sparse is _identity_rows(a * b)
 
 
 @given(st.lists(linmaps(), max_size=4))
