@@ -94,6 +94,7 @@ from .twisted import (
     factorizable_check,
     flat,
     functor_to_algebra,
+    roundtrip,
     roundtrip_natural_iso,
     sharp,
     tw_enumerate,

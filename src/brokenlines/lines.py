@@ -9,6 +9,7 @@ distance, concatenation and isomorphism are all determined by this data.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +52,10 @@ class BrokenLine:
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = int(m)
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise ValueError(f"component count must be an integer, got {m!r}") from None
         if m < 1:
             raise ValueError("a broken line has at least one component")
         object.__setattr__(self, "m", m)

@@ -15,6 +15,8 @@ depends only on the fiber sizes of f, built once per shape.  A Day
 convolution builds each action on its first read, so `action` may be
 built on demand.  `tw_enumerate`, `tw_generators`, `tw_star`,
 `tw_restrict` and the fiber shapes are cached for the life of the process.
+`roundtrip` builds an algebra's functor F and unfolds it once, and checks
+eta against F itself: the functor rebuilt from an equal algebra is F.
 """
 
 from __future__ import annotations
@@ -281,9 +283,6 @@ class TwFunctor:
     def __setattr__(self, name, value):
         raise AttributeError("TwFunctor is immutable")
 
-    def act(self, f: TwMorphism) -> LinMap:
-        return self.action[f]
-
     def validate(self):
         """None, or a message naming the first failed functor axiom.
 
@@ -429,12 +428,17 @@ def _unfolds(functor: TwFunctor, top) -> dict:
 def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
     """Recover the algebra of a monoidal Fun_0 functor from its value on
     the one-point object, certifying associativity via size-3 data."""
+    return _recover(functor, 3)[0]
+
+
+def _recover(functor: TwFunctor, top):
+    """(functor_to_algebra(F), `_unfolds(F, top)`), for top >= 3."""
     if functor.N < 3:
         raise ValueError("truncation must be at least 3")
     if functor.lax is None or not functor.is_monoidal():
         raise ValueError("functor must be monoidal (invertible lax maps)")
-    unfolds = _unfolds(functor, 3)  # then merge all n points: F(sharp n) -> F(pt)
-    mult, mu3 = (functor.act(TwMorphism(sharp(n), point(), [0] * n)) @ unfolds[n]
+    unfolds = _unfolds(functor, top)  # then merge all n points: F(sharp n) -> F(pt)
+    mult, mu3 = (functor.action[TwMorphism(sharp(n), point(), [0] * n)] @ unfolds[n]
                  for n in (2, 3))
     ident = LinMap.identity(functor.value[point()])
     if mult @ tensor(mult, ident) != mu3 or mult @ tensor(ident, mult) != mu3:
@@ -446,16 +450,31 @@ def functor_to_algebra(functor: TwFunctor) -> NonunitalAlgebra:
     algebra = NonunitalAlgebra(d, c)
     if algebra.validate() is not None:
         raise ValueError("recovered constants fail associativity")
-    return algebra
+    return algebra, unfolds
 
 
-def roundtrip_natural_iso(functor: TwFunctor, algebra=None) -> dict:
-    """Explicit natural isomorphism algebra_to_functor(functor_to_algebra(F)) -> F.
+def roundtrip(algebra: NonunitalAlgebra, N):
+    """(F, functor_to_algebra(F), eta) for F = algebra_to_functor(algebra, N),
+    with eta = roundtrip_natural_iso(F), or None if the algebra changed.
+    F is built and unfolded once, and eta is checked against F itself: the
+    functor rebuilt from an equal algebra is F, as algebra_to_functor is
+    deterministic."""
+    functor = algebra_to_functor(algebra, N)
+    recovered, unfolds = _recover(functor, N)
+    eta = _natural_iso(functor, functor, unfolds) if recovered == algebra else None
+    return functor, recovered, eta
 
-    Returns {TwObject: invertible LinMap}; raises if any naturality
-    square or monoidal compatibility fails.  A caller that has already
-    recovered `functor_to_algebra(F)` passes it as `algebra`, so that it
-    is not recovered twice.
+
+def roundtrip_natural_iso(functor: TwFunctor) -> dict:
+    """Explicit natural isomorphism algebra_to_functor(functor_to_algebra(F)) -> F,
+    {TwObject: invertible LinMap}, checked as `_natural_iso` says."""
+    algebra, unfolds = _recover(functor, functor.N)
+    return _natural_iso(functor, algebra_to_functor(algebra, functor.N), unfolds)
+
+
+def _natural_iso(functor: TwFunctor, rebuilt: TwFunctor, unfolds) -> dict:
+    """eta: rebuilt -> F, eta_x = F(c_x) unfolds[|x|]; raises if any
+    naturality square or monoidal compatibility fails.
 
     Naturality is checked on `tw_generators(N)` only.  This presumes that
     F is a functor (validated, or built by `algebra_to_functor` or
@@ -477,20 +496,15 @@ def roundtrip_natural_iso(functor: TwFunctor, algebra=None) -> dict:
 
     the square at (x, y).
     """
-    if algebra is None:
-        algebra = functor_to_algebra(functor)
-    rebuilt = algebra_to_functor(algebra, functor.N)
-    objects, _ = tw_enumerate(functor.N)
-    unfolds = _unfolds(functor, functor.N)
+    N = functor.N
     eta = {}
-    for x in objects:
+    for x in tw_enumerate(N)[0]:
         eta[x] = functor.comparison(x) @ unfolds[x.n]
         if not eta[x].is_invertible():
             raise ValueError(f"component at {x} is not invertible")
-    for f in tw_generators(functor.N):
-        if eta[f.target] @ rebuilt.act(f) != functor.act(f) @ eta[f.source]:
+    for f in tw_generators(N):
+        if eta[f.target] @ rebuilt.action[f] != functor.action[f] @ eta[f.source]:
             raise ValueError(f"naturality fails at {f}")
-    N = functor.N
     for x, y in ((sharp(a), sharp(b)) for a in range(1, N) for b in range(1, N - a + 1)):
         lhs = eta[tw_star(x, y)] @ rebuilt.lax[(x, y)]
         rhs = functor.lax[(x, y)] @ tensor(eta[x], eta[y])
@@ -546,7 +560,7 @@ def _day_action(left, right, f: TwMorphism, summands) -> LinMap:
         f0 = TwMorphism(tw_restrict(x, 0, k), tw_restrict(y, 0, kk), f.mapping[:k])
         rest = [v - kk for v in f.mapping[k:]]
         f1 = TwMorphism(tw_restrict(x, k, x.n), tw_restrict(y, kk, y.n), rest)
-        blocks[(rows.index(kk), ci)] = tensor(left.act(f0), right.act(f1))
+        blocks[(rows.index(kk), ci)] = tensor(left.action[f0], right.action[f1])
     return block_map(targets.values(), cols.values(), blocks)
 
 
@@ -617,7 +631,7 @@ def day_assoc_check(f1: TwFunctor, f2: TwFunctor, f3: TwFunctor, N) -> dict:
     for f in tw_generators(N):
         if f.source not in perms or f.target not in perms:
             continue
-        if perms[f.target] @ lhs.act(f) != rhs.act(f) @ perms[f.source]:
+        if perms[f.target] @ lhs.action[f] != rhs.action[f] @ perms[f.source]:
             mismatches.append(("intertwine", repr(f)))
     return {
         "objects_checked": len(perms),

@@ -397,54 +397,28 @@ def rational_algebra() -> NonunitalAlgebra:
     return NonunitalAlgebra(1, [[[1]]])
 
 
-def _algebra_from_matrix_basis(basis, size) -> NonunitalAlgebra:
-    """Structure constants read off from products of basis matrices."""
-    d = len(basis)
-
-    def mat_mul(a, b):
-        return tuple(
-            tuple(
-                sum(a[i][m] * b[m][j] for m in range(size))
-                for j in range(size)
-            )
-            for i in range(size)
-        )
-
-    index = {m: k for k, m in enumerate(basis)}
+def _matrix_units(units) -> NonunitalAlgebra:
+    """The span of the matrix units e_ab, (a, b) in units, which must be
+    closed under the products e_ab e_bc = e_ac; every other product is 0."""
+    d = len(units)
+    index = {u: k for k, u in enumerate(units)}
     c = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = mat_mul(basis[i], basis[j])
-            if any(any(row) for row in prod):
-                # products of matrix units land on a single basis element
-                k = index[prod]
-                c[k][i][j] = 1
+    for i, (a, b) in enumerate(units):
+        for j, (b2, c2) in enumerate(units):
+            if b == b2:
+                c[index[(a, c2)]][i][j] = 1
     return NonunitalAlgebra(d, c)
-
-
-def _matrix_unit(size, a, b):
-    return tuple(
-        tuple(int((i, j) == (a, b)) for j in range(size))
-        for i in range(size)
-    )
 
 
 def nilpotent_upper3() -> NonunitalAlgebra:
     """Strictly upper triangular 3x3 matrices; basis e12, e13, e23."""
-    basis = [_matrix_unit(3, 0, 1), _matrix_unit(3, 0, 2), _matrix_unit(3, 1, 2)]
-    return _algebra_from_matrix_basis(basis, 3)
+    return _matrix_units([(0, 1), (0, 2), (1, 2)])
 
 
 def matrix_algebra_2x2() -> NonunitalAlgebra:
     """Full 2x2 matrix algebra, viewed nonunitally; basis e11, e12, e21,
     e22."""
-    basis = [
-        _matrix_unit(2, 0, 0),
-        _matrix_unit(2, 0, 1),
-        _matrix_unit(2, 1, 0),
-        _matrix_unit(2, 1, 1),
-    ]
-    return _algebra_from_matrix_basis(basis, 2)
+    return _matrix_units([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 BUILTIN_ALGEBRAS = {

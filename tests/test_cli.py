@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brokenlines import acceptance, cli
+from brokenlines import acceptance, cli, twisted
 from brokenlines.cli import _json_text, main
 from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
 from brokenlines.orders import LinOrder, enumerate_convex_equivalences
 from brokenlines.rep import rep_from_gaps
+from brokenlines.vect import nilpotent_upper3, zero_algebra
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,6 +96,46 @@ def test_truncation_before_or_after_subcommand(capsys, command):
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["truncation"] == 3
+
+
+def test_roundtrip_reports_a_changed_algebra_as_a_witness(capsys, monkeypatch):
+    recover = twisted._recover
+    monkeypatch.setattr(
+        twisted, "_recover", lambda functor, top: (zero_algebra(3), recover(functor, top)[1])
+    )
+    code, out = run(capsys, "--truncation", "3", "roundtrip", "mainc")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["witness"] == {
+        "recovered": zero_algebra(3).to_json(),
+        "original": nilpotent_upper3().to_json(),
+    }
+    assert "natural_iso_components" not in data and "error" not in data
+
+
+def test_roundtrip_below_truncation_three_is_a_report(capsys):
+    code, out = run(capsys, "--truncation", "2", "roundtrip", "mainc")
+    assert code == 1
+    assert out == json.dumps({
+        "algebra": "builtin:nilpotent3",
+        "error": "truncation must be at least 3",
+        "ok": False,
+        "truncation": 2,
+    }, indent=2) + "\n"
+
+
+def test_roundtrip_builds_and_unfolds_one_functor(capsys, monkeypatch):
+    calls = []
+    for name in ("algebra_to_functor", "_unfolds"):
+        def spy(*args, fn=getattr(twisted, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(twisted, name, spy)
+    code, out = run(capsys, "--truncation", "4", "roundtrip", "mainc", "--algebra", "builtin:mat2")
+    assert code == 0
+    assert json.loads(out)["natural_iso_components"] == len(twisted.tw_enumerate(4)[0])
+    assert sorted(calls) == ["_unfolds", "algebra_to_functor"]
 
 
 def test_roundtrip_unknown_builtin(capsys):
@@ -229,6 +270,11 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
     )
 
 
+# (e0 e0) e1 = e0 e1 = e0 + e1, but e0 (e0 e1) = e0 e0 + e0 e1 = 2 e0 + e1
+NON_ASSOCIATIVE = '{"dim": 2, "c": [[["1","1"],["0","0"]],[["0","1"],["1","0"]]]}'
+NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis triple (0, 0, 1)"
+
+
 @pytest.mark.parametrize(
     "command, text, reason",
     [
@@ -239,6 +285,9 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
          "dimension must be an integer, got 1.9"),
         ("roundtrip mainc --algebra", '{"dim": "1", "c": [[["1"]]]}',
          "dimension must be an integer, got '1'"),
+        ("roundtrip mainc --algebra", NON_ASSOCIATIVE, NON_ASSOCIATIVE_REASON),
+        ("daycon --algebra", NON_ASSOCIATIVE, NON_ASSOCIATIVE_REASON),
+        ("sheaf --family unread.json --algebra", NON_ASSOCIATIVE, NON_ASSOCIATIVE_REASON),
         ("sheaf --family", '{"index": {"n": 2, "rank": [0.5, 1]}, "samples": []}',
          "ranks must be integers, got 0.5"),
         ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),

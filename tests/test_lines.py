@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,18 @@ def test_point_json_roundtrip():
         coord = {"+inf": INF, "-inf": NEG_INF}[t] if "inf" in t else ExtReal(Fraction(t))
         assert line.point(data["a"], coord) == p
     assert BrokenLine.from_json(line.to_json()) == line
+
+
+@pytest.mark.parametrize("m", [1.9, 2.0, "2", Fraction(2)])
+def test_broken_line_rejects_a_component_count_that_is_not_an_integer(m):
+    # int() would truncate 1.9 to one component and parse "2"
+    message = re.escape(f"component count must be an integer, got {m!r}")
+    with pytest.raises(ValueError, match=message):
+        BrokenLine(m)
+    with pytest.raises(ValueError, match=message):
+        BrokenLine.from_json({"m": m})
+    with pytest.raises(ValueError, match="at least one component"):
+        BrokenLine(0)
 
 
 def test_marked_iso_agrees_with_grid_brute_force():

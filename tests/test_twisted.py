@@ -280,7 +280,7 @@ def test_zero_algebra_actions_vanish():
     _, morphisms = tw_enumerate(3)
     for f in morphisms:
         injective = len(set(f.mapping)) == f.source.n
-        m = functor.act(f)
+        m = functor.action[f]
         if injective:
             assert m.is_identity()
         else:
@@ -291,13 +291,13 @@ def test_rational_algebra_merge_is_multiplication():
     functor = algebra_to_functor(rational_algebra(), 2)
     merge = TwMorphism(sharp(2), point(), [0, 0])
     # dims are all 1; the merge is the 1x1 multiplication [q1 (x) q2 -> q1q2]
-    assert functor.act(merge).rows == ((1,),)
+    assert functor.action[merge].rows == ((1,),)
 
 
 def test_nilpotent_merge_action():
     functor = algebra_to_functor(nilpotent_upper3(), 2)
     merge = TwMorphism(sharp(2), point(), [0, 0])
-    m = functor.act(merge)
+    m = functor.action[merge]
     # basis order e12, e13, e23; column (0, 2) is e12 (x) e23 -> e13
     col_forward = 0 * 3 + 2
     assert [row[col_forward] for row in m.rows] == [0, 1, 0]
@@ -366,7 +366,7 @@ def test_shared_actions_match_per_morphism_oracle(make, N):
     for x in objects:
         assert functor.value[x] == tensor_all([algebra.space] * x.n)
     for f in morphisms:
-        assert functor.act(f) == _action_oracle(algebra, f)
+        assert functor.action[f] == _action_oracle(algebra, f)
 
 
 def test_actions_of_equal_shape_differ_between_algebras():
@@ -374,11 +374,11 @@ def test_actions_of_equal_shape_differ_between_algebras():
     nil = algebra_to_functor(nilpotent_upper3(), 3)
     _, morphisms = tw_enumerate(3)
     for f in morphisms:
-        assert zero.act(f) == _action_oracle(zero_algebra(3), f)
-        assert nil.act(f) == _action_oracle(nilpotent_upper3(), f)
+        assert zero.action[f] == _action_oracle(zero_algebra(3), f)
+        assert nil.action[f] == _action_oracle(nilpotent_upper3(), f)
         # the two agree on identities, and on a triple product, which is 0
         # in both; a fiber of two multiplies by mu_2 != 0 only in nil
-        assert (zero.act(f) == nil.act(f)) == (2 not in _fiber_shape(f))
+        assert (zero.action[f] == nil.action[f]) == (2 not in _fiber_shape(f))
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -454,7 +454,7 @@ def roundtrip_on_all_morphisms(functor):
         if not eta[x].is_invertible():
             raise ValueError(f"component at {x} is not invertible")
     for f in morphisms:
-        if eta[f.target] @ rebuilt.act(f) != functor.act(f) @ eta[f.source]:
+        if eta[f.target] @ rebuilt.action[f] != functor.action[f] @ eta[f.source]:
             raise ValueError(f"naturality fails at {f}")
     for x, y in twisted.tw_pairs(functor.N):
         lhs = eta[tw_star(x, y)] @ rebuilt.lax[(x, y)]
@@ -477,6 +477,21 @@ ROUNDTRIP_CASES = [
 def test_roundtrip_on_generators_matches_all_morphisms(make, N):
     functor = algebra_to_functor(make(), N)
     assert roundtrip_natural_iso(functor) == roundtrip_on_all_morphisms(functor)
+
+
+@pytest.mark.parametrize("make", BUILTINS, ids=[m.__name__ for m in BUILTINS])
+def test_roundtrip_checks_eta_on_the_functor_it_built(make):
+    algebra = make()
+    functor, recovered, eta = twisted.roundtrip(algebra, 4)
+    assert recovered == algebra
+    # algebra_to_functor is deterministic: the rebuilt functor is this one
+    rebuilt = algebra_to_functor(recovered, 4)
+    assert (rebuilt.value, rebuilt.action, rebuilt.lax) == (
+        functor.value, functor.action, functor.lax
+    )
+    assert eta == roundtrip_natural_iso(functor)
+    with pytest.raises(ValueError, match="truncation must be at least 3"):
+        twisted.roundtrip(algebra, 2)
 
 
 def with_zero_action(functor, f):
@@ -808,7 +823,7 @@ def intertwine_on_all_morphisms(f1, f2, f3, N):
     return [
         ("intertwine", repr(f))
         for f in morphisms
-        if perms[f.target] @ lhs.act(f) != rhs.act(f) @ perms[f.source]
+        if perms[f.target] @ lhs.action[f] != rhs.action[f] @ perms[f.source]
     ]
 
 
@@ -999,7 +1014,7 @@ def test_day_actions_are_built_once_on_first_read(nil_functor, monkeypatch):
     assert calls == []
     f = morphisms[len(morphisms) // 2]
     first = conv.action[f]
-    assert conv.action[f] is first and conv.act(f) is first
+    assert conv.action[f] is first
     assert [g for _, g in calls] == [f]
     with pytest.raises(TypeError):
         conv.action[f] = first
