@@ -17,7 +17,6 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import acceptance
@@ -41,13 +40,8 @@ from .vect import BUILTIN_ALGEBRAS, NonunitalAlgebra
 from . import morse as morse_mod
 
 
-@dataclass
-class RunConfig:
-    truncation: int = 4
-    left: int = 2
-    right: int = 2
-    n: int = 3
-
+# The keys a --config file may set; each overrides the flag of that name.
+_CONFIG_KEYS = ("truncation", "left", "right", "n")
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -164,8 +158,7 @@ def _read_json(path, build):
 
 def _read_config_file(path):
     """Simple key = value lines; '#' starts a comment.  A line without '='
-    or a key that is not a RunConfig field raises ValueError."""
-    known = [field.name for field in fields(RunConfig)]
+    or a key outside _CONFIG_KEYS raises ValueError."""
     values = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -175,9 +168,9 @@ def _read_config_file(path):
         key = key.strip()
         if not eq:
             raise ValueError(f"config line has no '=': {line!r}")
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ValueError(
-                f"unknown config key {key!r}; choose from {known}"
+                f"unknown config key {key!r}; choose from {list(_CONFIG_KEYS)}"
             )
         values[key] = value.strip()
     return values
@@ -190,17 +183,17 @@ def _out_dir(args):
     return Path(env) if env else None
 
 
-def cmd_enumerate(args, config):
+def cmd_enumerate(args):
     out = _out_dir(args)
     if args.what == "preorders":
-        items = enumerate_linear_preorders(config.n)
+        items = enumerate_linear_preorders(args.n)
         _dump(
-            {"n": config.n, "count": len(items), "preorders": [p.to_json() for p in items]},
+            {"n": args.n, "count": len(items), "preorders": [p.to_json() for p in items]},
             out,
-            f"preorders_{config.n}.json",
+            f"preorders_{args.n}.json",
         )
     elif args.what == "convex":
-        base = LinOrder.standard(config.n)
+        base = LinOrder.standard(args.n)
         rels = enumerate_convex_equivalences(base)
         # a refines b iff every cut of b, where a class starts, cuts a too
         cuts = [frozenset(c[0] for c in r.classes[1:]) for r in rels]
@@ -212,27 +205,27 @@ def cmd_enumerate(args, config):
         ]
         _dump(
             {
-                "n": config.n,
+                "n": args.n,
                 "count": len(rels),
                 "relations": [[list(c) for c in r.classes] for r in rels],
                 "refinement_edges": edges,
             },
             out,
-            f"convex_{config.n}.json",
+            f"convex_{args.n}.json",
         )
     elif args.what == "surjections":
-        src = LinOrder.standard(config.n)
+        src = LinOrder.standard(args.n)
         tgt = LinOrder.standard(args.target)
         maps = enumerate_surjections(src, tgt)
         _dump(
-            {"source": config.n, "target": args.target,
+            {"source": args.n, "target": args.target,
              "count": len(maps), "maps": [m.to_json() for m in maps]},
             out,
-            f"surjections_{config.n}_{args.target}.json",
+            f"surjections_{args.n}_{args.target}.json",
         )
     elif args.what == "amalgams":
-        left = LinOrder.standard(config.left)
-        right = LinOrder.standard(config.right)
+        left = LinOrder.standard(args.left)
+        right = LinOrder.standard(args.right)
         amalgams = enumerate_amalgams(left, right)
         edges = [
             [i, j]
@@ -242,35 +235,35 @@ def cmd_enumerate(args, config):
         ]
         _dump(
             {
-                "left": config.left,
-                "right": config.right,
+                "left": args.left,
+                "right": args.right,
                 "count": len(amalgams),
                 "amalgams": [list(a.preorder.ranks) for a in amalgams],
                 "poset_edges": edges,
             },
             out,
-            f"amalgams_{config.left}_{config.right}.json",
+            f"amalgams_{args.left}_{args.right}.json",
         )
     return 0
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     report = verify_join_identity(
-        LinOrder.standard(config.left), LinOrder.standard(config.right)
+        LinOrder.standard(args.left), LinOrder.standard(args.right)
     )
     payload = {
-        "left": config.left,
-        "right": config.right,
+        "left": args.left,
+        "right": args.right,
         "amalgams": report["amalgams"],
         "pairs_checked": report["pairs_checked"],
         "configs_checked": report["configs_checked"],
         "violations": [list(map(str, v)) for v in report["violations"]],
     }
-    _dump(payload, _out_dir(args), f"verify_amalgams_{config.left}_{config.right}.json")
+    _dump(payload, _out_dir(args), f"verify_amalgams_{args.left}_{args.right}.json")
     return 0 if not report["violations"] else 1
 
 
-def cmd_sheaf(args, config):
+def cmd_sheaf(args):
     algebra = _load_algebra(args.algebra)
     family = _read_json(args.family, SampledFamily.from_json)
     sheaf = GlobalSheaf.from_algebra(algebra, max(1, family.index.n - 1))
@@ -287,11 +280,11 @@ def cmd_sheaf(args, config):
     return 0
 
 
-def cmd_roundtrip(args, config):
+def cmd_roundtrip(args):
     algebra = _load_algebra(args.algebra)
-    payload = {"algebra": args.algebra, "truncation": config.truncation}
+    payload = {"algebra": args.algebra, "truncation": args.truncation}
     try:
-        _, recovered, eta = roundtrip(algebra, config.truncation)
+        _, recovered, eta = roundtrip(algebra, args.truncation)
     except ValueError as exc:
         payload.update(ok=False, error=str(exc))
     else:
@@ -307,14 +300,14 @@ def cmd_roundtrip(args, config):
     return 0 if payload["ok"] else 1
 
 
-def cmd_daycon(args, config):
+def cmd_daycon(args):
     algebra = _load_algebra(args.algebra)
-    functor = algebra_to_functor(algebra, config.truncation)
-    conv = day_convolution(functor, functor, config.truncation)
-    assoc = day_assoc_check(functor, functor, functor, config.truncation)
+    functor = algebra_to_functor(algebra, args.truncation)
+    conv = day_convolution(functor, functor, args.truncation)
+    assoc = day_assoc_check(functor, functor, functor, args.truncation)
     payload = {
         "algebra": args.algebra,
-        "truncation": config.truncation,
+        "truncation": args.truncation,
         "square_dims": {repr(x): v.dim for x, v in conv.value.items()},
         "associativity_ok": assoc["ok"],
         "mismatches": [list(map(str, m)) for m in assoc["mismatches"]],
@@ -323,7 +316,7 @@ def cmd_daycon(args, config):
     return 0 if assoc["ok"] else 1
 
 
-def cmd_morse(args, config):
+def cmd_morse(args):
     report = morse_mod.demo_report(args.surface)
     svg = report.pop("svg")
     out = _out_dir(args)
@@ -334,7 +327,7 @@ def cmd_morse(args, config):
     return 0
 
 
-def cmd_accept(args, config):
+def cmd_accept(args):
     results = acceptance.run_all()
     for r in results:
         mark = "PASS" if r["ok"] else "FAIL"
@@ -418,27 +411,23 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {}
     if args.config:
         try:
             overrides = _read_config_file(args.config)
         except ValueError as exc:
             parser.error(str(exc))
-    try:
-        config = RunConfig(
-            truncation=int(overrides.get("truncation", args.truncation)),
-            left=int(overrides.get("left", getattr(args, "left", 2))),
-            right=int(overrides.get("right", getattr(args, "right", 2))),
-            n=int(overrides.get("n", getattr(args, "n", 3))),
-        )
-    except ValueError as exc:
-        parser.error(f"config value is not an integer: {exc}")
-    bounds = vars(config) | {"target": getattr(args, "target", 1)}
-    for name, value in bounds.items():
+        try:
+            for name in _CONFIG_KEYS:
+                if name in overrides:
+                    setattr(args, name, int(overrides[name]))
+        except ValueError as exc:
+            parser.error(f"config value is not an integer: {exc}")
+    for name in (*_CONFIG_KEYS, "target"):
+        value = getattr(args, name, 1)
         if value < 1:
             parser.error(f"{name} must be a positive integer, got {value}")
     try:
-        code = args.fn(args, config)
+        code = args.fn(args)
         sys.stdout.flush()  # so a reader that quit early (`| head`) shows here
         return code
     except BrokenPipeError:

@@ -2,7 +2,8 @@
 
 A configuration is one broken line carrying an I-section and a J-section;
 its combinatorial invariant K_s is the linear preorder on I ⊔ J read off
-from translation distances, which is always an amalgam.  The covering
+from translation distances, which is always an amalgam; it is computed as
+the rank vector of the marks' components.  The covering
 theorem for the open sets U_K is verified here by exhaustive enumeration
 plus deterministic grid sampling.
 """
@@ -11,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extreal import NEG_INF
-from .lines import BrokenLine, LinePoint, fiber_over, translation_distance
+from .lines import BrokenLine, LinePoint, fiber_over
 from .orders import (
     Amalgam,
     LinOrder,
+    LinPreorder,
     enumerate_amalgams,
     enumerate_convex_equivalences,
-    preorder_from_relation,
 )
 from .families import section_violation
 from .rep import RepPoint, stratum_samples
@@ -61,17 +61,12 @@ def config_from_amalgam_point(amalgam: Amalgam, point: RepPoint) -> Configuratio
 
 def k_of(config: Configuration) -> Amalgam:
     """The preorder of the configuration: a <= b iff the translation
-    distance from a's mark to b's mark is not -inf."""
+    distance from a's mark to b's mark is not -inf.  Marks are interior
+    and hit every component, so that distance is -inf exactly when b's
+    component comes before a's, and a's rank is its component less one."""
     n = config.left.n + config.right.n
-    rel = [
-        [
-            translation_distance(config.line, config.mark(a), config.mark(b))
-            != NEG_INF
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return Amalgam(config.left, config.right, preorder_from_relation(rel))
+    ranks = [config.mark(a).component - 1 for a in range(n)]
+    return Amalgam(config.left, config.right, LinPreorder(ranks))
 
 
 def u_membership(config: Configuration, amalgam: Amalgam) -> bool:

@@ -65,6 +65,10 @@ class BrokenLine:
 
     def point(self, component, coord) -> LinePoint:
         coord = as_ext(coord)
+        try:
+            component = operator.index(component)
+        except TypeError:
+            raise ValueError(f"component must be an integer, got {component!r}") from None
         if not (1 <= component <= self.m):
             raise ValueError(f"component must lie in 1..{self.m}")
         if coord == INF and component < self.m:

@@ -490,24 +490,23 @@ class Amalgam:
         return _monotone(self.preorder.ranks, other.preorder.ranks) is None
 
     def join(self, other) -> "Amalgam":
-        """Least upper bound: transitive closure of the union relation."""
-        n = self.n
-        rel = [
-            [
-                self.preorder.leq(i, j) or other.preorder.leq(i, j)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    row_k = rel[k]
-                    row_i = rel[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return Amalgam(self.left, self.right, preorder_from_relation(rel))
+        """Least upper bound: the preorder whose down-sets are the sets
+        that are down-sets of both.  Walk self's classes in rank order,
+        keeping `top`, the largest rank in other seen so far; a class of
+        the join ends after a prefix exactly when the prefix holds as many
+        labels as have rank at most `top` in other."""
+        below = list(itertools.accumulate(map(len, other.preorder.classes())))
+        other_ranks = other.preorder.ranks
+        ranks = [0] * self.n
+        k = top = size = 0
+        for cls in self.preorder.classes():
+            for i in cls:
+                ranks[i] = k
+            top = max(top, *(other_ranks[i] for i in cls))
+            size += len(cls)
+            if size == below[top]:
+                k += 1
+        return Amalgam(self.left, self.right, LinPreorder(ranks))
 
     def __eq__(self, other):
         if not isinstance(other, Amalgam):
@@ -530,32 +529,6 @@ class Amalgam:
             "right": self.right.to_json(),
             "preorder": self.preorder.to_json(),
         }
-
-
-def preorder_from_relation(rel) -> LinPreorder:
-    """Build a LinPreorder from a total transitive boolean matrix."""
-    n = len(rel)
-    for i in range(n):
-        for j in range(n):
-            if not (rel[i][j] or rel[j][i]):
-                raise ValueError("relation is not total")
-    # rank = number of strictly-below classes
-    reps = []
-    cls = [None] * n
-    for i in range(n):
-        for r in reps:
-            if rel[i][r] and rel[r][i]:
-                cls[i] = cls[r]
-                break
-        else:
-            cls[i] = len(reps)
-            reps.append(i)
-    below = [0] * len(reps)
-    for a, ra in enumerate(reps):
-        below[a] = sum(
-            1 for rb in reps if rel[rb][ra] and not rel[ra][rb]
-        )
-    return LinPreorder([below[cls[i]] for i in range(n)])
 
 
 def enumerate_amalgams(left: LinOrder, right: LinOrder) -> list:

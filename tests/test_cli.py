@@ -401,6 +401,8 @@ GOLDEN_STDOUT = {
         "457f77ce95c02452ea907b4f3de099d7e293ddf072d29001dfa4b7dc446421d9",
     "verify amalgams --left 3 --right 3":
         "b940c05b059ad43b9a5d2a58573881f5cd381020da87301c854812b82628ec23",
+    "verify amalgams --left 4 --right 4":
+        "a7aaadfbbb51d757c43a3de6cf7b6e7968d4298b58f5ef956f6752b401f2e96b",
     "roundtrip mainc --algebra builtin:mat2 --truncation 4":
         "82c08df6f5816bf1ef3fa93b0f25c0d34c9f17920af261167f30868f56d1d1e7",
     "roundtrip mainc --algebra builtin:mat2 --truncation 6":

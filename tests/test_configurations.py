@@ -8,13 +8,32 @@ from brokenlines.configurations import (
     u_membership,
     verify_join_identity,
 )
-from brokenlines.lines import BrokenLine
+from brokenlines.extreal import NEG_INF
+from brokenlines.lines import BrokenLine, translation_distance
 from brokenlines.orders import (
+    Amalgam,
     LinOrder,
     enumerate_amalgams,
     enumerate_convex_equivalences,
 )
 from brokenlines.rep import stratum_samples
+
+from test_orders import preorder_from_relation
+
+
+def k_of_distance_oracle(config):
+    """K_s by its definition: a <= b iff the translation distance from
+    a's mark to b's mark is not -inf."""
+    n = config.left.n + config.right.n
+    rel = [
+        [
+            translation_distance(config.line, config.mark(a), config.mark(b))
+            != NEG_INF
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return Amalgam(config.left, config.right, preorder_from_relation(rel))
 
 
 def singleton_config():
@@ -65,6 +84,14 @@ def test_k_of_roundtrip_through_amalgam_points():
             for point in stratum_samples(amalgam.preorder, rel, 2):
                 config = config_from_amalgam_point(amalgam, point)
                 assert k_of(config) == amalgam
+
+
+def test_k_of_matches_distance_oracle():
+    for nl in range(1, 5):
+        for nr in range(1, 5):
+            configs = sample_configurations(LinOrder.standard(nl), LinOrder.standard(nr))
+            for config in configs:
+                assert k_of(config) == k_of_distance_oracle(config), config
 
 
 def test_u_membership_cases():

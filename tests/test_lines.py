@@ -297,6 +297,18 @@ def test_broken_line_rejects_a_component_count_that_is_not_an_integer(m):
         BrokenLine(0)
 
 
+@pytest.mark.parametrize("component", [1.5, 2.0, "1", Fraction(1)])
+def test_point_rejects_a_component_that_is_not_an_integer(component):
+    # 1.5 would name a point between the two components
+    line = BrokenLine(2)
+    message = re.escape(f"component must be an integer, got {component!r}")
+    with pytest.raises(ValueError, match=message):
+        line.point(component, 0)
+    with pytest.raises(ValueError, match=re.escape("component must lie in 1..2")):
+        line.point(3, 0)
+    assert line.point(2, 0).key() == (2, ExtReal(0))
+
+
 def test_marked_iso_agrees_with_grid_brute_force():
     # exact solve vs brute force over shift vectors on a rational grid
     point = rep_from_gaps([1, INF])

@@ -39,22 +39,46 @@ def relation_matrix_oracle(n):
             for k in range(n)
         ):
             continue
-        # rank = number of strictly-below classes
-        reps = []
-        cls = [None] * n
-        for i in range(n):
-            for r in reps:
-                if rel[i][r] and rel[r][i]:
-                    cls[i] = cls[r]
-                    break
-            else:
-                cls[i] = len(reps)
-                reps.append(i)
-        class_below = [
-            sum(1 for r2 in reps if rel[r2][r] and not rel[r][r2]) for r in reps
-        ]
-        found.add(tuple(class_below[cls[i]] for i in range(n)))
+        found.add(preorder_from_relation(rel).ranks)
     return found
+
+
+def preorder_from_relation(rel):
+    """The LinPreorder of a total transitive boolean matrix: each label
+    ranks by the number of classes strictly below its own."""
+    n = len(rel)
+    for i in range(n):
+        for j in range(n):
+            if not (rel[i][j] or rel[j][i]):
+                raise ValueError("relation is not total")
+    reps = []
+    cls = [None] * n
+    for i in range(n):
+        for r in reps:
+            if rel[i][r] and rel[r][i]:
+                cls[i] = cls[r]
+                break
+        else:
+            cls[i] = len(reps)
+            reps.append(i)
+    below = [sum(1 for rb in reps if rel[rb][ra] and not rel[ra][rb]) for ra in reps]
+    return LinPreorder([below[cls[i]] for i in range(n)])
+
+
+def join_closure_oracle(a, b):
+    """a v b as the transitive closure of the union of the two relations."""
+    n = a.n
+    rel = [
+        [a.preorder.leq(i, j) or b.preorder.leq(i, j) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                for j in range(n):
+                    if rel[k][j]:
+                        rel[i][j] = True
+    return Amalgam(a.left, a.right, preorder_from_relation(rel))
 
 
 def ordered_partition_oracle(n):
@@ -430,6 +454,17 @@ def test_join_idempotent_and_least_upper_bound():
             for c in amalgams:
                 if a.leq_amalgam(c) and b.leq_amalgam(c):
                     assert j.leq_amalgam(c)
+
+
+def test_join_matches_closure_oracle():
+    sides = [LinOrder.standard(n) for n in range(1, 5)]
+    pairs = [(left, right) for left in sides for right in sides]
+    pairs.append((LinOrder([2, 0, 3, 1]), LinOrder.standard(3)))
+    for left, right in pairs:
+        amalgams = enumerate_amalgams(left, right)
+        for a in amalgams:
+            for b in amalgams:
+                assert a.join(b) == join_closure_oracle(a, b), (a, b)
 
 
 def test_amalgam_inclusions_nondecreasing():
