@@ -26,6 +26,8 @@ def test_canonical_form_glues_components():
     assert line.point(1, INF) == line.point(2, NEG_INF)
     assert line.point(3, INF) == line.terminal
     assert line.point(1, NEG_INF) == line.initial
+    with pytest.raises(ValueError, match=re.escape("component must lie in 1..3")):
+        line.point(4, 0)
 
 
 def test_fiber_over_singleton():
@@ -304,9 +306,6 @@ def test_point_rejects_a_component_that_is_not_an_integer(component):
     message = re.escape(f"component must be an integer, got {component!r}")
     with pytest.raises(ValueError, match=message):
         line.point(component, 0)
-    with pytest.raises(ValueError, match=re.escape("component must lie in 1..2")):
-        line.point(3, 0)
-    assert line.point(2, 0).key() == (2, ExtReal(0))
 
 
 def test_marked_iso_agrees_with_grid_brute_force():
