@@ -19,6 +19,7 @@ from .orders import (
     enumerate_convex_equivalences,
     enumerate_linear_preorders,
     enumerate_surjections,
+    preorder_ranks,
     quotient,
 )
 from .rep import (

@@ -4,9 +4,11 @@ Reports are machine-readable JSON first (canonical key order, rationals
 as p/q in lowest terms), human tables second.  Every report is written by
 `_json_text`, whose output is byte for byte
 `json.dumps(data, sort_keys=True, indent=2)`; it writes all siblings at
-one indentation together, a block at a time (`_json_texts`).  A malformed
-`--algebra` or `--family` file ends the run with a one-line error that
-names the file, and exit code 2.
+one indentation together, a block at a time, and rows of exact ints by
+one `%d` template (`_json_texts`).  The preorders report is written
+straight from the rank tuples of `preorder_ranks`, with no preorder
+object built.  A malformed `--algebra` or `--family` file ends the run
+with a one-line error that names the file, and exit code 2.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .orders import (
     LinOrder,
     enumerate_amalgams,
     enumerate_convex_equivalences,
-    enumerate_linear_preorders,
     enumerate_surjections,
+    preorder_ranks,
 )
 from .configurations import verify_join_identity
 from .sheaves import GlobalSheaf, evaluate_on_family
@@ -57,12 +59,15 @@ def _json_texts(values, pad):
 
     json.dumps with indent runs the pure-Python encoder, one call per node.
     Here all siblings of one kind are written together: ints and strs by
-    one map, dicts sharing one set of str keys column by column, and
-    nonempty lists and tuples as the concatenation of their items, cut
-    back into one piece per list.  Siblings of mixed kinds are written one
-    at a time.  A lone float, bool, None, empty container, dict with a
-    non-str key or subclass instance goes through json.dumps and is
-    re-indented, which is exact since JSON text holds no raw newline.
+    one map, dicts sharing one set of str keys column by column, lists or
+    tuples of one length whose items are all exact ints by one template
+    of "%d" fields (a bool, float or int subclass keeps its row off it),
+    and other nonempty lists and tuples as the concatenation of their
+    items, cut back into one piece per list.  Siblings of mixed kinds are
+    written one at a time.  A lone float, bool, None, empty container,
+    dict with a non-str key or subclass instance goes through json.dumps
+    and is re-indented, which is exact since JSON text holds no raw
+    newline.
     """
     if len(values) > _BLOCK:
         texts = []
@@ -91,6 +96,11 @@ def _json_texts(values, pad):
         elif kind is list or kind is tuple:
             lengths = list(map(len, values))
             if all(lengths):
+                flat = itertools.chain.from_iterable(values)
+                if len(set(lengths)) == 1 and set(map(type, flat)) == {int}:
+                    row = "[" + inner + ("%d," + inner) * (lengths[0] - 1) + "%d" + pad + "]"
+                    rows = values if kind is tuple else map(tuple, values)
+                    return list(map(row.__mod__, rows))
                 ends = list(itertools.accumulate(lengths))
                 items = _json_texts(list(itertools.chain.from_iterable(values)), inner)
                 sep = "," + inner
@@ -186,9 +196,10 @@ def _out_dir(args):
 def cmd_enumerate(args):
     out = _out_dir(args)
     if args.what == "preorders":
-        items = enumerate_linear_preorders(args.n)
+        words = preorder_ranks(args.n)
         _dump(
-            {"n": args.n, "count": len(items), "preorders": [p.to_json() for p in items]},
+            {"n": args.n, "count": len(words),
+             "preorders": [{"n": args.n, "rank": word} for word in words]},
             out,
             f"preorders_{args.n}.json",
         )

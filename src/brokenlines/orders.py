@@ -6,17 +6,18 @@ initial segment 0..k-1 of the naturals; i <= j holds iff rank(i) <= rank(j).
 Ranks and mapping entries must be integers: a float or a str is rejected,
 never truncated or parsed.  Enumerators build their objects directly:
 preorders as rank vectors grown in lexicographic order, each prefix with a
-bitmask of the ranks it uses, monotone surjections as cuts of the source
-order, amalgams as pairs of surjections onto a common [k].  Preorders and
-surjections are correct by construction, so their enumerators wrap them
-through the private `_of` constructors, which check nothing; that the
-ranks of a preorder form an initial segment is still checked, on its
-bitmask.  The public constructors are the one validating path, and the
-tests rebuild every enumerated object through them as the oracle.  They
-check their invariants in time linear in the number of labels:
-monotonicity by comparing labels of equal and of adjacent ranks
-(`_monotone`), convexity by counting the labels in each class's rank
-range, refinement and reflection through a label -> class position tuple.
+bitmask of the ranks it uses (`preorder_ranks` returns the bare tuples),
+monotone surjections as cuts of the source order, amalgams as pairs of
+surjections onto a common [k].  Preorders and surjections are correct by
+construction, so their enumerators wrap them through the private `_of`
+constructors, which check nothing; that the ranks of a preorder form an
+initial segment is still checked, on its bitmask.  The public
+constructors are the one validating path, and the tests rebuild every
+enumerated object through them as the oracle.  They check their
+invariants in time linear in the number of labels: monotonicity by
+comparing labels of equal and of adjacent ranks (`_monotone`), convexity
+by counting the labels in each class's rank range, refinement and
+reflection through a label -> class position tuple.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class LinOrder(LinPreorder):
         return self.ranks[i]
 
 
-def enumerate_linear_preorders(n) -> list:
-    """All linear preorders on labels 0..n-1, one canonical representative
-    each, sorted lexicographically by rank vector."""
+def preorder_ranks(n) -> list:
+    """The rank vectors, as tuples, of all linear preorders on labels
+    0..n-1, sorted lexicographically."""
     if n < 1:
         raise ValueError("preorders are nonempty; n must be >= 1")
     # rank prefixes in lexicographic order, each with the bitmask of the
@@ -156,10 +157,15 @@ def enumerate_linear_preorders(n) -> list:
     for word, used in zip(words, masks):
         if used & (used + 1):
             raise ValueError(f"ranks {word} are no initial segment 0..k-1")
-    full = (1 << n) - 1
+    return words
+
+
+def enumerate_linear_preorders(n) -> list:
+    """All linear preorders on labels 0..n-1, one canonical representative
+    each, sorted lexicographically by rank vector."""
     return [
-        LinOrder._of(word) if used == full else LinPreorder._of(word)
-        for word, used in zip(words, masks)
+        LinOrder._of(word) if max(word) == n - 1 else LinPreorder._of(word)
+        for word in preorder_ranks(n)
     ]
 
 

@@ -15,7 +15,12 @@ from brokenlines import acceptance, cli, twisted
 from brokenlines.cli import _json_text, main
 from brokenlines.families import build_family
 from brokenlines.extreal import INF, ExtReal
-from brokenlines.orders import LinOrder, enumerate_convex_equivalences
+from brokenlines.orders import (
+    LinOrder,
+    LinPreorder,
+    enumerate_convex_equivalences,
+    preorder_ranks,
+)
 from brokenlines.rep import rep_from_gaps
 from brokenlines.vect import nilpotent_upper3, zero_algebra
 
@@ -29,10 +34,15 @@ def run(capsys, *argv):
 
 
 def test_enumerate_preorders(capsys):
-    code, out = run(capsys, "enumerate", "preorders", "--n", "3")
-    assert code == 0
-    data = json.loads(out)
-    assert data["count"] == 13
+    for n in range(1, 8):
+        code, out = run(capsys, "enumerate", "preorders", "--n", str(n))
+        assert code == 0
+        data = json.loads(out)
+        words = preorder_ranks(n)
+        assert data["count"] == len(words)
+        # the report is written from bare rank tuples; each row must be
+        # what the preorder itself would write
+        assert data["preorders"] == [LinPreorder(word).to_json() for word in words]
 
 
 def test_enumerate_amalgams_with_poset_edges(capsys):
@@ -373,13 +383,57 @@ siblings = (
 )
 
 
-@given(siblings)
-def test_report_writer_matches_json_dumps_on_siblings(tree):
+def assert_matches_json_dumps_at_each_block(tree):
     expected = json.dumps(tree, sort_keys=True, indent=2)
     # a block of 2 cuts every sibling list of three or more items
     for block in (cli._BLOCK, 2):
         with mock.patch.object(cli, "_BLOCK", block):
             assert _json_text(tree) == expected
+
+
+@given(siblings)
+def test_report_writer_matches_json_dumps_on_siblings(tree):
+    assert_matches_json_dumps_at_each_block(tree)
+
+
+# Rows of one length whose items are all exact ints take the writer's row
+# template; a bool, float, int subclass or nested list among them must not.
+row_ints = st.integers(-9, 9) | st.integers(min_value=2**70) | st.integers(max_value=-(2**70))
+odd_items = (
+    st.booleans()
+    | st.floats()
+    | st.integers().map(Count)
+    | st.lists(st.integers(-9, 9), max_size=2)
+)
+
+
+@st.composite
+def equal_length_rows(draw):
+    """Rows of one length in 1..4, all lists, all tuples or mixed: exact
+    ints, with at most two items swapped for odd ones."""
+    length = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(row_ints, min_size=length, max_size=length), max_size=6))
+    if rows:
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, length - 1))] = draw(odd_items)
+    kind = draw(st.sampled_from(["list", "tuple", "mixed"]))
+    if kind == "mixed":
+        return [tuple(row) if draw(st.booleans()) else row for row in rows]
+    return rows if kind == "list" else list(map(tuple, rows))
+
+
+rows_siblings = (
+    equal_length_rows()
+    | equal_length_rows().map(lambda rows: [{"n": len(row), "rank": row} for row in rows])
+    | st.lists(equal_length_rows(), max_size=3)
+    | st.lists(equal_length_rows(), max_size=3).map(tuple)
+)
+
+
+@given(rows_siblings)
+def test_report_writer_matches_json_dumps_on_equal_length_rows(tree):
+    assert_matches_json_dumps_at_each_block(tree)
 
 
 def test_report_writer_on_more_siblings_than_one_block():
@@ -393,10 +447,14 @@ def test_report_writer_on_more_siblings_than_one_block():
 GOLDEN_STDOUT = {
     "enumerate preorders --n 6":
         "9404ac024a077aba8d9488120e9233c2b9b07fabe35becec10e2064d33dd03b3",
+    "enumerate preorders --n 7":
+        "ccedffe8d660d552e11625438178fb3bfca72cccfb4dfeb79049457d4bc56f97",
     "enumerate convex --n 6":
         "0367f4a88b77c5450fcc0b970e2b528aee6ebd9fc8b0da215965b31e17169bf2",
     "enumerate surjections --n 6 --target 3":
         "8a671855923de6bbe86e6715c6ceeba7de33475baecceb27b8dfc30532df05d4",
+    "enumerate surjections --n 7 --target 4":
+        "4b3b0f2eca271e632faa6de77742aec4bc3fd166e57a164ac6a8de2222cd4779",
     "enumerate amalgams --left 3 --right 3":
         "457f77ce95c02452ea907b4f3de099d7e293ddf072d29001dfa4b7dc446421d9",
     "verify amalgams --left 3 --right 3":

@@ -18,6 +18,7 @@ from brokenlines.orders import (
     enumerate_surjections,
     induced_quotient_map,
     preimage_equiv,
+    preorder_ranks,
     quotient,
 )
 
@@ -215,7 +216,19 @@ def test_enumerated_preorders_equal_their_validated_rebuilds():
             assert type(p)(p.ranks) == p
 
 
+def test_preorder_ranks_are_the_enumerated_rank_vectors():
+    for n in range(1, 8):
+        words = preorder_ranks(n)
+        items = enumerate_linear_preorders(n)
+        assert words == [p.ranks for p in items]
+        assert all(a < b for a, b in zip(words, words[1:])), "not strictly increasing"
+        assert len(words) == fubini(n)
+        assert all(type(word) is tuple for word in words)
+
+
 def test_zero_rejected():
+    with pytest.raises(ValueError):
+        preorder_ranks(0)
     with pytest.raises(ValueError):
         enumerate_linear_preorders(0)
     with pytest.raises(ValueError):
