@@ -32,7 +32,6 @@ from .twisted import (
     sharp,
 )
 from .vect import BUILTIN_ALGEBRAS, nilpotent_upper3, rational_algebra, zero_algebra
-from . import morse as morse_mod
 
 
 def _run(name, body):
@@ -305,14 +304,16 @@ def criterion_morse_demo():
     all-infinite extracted gaps; < 60 s."""
 
     def body():
+        from . import morse
+
         start = time.perf_counter()
-        reports = [morse_mod.demo_report(name) for name in ("sphere", "torus")]
+        reports = [morse.demo_report(name) for name in ("sphere", "torus")]
         for report, count, chi in zip(reports, (2, 4), (2, 0)):
             crits = report["criticals"]
             if len(crits) != count or report["euler_characteristic"] != chi:
                 summary = [(c["h"], c["index"]) for c in crits]
                 return False, f"{report['surface']} criticals: {summary}"
-        tol_crit = morse_mod.Tolerances().tol_crit
+        tol_crit = morse.Tolerances().tol_crit
         if any(c["grad_norm"] >= tol_crit for r in reports for c in r["criticals"]):
             return False, "a critical point has gradient norm >= 1e-8"
         # `valid` includes reparam_residual < tol_reparam

@@ -8,7 +8,9 @@ one indentation together, a block at a time, and rows of exact ints by
 one `%d` template (`_json_texts`).  The preorders report is written
 straight from the rank tuples of `preorder_ranks`, with no preorder
 object built.  A malformed `--algebra` or `--family` file ends the run
-with a one-line error that names the file, and exit code 2.
+with a one-line error that names the file, and exit code 2, as does a
+`--config` file that cannot be read.  `morse`, and with it numpy, is
+imported only by the command that runs it.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from .twisted import (
     roundtrip,
 )
 from .vect import BUILTIN_ALGEBRAS, NonunitalAlgebra
-from . import morse as morse_mod
 
 
 # The keys a --config file may set; each overrides the flag of that name.
 _CONFIG_KEYS = ("truncation", "left", "right", "n")
+
+# The names of morse.SURFACES, kept here so that parsing needs no numpy.
+_SURFACES = ("sphere", "torus")
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -144,6 +148,16 @@ def _associative_algebra(data) -> NonunitalAlgebra:
     if (triple := algebra.validate()) is not None:
         raise ValueError(f"structure constants are not associative at basis triple {triple}")
     return algebra
+
+
+def _family_on_linear_order(data) -> SampledFamily:
+    """SampledFamily.from_json(data), whose index must be a linear order."""
+    family = SampledFamily.from_json(data)
+    if not family.index.is_linear_order:
+        raise ValueError(
+            f"family index {list(family.index.ranks)} is not a linear order"
+        )
+    return family
 
 
 class _InputError(Exception):
@@ -276,7 +290,7 @@ def cmd_verify(args):
 
 def cmd_sheaf(args):
     algebra = _load_algebra(args.algebra)
-    family = _read_json(args.family, SampledFamily.from_json)
+    family = _read_json(args.family, _family_on_linear_order)
     sheaf = GlobalSheaf.from_algebra(algebra, max(1, family.index.n - 1))
     ev = evaluate_on_family(sheaf, family)
     payload = {
@@ -328,7 +342,9 @@ def cmd_daycon(args):
 
 
 def cmd_morse(args):
-    report = morse_mod.demo_report(args.surface)
+    from . import morse
+
+    report = morse.demo_report(args.surface)
     svg = report.pop("svg")
     out = _out_dir(args)
     if out is not None:
@@ -411,7 +427,7 @@ def build_parser():
 
     p_morse = add_parser("morse", help="gradient-flow demo")
     p_morse.add_argument("what", choices=["demo"])
-    p_morse.add_argument("--surface", choices=sorted(morse_mod.SURFACES), default="torus")
+    p_morse.add_argument("--surface", choices=_SURFACES, default="torus")
     p_morse.set_defaults(fn=cmd_morse)
 
     p_accept = add_parser("accept", help="run the acceptance suite")
@@ -425,6 +441,8 @@ def main(argv=None):
     if args.config:
         try:
             overrides = _read_config_file(args.config)
+        except OSError as exc:
+            parser.error(f"cannot read config file {args.config}: {exc.strerror}")
         except ValueError as exc:
             parser.error(str(exc))
         try:

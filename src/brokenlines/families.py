@@ -40,9 +40,6 @@ class SampledFamily:
         for sid, point in self.samples:
             if point.base != self.index:
                 raise ValueError(f"sample {sid} lives on the wrong index order")
-            violation = point.validate()
-            if violation is not None:
-                raise ValueError(f"sample {sid}: {violation.message}")
         for a, b in self.edges:
             if a not in ids or b not in ids:
                 raise ValueError(f"edge ({a},{b}) names unknown samples")

@@ -239,9 +239,6 @@ def fiber_over(point: RepPoint):
     basepoint of its class (the maximal element, largest label breaking
     ties).  Returns (BrokenLine, {label: LinePoint}).
     """
-    violation = point.validate()
-    if violation is not None:
-        raise ValueError(f"invalid RepPoint: {violation.message}")
     stratum = stratum_of(point)
     classes = stratum.classes
     line = BrokenLine(len(classes))

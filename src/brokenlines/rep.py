@@ -3,13 +3,20 @@
 A point assigns to every comparable pair (i, j) with i <= j a value in
 (-inf, inf] subject to alpha(i,i) = 0 and the additive cocycle
 alpha(i,j) + alpha(j,k) = alpha(i,k), with finiteness forced on pairs that
-compare both ways.  Everything in this module is exact rational
-arithmetic; no floats.
+compare both ways.  The cocycle forces every value from the gaps along a
+nondecreasing enumeration, so a point is stored as its base and the tuple
+of its gaps along `base.enumeration()`.  A gap vector with no -inf and
+finite gaps between equivalent elements is a valid point, and no other
+is ever stored, so nothing re-validates a point: `alpha` sums gaps, the
+stratum K_E is read off the infinite gaps, and U_E and Phi membership
+are refinement checks against it.  The `RepPoint` constructor is the one
+path that accepts a full value table; it reads the gaps off the adjacent
+pairs and checks every entry against the value they force.  Everything
+in this module is exact rational arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
@@ -19,103 +26,77 @@ from .orders import ConvexEquiv, LinOrder, LinPreorder, OrderMorphism, concatena
 GRID = tuple(Fraction(k, 2) for k in range(1, 11))
 
 
-@dataclass(frozen=True)
-class RepViolation:
-    kind: str       # "diagonal" | "cocycle" | "finiteness" | "range"
-    where: tuple
-    message: str
-
-
 class RepPoint:
-    """A functor I -> BR+ given by its value table on comparable pairs."""
+    """A functor I -> BR+, stored as its gaps along base.enumeration()."""
 
-    __slots__ = ("base", "table")
+    __slots__ = ("base", "_gaps")
 
     def __init__(self, base: LinPreorder, table: dict):
-        pairs = set(base.comparable_pairs())
-        tbl = {k: as_ext(v) for k, v in table.items()}
-        if set(tbl) != pairs:
+        """The point whose value on each comparable pair (i, j) is
+        table[(i, j)].
+
+        The gaps are the values on adjacent pairs of the enumeration,
+        checked as in `from_gaps`; every entry must then be the value the
+        gaps force, else ValueError names the first pair that differs and
+        both values.
+        """
+        table = {k: as_ext(v) for k, v in table.items()}
+        if set(table) != set(base.comparable_pairs()):
             raise ValueError("table must cover exactly the comparable pairs")
+        enum = base.enumeration()
+        point = RepPoint.from_gaps(base, [table[pair] for pair in zip(enum, enum[1:])])
+        for i, j in sorted(table):
+            forced = point.alpha(i, j)
+            if table[(i, j)] != forced:
+                raise ValueError(
+                    f"alpha({i},{j}) = {table[(i, j)]}, but the gaps force {forced}"
+                )
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "table", tbl)
+        object.__setattr__(self, "_gaps", point._gaps)
 
     def __setattr__(self, name, value):
         raise AttributeError("RepPoint is immutable")
 
     @classmethod
     def from_gaps(cls, base: LinPreorder, gaps) -> "RepPoint":
-        """Build from consecutive gaps along the canonical enumeration.
+        """The point with gaps[m] = alpha(e[m], e[m+1]) along the canonical
+        enumeration e; the cocycle forces every other value.
 
-        gaps[m] is alpha(e[m], e[m+1]); all other values are forced by the
-        cocycle.  Rejects malformed input (wrong length, -inf, or an
-        infinite gap in a slot where finiteness is forced).
+        Rejects a wrong length, a -inf gap, and an infinite gap between
+        equivalent elements, where finiteness is forced.  Every other gap
+        vector is a point.
         """
-        enum = base.enumeration()
-        gaps = [as_ext(g) for g in gaps]
+        gaps = tuple(map(as_ext, gaps))
         if len(gaps) != base.n - 1:
             raise ValueError("need exactly n-1 gaps")
+        enum = base.enumeration()
         for m, g in enumerate(gaps):
+            i, j = enum[m], enum[m + 1]
             if g == NEG_INF:
-                raise ValueError("gap values live in (-inf, inf]")
-            if base.eq(enum[m], enum[m + 1]) and not g.is_finite:
                 raise ValueError(
-                    f"gap {m} joins equivalent elements and must be finite"
+                    f"gap {m} = alpha({i},{j}) is -inf; gap values live in (-inf, inf]"
                 )
-        pos = {lab: p for p, lab in enumerate(enum)}
-        table = {}
-        for i, j in base.comparable_pairs():
-            p, q = pos[i], pos[j]
-            if p <= q:
-                total = ZERO
-                for m in range(p, q):
-                    total = total + gaps[m]
-            else:
-                # i and j compare both ways; the intervening gaps are finite
-                total = ZERO
-                for m in range(q, p):
-                    total = total + gaps[m]
-                total = -total
-            table[(i, j)] = total
-        return cls(base, table)
+            if base.eq(i, j) and not g.is_finite:
+                raise ValueError(
+                    f"gap {m} = alpha({i},{j}) joins equivalent elements "
+                    f"and must be finite"
+                )
+        point = object.__new__(cls)
+        object.__setattr__(point, "base", base)
+        object.__setattr__(point, "_gaps", gaps)
+        return point
 
     def alpha(self, i, j) -> ExtReal:
-        if (i, j) not in self.table:
-            raise ValueError(f"({i},{j}) is not a comparable pair")
-        return self.table[(i, j)]
-
-    def validate(self):
-        """None if valid, otherwise the first violation found."""
+        """The sum of the gaps from i to j, negated when j comes first in
+        the enumeration (then i and j compare both ways)."""
         base = self.base
-        for i in range(base.n):
-            if self.table[(i, i)] != ZERO:
-                return RepViolation(
-                    "diagonal", (i,), f"alpha({i},{i}) != 0"
-                )
-        for key in sorted(self.table):
-            if self.table[key] == NEG_INF:
-                return RepViolation(
-                    "range", key, f"alpha{key} = -inf is out of range"
-                )
-        for i, j in sorted(self.table):
-            if base.eq(i, j) and not self.table[(i, j)].is_finite:
-                return RepViolation(
-                    "finiteness",
-                    (i, j),
-                    f"{i} and {j} compare both ways but alpha is infinite",
-                )
-        for i in range(base.n):
-            for j in range(base.n):
-                for k in range(base.n):
-                    if base.leq(i, j) and base.leq(j, k):
-                        lhs = self.table[(i, j)] + self.table[(j, k)]
-                        if lhs != self.table[(i, k)]:
-                            return RepViolation(
-                                "cocycle",
-                                (i, j, k),
-                                f"alpha({i},{j}) + alpha({j},{k}) "
-                                f"!= alpha({i},{k})",
-                            )
-        return None
+        if not (0 <= i < base.n and 0 <= j < base.n and base.leq(i, j)):
+            raise ValueError(f"({i},{j}) is not a comparable pair")
+        enum = base.enumeration()
+        p, q = enum.index(i), enum.index(j)
+        if p <= q:
+            return sum(self._gaps[p:q], ZERO)
+        return -sum(self._gaps[q:p], ZERO)
 
     def gaps(self, enumeration=None):
         return chart_coordinates(self, enumeration)[0]
@@ -123,11 +104,10 @@ class RepPoint:
     def __eq__(self, other):
         if not isinstance(other, RepPoint):
             return NotImplemented
-        return self.base == other.base and self.table == other.table
+        return self.base == other.base and self._gaps == other._gaps
 
     def __hash__(self):
-        items = tuple((k, self.table[k]) for k in sorted(self.table))
-        return hash((self.base.ranks, items))
+        return hash((self.base, self._gaps))
 
     def __repr__(self):
         return f"RepPoint({self.base!r}, gaps={[str(g) for g in self.gaps()]})"
@@ -157,39 +137,30 @@ def chart_coordinates(point: RepPoint, enumeration=None):
     telling whether finiteness is forced (consecutive elements comparing
     both ways).  Inverse of rep_from_gaps for the standard order."""
     base = point.base
-    if enumeration is None:
-        enumeration = base.enumeration()
-    enumeration = tuple(enumeration)
+    canonical = base.enumeration()
+    enumeration = canonical if enumeration is None else tuple(enumeration)
     if sorted(enumeration) != list(range(base.n)):
         raise ValueError("enumeration must list each label exactly once")
-    for m in range(1, base.n):
-        if not base.leq(enumeration[m - 1], enumeration[m]):
-            raise ValueError("enumeration must be nondecreasing")
-    gaps = []
-    forced = []
-    for m in range(1, base.n):
-        i, j = enumeration[m - 1], enumeration[m]
-        gaps.append(point.alpha(i, j))
-        forced.append(base.leq(j, i))
-    return gaps, forced
+    adjacent = list(zip(enumeration, enumeration[1:]))
+    if not all(base.leq(i, j) for i, j in adjacent):
+        raise ValueError("enumeration must be nondecreasing")
+    forced = [base.leq(j, i) for i, j in adjacent]
+    if enumeration == canonical:
+        return list(point._gaps), forced
+    return [point.alpha(i, j) for i, j in adjacent], forced
 
 
 def stratum_of(point: RepPoint) -> ConvexEquiv:
     """The convex equivalence of finite-distance classes: i ~ j iff the
     distance between them is finite.  point lies in K_E iff this returns E."""
-    base = point.base
-    enum = base.enumeration()
-    gaps, _ = chart_coordinates(point, enum)
-    classes = []
-    current = [enum[0]]
-    for m in range(1, base.n):
-        if gaps[m - 1].is_finite:
-            current.append(enum[m])
+    enum = point.base.enumeration()
+    classes = [[enum[0]]]
+    for label, gap in zip(enum[1:], point._gaps):
+        if gap.is_finite:
+            classes[-1].append(label)
         else:
-            classes.append(tuple(current))
-            current = [enum[m]]
-    classes.append(tuple(current))
-    return ConvexEquiv(base, classes)
+            classes.append([label])
+    return ConvexEquiv(point.base, classes)
 
 
 def in_stratum(point: RepPoint, rel: ConvexEquiv) -> bool:
@@ -202,50 +173,32 @@ def u_contains(point: RepPoint, rel: ConvexEquiv) -> bool:
     Equivalently E refines the stratum of the point."""
     if rel.base != point.base:
         raise ValueError("relation must live on the point's base")
-    return all(
-        point.alpha(i, j).is_finite
-        for i, j in point.base.comparable_pairs()
-        if rel.relates(i, j)
-    )
+    return rel.refines(stratum_of(point))
 
 
 def pullback_rep(f: OrderMorphism, point: RepPoint) -> RepPoint:
     """Precomposition with f: beta(i, i') = alpha(f(i), f(i'))."""
     if point.base != f.target:
         raise ValueError("point must live on the target of f")
-    table = {
-        (i, j): point.alpha(f(i), f(j))
-        for i, j in f.source.comparable_pairs()
-    }
-    return RepPoint(f.source, table)
+    enum = f.source.enumeration()
+    return RepPoint.from_gaps(
+        f.source, [point.alpha(f(i), f(j)) for i, j in zip(enum, enum[1:])]
+    )
 
 
 def phi_membership(point: RepPoint, rel: ConvexEquiv) -> bool:
     """Membership in Phi(I, ~): every finite distance happens inside a
-    ~-class."""
+    ~-class.  Equivalently the stratum of the point refines ~."""
     if rel.base != point.base:
         raise ValueError("relation must live on the point's base")
-    return all(
-        rel.relates(i, j)
-        for i, j in point.base.comparable_pairs()
-        if point.alpha(i, j).is_finite
-    )
+    return stratum_of(point).refines(rel)
 
 
 def concat_reps(left: RepPoint, right: RepPoint) -> RepPoint:
     """The glued point on I * J: restricts to the inputs, with distance
     +inf from every element of I to every element of J."""
     base = concatenate_orders(left.base, right.base)
-    shift = left.base.n
-    table = {}
-    for (i, j), v in left.table.items():
-        table[(i, j)] = v
-    for (i, j), v in right.table.items():
-        table[(i + shift, j + shift)] = v
-    for i in range(left.base.n):
-        for j in range(right.base.n):
-            table[(i, j + shift)] = INF
-    return RepPoint(base, table)
+    return RepPoint.from_gaps(base, left._gaps + (INF,) + right._gaps)
 
 
 def stratum_samples(base: LinPreorder, rel: ConvexEquiv, count=3) -> list:

@@ -280,6 +280,32 @@ def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
     )
 
 
+def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "nope.cfg"
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "enumerate", "preorders"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"brokenlines: error: cannot read config file {cfg}: No such file or directory"
+    )
+
+
+def test_surface_choices_are_the_morse_surfaces():
+    from brokenlines import morse
+
+    assert cli._SURFACES == tuple(sorted(morse.SURFACES))
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, brokenlines.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert out == "False\n"
+
+
 # (e0 e0) e1 = e0 e1 = e0 + e1, but e0 (e0 e1) = e0 e0 + e0 e1 = 2 e0 + e1
 NON_ASSOCIATIVE = '{"dim": 2, "c": [[["1","1"],["0","0"]],[["0","1"],["1","0"]]]}'
 NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis triple (0, 0, 1)"
@@ -300,6 +326,8 @@ NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis tripl
         ("sheaf --family unread.json --algebra", NON_ASSOCIATIVE, NON_ASSOCIATIVE_REASON),
         ("sheaf --family", '{"index": {"n": 2, "rank": [0.5, 1]}, "samples": []}',
          "ranks must be integers, got 0.5"),
+        ("sheaf --family", '{"index": {"n": 2, "rank": [0, 0]}, "samples": []}',
+         "family index [0, 0] is not a linear order"),
         ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),
         ("sheaf --family", "[1]", "list indices must be integers or slices, not str"),
         ("sheaf --family", None, "No such file or directory"),

@@ -68,13 +68,13 @@ def test_build_family_validates_sections():
 def test_build_family_rejects_invalid_point():
     from brokenlines.rep import RepPoint
 
+    # an invalid table never becomes a point, so no family can hold one
     base = LinOrder.standard(3)
-    bad = RepPoint(
-        base,
-        {(0, 0): 0, (1, 1): 0, (2, 2): 0, (0, 1): 1, (1, 2): 1, (0, 2): 3},
-    )
-    with pytest.raises(ValueError):
-        build_family(base, [bad])
+    with pytest.raises(ValueError, match=r"alpha\(0,2\) = 3, but the gaps force 2"):
+        build_family(base, [RepPoint(
+            base,
+            {(0, 0): 0, (1, 1): 0, (2, 2): 0, (0, 1): 1, (1, 2): 1, (0, 2): 3},
+        )])
 
 
 def test_extract_alpha_roundtrip():

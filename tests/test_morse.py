@@ -928,14 +928,12 @@ def test_unbroken_extraction(sphere, sphere_criticals):
     line, rep, marks = trajectory_to_line(trajectories[0])
     assert line.m == 1
     assert rep.base.n == 1
-    assert rep.validate() is None
 
 
 def test_broken_extraction_all_infinite_gaps(torus_trajectories):
     traj = next(t for t in torus_trajectories if t.component_count >= 2)
     line, rep, marks = trajectory_to_line(traj)
     assert line.m == traj.component_count
-    assert rep.validate() is None
     assert all(g == INF for g in rep.gaps())
     # classification consistency: component count matches the line
     assert {p.component for p in marks.values()} == set(range(1, line.m + 1))

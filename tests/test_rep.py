@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenlines.extreal import INF, NEG_INF, ExtReal
+from brokenlines.extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
 from brokenlines.orders import (
     ConvexEquiv,
     LinOrder,
@@ -13,6 +13,7 @@ from brokenlines.orders import (
     concatenate_orders,
     enumerate_convex_equivalences,
     enumerate_surjections,
+    preorder_ranks,
 )
 from brokenlines.rep import (
     GRID,
@@ -28,18 +29,82 @@ from brokenlines.rep import (
     u_contains,
 )
 
+# ---------------------------------------------------------------- oracles
+#
+# A point used to be stored as its full value table on comparable pairs.
+# The table builder, the cubic check of a table and the pair-by-pair
+# definitions of U_E and Phi membership stay here as oracles.
+
+
+def oracle_table(base, gaps):
+    """The value table the cocycle forces from gaps along the canonical
+    enumeration, summed gap by gap."""
+    gaps = [as_ext(g) for g in gaps]
+    pos = {lab: p for p, lab in enumerate(base.enumeration())}
+    table = {}
+    for i, j in base.comparable_pairs():
+        p, q = pos[i], pos[j]
+        total = ZERO
+        for m in range(min(p, q), max(p, q)):
+            total = total + gaps[m]
+        # a reversed pair compares both ways; the gaps between are finite
+        table[(i, j)] = total if p <= q else -total
+    return table
+
+
+def oracle_violation(base, table):
+    """None if the table is a point, otherwise (kind, where) of the first
+    violation: kind is "diagonal", "range", "finiteness" or "cocycle"."""
+    table = {k: as_ext(v) for k, v in table.items()}
+    for i in range(base.n):
+        if table[(i, i)] != ZERO:
+            return "diagonal", (i,)
+    for key in sorted(table):
+        if table[key] == NEG_INF:
+            return "range", key
+    for i, j in sorted(table):
+        if base.eq(i, j) and not table[(i, j)].is_finite:
+            return "finiteness", (i, j)
+    for i, j, k in itertools.product(range(base.n), repeat=3):
+        if base.leq(i, j) and base.leq(j, k):
+            if table[(i, j)] + table[(j, k)] != table[(i, k)]:
+                return "cocycle", (i, j, k)
+    return None
+
+
+def table_of(point):
+    return {pair: point.alpha(*pair) for pair in point.base.comparable_pairs()}
+
+
+def u_contains_pairwise(point, rel):
+    """i E j implies alpha(i,j) finite, pair by pair."""
+    return all(
+        point.alpha(i, j).is_finite
+        for i, j in point.base.comparable_pairs()
+        if rel.relates(i, j)
+    )
+
+
+def phi_membership_pairwise(point, rel):
+    """Every finite distance happens inside a class, pair by pair."""
+    return all(
+        rel.relates(i, j)
+        for i, j in point.base.comparable_pairs()
+        if point.alpha(i, j).is_finite
+    )
+
 
 def test_singleton_point():
     point = rep_from_gaps([])
     assert point.base.n == 1
     assert point.alpha(0, 0) == ExtReal(0)
-    assert point.validate() is None
+    assert oracle_violation(point.base, table_of(point)) is None
 
 
 def test_single_infinite_gap():
     point = rep_from_gaps([INF])
     assert point.alpha(0, 1) == INF
-    assert point.validate() is None
+    assert oracle_violation(point.base, table_of(point)) is None
 
 
 def test_cocycle_addition():
@@ -53,26 +118,160 @@ def test_validate_detects_cocycle_violation():
         (0, 0): 0, (1, 1): 0, (2, 2): 0,
         (0, 1): 1, (1, 2): 1, (0, 2): 3,
     }
-    violation = RepPoint(base, table).validate()
-    assert violation is not None
-    assert violation.kind == "cocycle"
-    assert violation.where == (0, 1, 2)
+    assert oracle_violation(base, table) == ("cocycle", (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^alpha\(0,2\) = 3, but the gaps force 2$"):
+        RepPoint(base, table)
 
 
 def test_validate_detects_forced_finiteness():
     base = LinPreorder([0, 0])  # two-element indiscrete preorder
     table = {(0, 0): 0, (1, 1): 0, (0, 1): INF, (1, 0): INF}
-    violation = RepPoint(base, table).validate()
-    assert violation is not None
-    assert violation.kind == "finiteness"
+    assert oracle_violation(base, table)[0] == "finiteness"
+    with pytest.raises(
+        ValueError,
+        match=r"^gap 0 = alpha\(0,1\) joins equivalent elements and must be finite$",
+    ):
+        RepPoint(base, table)
 
 
 def test_validate_rejects_negative_infinity_values():
     base = LinOrder.standard(2)
     table = {(0, 0): 0, (1, 1): 0, (0, 1): NEG_INF}
-    violation = RepPoint(base, table).validate()
-    assert violation is not None
-    assert violation.kind == "range"
+    assert oracle_violation(base, table)[0] == "range"
+    with pytest.raises(
+        ValueError, match=r"^gap 0 = alpha\(0,1\) is -inf; gap values live in \(-inf, inf\]$"
+    ):
+        RepPoint(base, table)
+
+
+def test_table_must_cover_exactly_the_comparable_pairs():
+    base = LinOrder.standard(2)
+    with pytest.raises(ValueError, match="cover exactly the comparable pairs"):
+        RepPoint(base, {(0, 0): 0, (1, 1): 0})
+    with pytest.raises(ValueError, match="cover exactly the comparable pairs"):
+        RepPoint(base, {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1})
+
+
+def test_alpha_rejects_a_pair_that_does_not_compare():
+    point = rep_from_gaps([1, 2])
+    for i, j in ((1, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="is not a comparable pair"):
+            point.alpha(i, j)
+
+
+PREORDERS = {n: preorder_ranks(n) for n in range(1, 7)}
+FINITE = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def valid_tables(draw):
+    """(base, gaps, table): a random preorder with n <= 6, gaps along its
+    enumeration (infinite only between inequivalent neighbours) and the
+    oracle's table of them."""
+    n = draw(st.integers(1, 6))
+    base = LinPreorder(draw(st.sampled_from(PREORDERS[n])))
+    enum = base.enumeration()
+    gaps = [
+        ExtReal(draw(FINITE))
+        if base.eq(i, j) or draw(st.booleans())
+        else INF
+        for i, j in zip(enum, enum[1:])
+    ]
+    return base, gaps, oracle_table(base, gaps)
+
+
+def plant(base, table, kind, pick):
+    """A copy of table with one wrong entry of the given kind, or None when
+    the base has no pair where that kind can be planted; pick chooses the
+    pair."""
+    table = dict(table)
+    if kind == "diagonal":
+        i = pick % base.n
+        table[(i, i)] = ExtReal(1)
+    elif kind == "range":
+        pairs = [(i, j) for i, j in sorted(table) if i != j]
+        if not pairs:
+            return None
+        table[pairs[pick % len(pairs)]] = NEG_INF
+    elif kind == "finiteness":
+        pairs = [(i, j) for i, j in sorted(table) if i != j and base.eq(i, j)]
+        if not pairs:
+            return None
+        table[pairs[pick % len(pairs)]] = INF
+    else:
+        # a finite entry moved by one, on a pair of distinct labels with a
+        # third label to witness the cocycle
+        pairs = [
+            (i, j) for i, j in sorted(table)
+            if i != j and table[(i, j)].is_finite and base.n > 2
+        ]
+        if not pairs:
+            return None
+        i, j = pairs[pick % len(pairs)]
+        table[(i, j)] = table[(i, j)] + 1
+    return table
+
+
+FAULTS = ("diagonal", "range", "finiteness", "cocycle")
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_tables(), st.sampled_from((None,) + FAULTS), st.integers(0, 50))
+def test_table_constructor_matches_the_oracle(drawn, kind, pick):
+    base, gaps, table = drawn
+    if kind is not None:
+        table = plant(base, table, kind, pick) or table
+    violation = oracle_violation(base, table)
+    if violation is not None:
+        with pytest.raises(ValueError):
+            RepPoint(base, table)
+        return
+    point = RepPoint(base, table)
+    enum = base.enumeration()
+    read_off = RepPoint.from_gaps(base, [table[pair] for pair in zip(enum, enum[1:])])
+    assert point == read_off and hash(point) == hash(read_off)
+    assert table_of(point) == {k: as_ext(v) for k, v in table.items()}
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_each_planted_fault_fires_on_the_oracle_and_the_constructor(kind):
+    # the indiscrete, linear and mixed preorders of size 3 each give every
+    # kind a pair to plant on, except finiteness on the linear order
+    fired = 0
+    for ranks in ([0, 0, 0], [0, 1, 2], [1, 0, 1], [0, 0, 1]):
+        base = LinPreorder(ranks)
+        enum = base.enumeration()
+        gaps = [ExtReal(Fraction(1, 2)) if base.eq(i, j) else ExtReal(2)
+                for i, j in zip(enum, enum[1:])]
+        for pick in range(9):
+            table = plant(base, oracle_table(base, gaps), kind, pick)
+            if table is None:
+                continue
+            assert oracle_violation(base, table)[0] == kind
+            with pytest.raises(ValueError):
+                RepPoint(base, table)
+            fired += 1
+    assert fired >= 9
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_tables())
+def test_points_on_preorders_agree_with_the_oracle_table(drawn):
+    base, gaps, table = drawn
+    point = RepPoint.from_gaps(base, gaps)
+    assert table_of(point) == table
+    assert chart_coordinates(point)[0] == gaps
+    # another nondecreasing enumeration: each class listed backwards
+    other = sorted(range(base.n), key=lambda i: (base.ranks[i], -i))
+    assert chart_coordinates(point, other)[0] == [
+        table[pair] for pair in zip(other, other[1:])
+    ]
+    for rel in enumerate_convex_equivalences(base):
+        assert u_contains(point, rel) == u_contains_pairwise(point, rel)
+        assert phi_membership(point, rel) == phi_membership_pairwise(point, rel)
+        assert in_stratum(point, rel) == (
+            u_contains_pairwise(point, rel) and phi_membership_pairwise(point, rel)
+        )
 
 
 def test_from_gaps_rejects_malformed():
@@ -212,7 +411,9 @@ def test_pullback_preserves_validity_and_functoriality(data):
     rel = data.draw(st.sampled_from(rels))
     point = stratum_samples(small, rel, 1)[0]
     via_small = pullback_rep(g, point)
-    assert via_small.validate() is None
+    assert table_of(via_small) == {
+        (i, j): point.alpha(g(i), g(j)) for i, j in mid.comparable_pairs()
+    }
     assert pullback_rep(f, via_small) == pullback_rep(f.then(g), point)
 
 
@@ -246,7 +447,7 @@ def test_phi_product_law():
                 if not (phi_membership(a, rel_l) and phi_membership(b, rel_r)):
                     continue
                 glued = concat_reps(a, b)
-                assert glued.validate() is None
+                assert oracle_violation(glued.base, table_of(glued)) is None
                 star_base = concatenate_orders(left_base, right_base)
                 classes = [tuple(c) for c in rel_l.classes] + [
                     tuple(i + nl for i in c) for c in rel_r.classes
