@@ -5,7 +5,8 @@ its combinatorial invariant K_s is the linear preorder on I ⊔ J read off
 from translation distances, which is always an amalgam; it is computed as
 the rank vector of the marks' components.  The covering
 theorem for the open sets U_K is verified here by exhaustive enumeration
-plus deterministic grid sampling.
+plus deterministic grid sampling, in one pass over pairs of amalgams
+whose order is held as up-set bitmasks.
 """
 
 from __future__ import annotations
@@ -97,52 +98,55 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
     membership in U_{K v K'} equals membership in U_K and U_{K'}; the
     join is a least upper bound over the whole enumerated poset; and
     every configuration lies in U_{K_s} for its own K_s (covering).
+
+    Each amalgam x gets its up-set as a bitmask up[x], bit z set when
+    x <= z.  For a pair (x, y) with join j, `both = up[x] & up[y]` holds
+    the common upper bounds: j must be one of them, none may lie outside
+    up[j], and, as membership in U_K depends on a configuration only
+    through K_s, both and up[j] must agree on every realized K_s.
     """
     amalgams = enumerate_amalgams(left, right)
     index = {a: k for k, a in enumerate(amalgams)}
-    leq = [
-        [a.leq_amalgam(b) for b in amalgams]
+    up = [
+        sum(1 << z for z, b in enumerate(amalgams) if a.leq_amalgam(b))
         for a in amalgams
     ]
-    joins = [[index[a.join(b)] for b in amalgams] for a in amalgams]
 
-    violations = []
-    # least-upper-bound property, quantified over the enumerated poset
-    for x, a in enumerate(amalgams):
-        for y, b in enumerate(amalgams):
-            j = joins[x][y]
-            if not (leq[x][j] and leq[y][j]):
-                violations.append(("join-not-upper-bound", x, y))
-            for z in range(len(amalgams)):
-                if leq[x][z] and leq[y][z] and not leq[j][z]:
-                    violations.append(("join-not-least", x, y, z))
-
-    configs = sample_configurations(left, right)
-    configs_checked = 0
-    strata_hit = set()
-    for config in configs:
+    violations, identity = [], []
+    hit = configs_checked = 0
+    for config in sample_configurations(left, right):
         ks = k_of(config)
         if ks not in index:
             violations.append(("k-of-not-amalgam", repr(ks)))
             continue
         s = index[ks]
-        if not leq[s][s]:
+        if not up[s] >> s & 1:
             violations.append(("covering", s))
-        strata_hit.add(s)
+        hit |= 1 << s
         configs_checked += 1
-    # membership in U_K depends on the configuration only through K_s,
-    # so the join identity is checked once per realized K_s
-    for s in sorted(strata_hit):
-        for x in range(len(amalgams)):
-            for y in range(len(amalgams)):
-                want = leq[x][s] and leq[y][s]
-                got = leq[joins[x][y]][s]
-                if want != got:
-                    violations.append(("join-identity", x, y, s))
+
+    lub = []
+    for x, a in enumerate(amalgams):
+        for y, b in enumerate(amalgams):
+            j = index[a.join(b)]
+            both = up[x] & up[y]
+            if not both >> j & 1:
+                lub.append(("join-not-upper-bound", x, y))
+            lub += [("join-not-least", x, y, z) for z in _bits(both & ~up[j])]
+            identity += [("join-identity", x, y, s) for s in _bits((both ^ up[j]) & hit)]
+    identity.sort(key=lambda v: (v[3], v[1], v[2]))
 
     return {
         "amalgams": len(amalgams),
         "pairs_checked": len(amalgams) ** 2,
         "configs_checked": configs_checked,
-        "violations": violations,
+        "violations": lub + violations + identity,
     }
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import NEG_INF, ExtReal
+from .extreal import ExtReal
 from .lines import (
     BrokenLine,
     concatenate,
@@ -20,7 +20,7 @@ from .lines import (
     find_marked_iso,
     translation_distance,
 )
-from .orders import LinPreorder, concatenate_orders
+from .orders import LinPreorder, _monotone, concatenate_orders
 from .rep import RepPoint, chart_coordinates, concat_reps, stratum_of
 
 DEFAULT_DELTA = Fraction(1, 100)
@@ -112,19 +112,20 @@ class ISectionData:
 def section_violation(index: LinPreorder, line: BrokenLine, marks: dict):
     """None, or a message naming the first failed section condition:
     marks are interior, have no -inf gap along the index order, and hit
-    every component."""
+    every component.  Between interior marks d(mark i, mark j) = -inf
+    exactly when j's component comes before i's, so the gap condition is
+    that components do not decrease along the index order."""
     if set(marks) != set(range(index.n)):
         return "marks must cover the index labels"
     for i, p in marks.items():
         if p.is_fixed:
             return f"mark {i} is a fixed point"
-    for i in range(index.n):
-        for j in range(index.n):
-            if index.leq(i, j):
-                if translation_distance(line, marks[i], marks[j]) == NEG_INF:
-                    return f"d(mark {i}, mark {j}) = -inf with {i} <= {j}"
-    hit = {p.component for p in marks.values()}
-    if hit != set(range(1, line.m + 1)):
+    components = [marks[i].component for i in range(index.n)]
+    bad = _monotone(index.ranks, components)
+    if bad is not None:
+        i, j = bad
+        return f"d(mark {i}, mark {j}) = -inf with {i} <= {j}"
+    if set(components) != set(range(1, line.m + 1)):
         return "marks miss a component"
     return None
 

@@ -13,8 +13,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import INF, NEG_INF, ExtReal, as_ext
-from .rep import RepPoint, stratum_of
+from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
+from .rep import RepPoint
 
 
 @dataclass(frozen=True)
@@ -237,31 +237,23 @@ def fiber_over(point: RepPoint):
     Components are the finite-distance classes of the point, in base
     order; each label i is marked at signed distance from the chosen
     basepoint of its class (the maximal element, largest label breaking
-    ties).  Returns (BrokenLine, {label: LinePoint}).
+    ties), so that d(mark_i, mark_j) = alpha(i, j).  The basepoint is the
+    last of its class in the canonical enumeration, so one reverse pass
+    marks each label at minus the sum of the finite gaps from it to the
+    basepoint.  Returns (BrokenLine, {label: LinePoint}), labels in
+    enumeration order.
     """
-    stratum = stratum_of(point)
-    classes = stratum.classes
-    line = BrokenLine(len(classes))
-    marks = {}
-    base = point.base
-    for a, cls in enumerate(classes, start=1):
-        basepoint = max(cls, key=lambda i: (base.ranks[i], i))
-        for i in cls:
-            # coordinate c_i satisfies d(mark_i, mark_j) = alpha(i, j)
-            coord = -_finite_alpha(point, i, basepoint)
-            marks[i] = line.point(a, coord)
-    return line, marks
-
-
-def _finite_alpha(point, i, j):
-    base = point.base
-    if base.leq(i, j):
-        value = point.alpha(i, j)
-    else:
-        value = -point.alpha(j, i)
-    if not value.is_finite:
-        raise ValueError("elements are not at finite distance")
-    return value
+    gaps = point.gaps()
+    line = BrokenLine(1 + sum(not g.is_finite for g in gaps))
+    a, run = line.m, ZERO
+    placed = [line.point(a, run)]
+    for g in reversed(gaps):
+        if g.is_finite:
+            run = run + g
+        else:
+            a, run = a - 1, ZERO
+        placed.append(line.point(a, -run))
+    return line, dict(zip(point.base.enumeration(), reversed(placed)))
 
 
 def find_marked_iso(source, source_marks, target, target_marks):

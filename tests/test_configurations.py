@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from brokenlines.configurations import (
@@ -34,6 +36,53 @@ def k_of_distance_oracle(config):
         for a in range(n)
     ]
     return Amalgam(config.left, config.right, preorder_from_relation(rel))
+
+
+def verify_join_identity_oracle(left, right):
+    """The covering facts by brute force: leq and join matrices, the
+    least-upper-bound condition over every triple (x, y, z) and the join
+    identity over every pair, once per realized K_s."""
+    amalgams = enumerate_amalgams(left, right)
+    index = {a: k for k, a in enumerate(amalgams)}
+    leq = [[a.leq_amalgam(b) for b in amalgams] for a in amalgams]
+    joins = [[index[a.join(b)] for b in amalgams] for a in amalgams]
+
+    violations = []
+    for x in range(len(amalgams)):
+        for y in range(len(amalgams)):
+            j = joins[x][y]
+            if not (leq[x][j] and leq[y][j]):
+                violations.append(("join-not-upper-bound", x, y))
+            for z in range(len(amalgams)):
+                if leq[x][z] and leq[y][z] and not leq[j][z]:
+                    violations.append(("join-not-least", x, y, z))
+
+    configs_checked = 0
+    strata_hit = set()
+    for config in sample_configurations(left, right):
+        ks = k_of(config)
+        if ks not in index:
+            violations.append(("k-of-not-amalgam", repr(ks)))
+            continue
+        s = index[ks]
+        if not leq[s][s]:
+            violations.append(("covering", s))
+        strata_hit.add(s)
+        configs_checked += 1
+    for s in sorted(strata_hit):
+        for x in range(len(amalgams)):
+            for y in range(len(amalgams)):
+                want = leq[x][s] and leq[y][s]
+                got = leq[joins[x][y]][s]
+                if want != got:
+                    violations.append(("join-identity", x, y, s))
+
+    return {
+        "amalgams": len(amalgams),
+        "pairs_checked": len(amalgams) ** 2,
+        "configs_checked": configs_checked,
+        "violations": violations,
+    }
 
 
 def singleton_config():
@@ -167,3 +216,96 @@ def test_k_of_is_valid_amalgam_for_all_samples():
             for point in stratum_samples(amalgam.preorder, rel, 2):
                 # Amalgam constructor re-validates both inclusions
                 k_of(config_from_amalgam_point(amalgam, point))
+
+
+def configs_closed_form(p, q):
+    """Sampled configurations: one per amalgam with j + 1 classes and per
+    cut pattern of its j inner gaps."""
+    return sum(
+        math.comb(p - 1, j) * math.comb(q - 1, j) * 2**j for j in range(min(p, q))
+    )
+
+
+def test_configs_closed_form_at_seven_by_seven():
+    assert configs_closed_form(7, 7) == 8989
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_join_identity_counts_match_closed_forms(p):
+    for q in range(1, 6):
+        amalgams = math.comb(p + q - 2, p - 1)
+        assert verify_join_identity(LinOrder.standard(p), LinOrder.standard(q)) == {
+            "amalgams": amalgams,
+            "pairs_checked": amalgams**2,
+            "configs_checked": configs_closed_form(p, q),
+            "violations": [],
+        }, q
+
+
+def test_join_identity_report_equals_the_cubic_oracle():
+    for p in range(1, 5):
+        for q in range(1, 5):
+            left, right = LinOrder.standard(p), LinOrder.standard(q)
+            assert verify_join_identity(left, right) == verify_join_identity_oracle(
+                left, right
+            ), (p, q)
+
+
+def plant_join(monkeypatch, amalgams, x, y, z):
+    """Amalgam.join answers amalgams[z] on the pair (x, y) only."""
+    join = Amalgam.join
+
+    def planted(self, other):
+        if (self, other) == (amalgams[x], amalgams[y]):
+            return amalgams[z]
+        return join(self, other)
+
+    monkeypatch.setattr(Amalgam, "join", planted)
+
+
+def plant_leq_row(monkeypatch, amalgams, x, answer):
+    """Amalgam.leq_amalgam answers `answer` on the whole row of amalgams[x]."""
+    leq = Amalgam.leq_amalgam
+
+    def planted(self, other):
+        return answer if self == amalgams[x] else leq(self, other)
+
+    monkeypatch.setattr(Amalgam, "leq_amalgam", planted)
+
+
+# On 3x3, amalgam 0 is the indiscrete top and amalgam 5 the linear order
+# 0 = 3 < 1 = 4 < 2 = 5 on ranks, with 5 < 1 < 0.
+PLANTED = {
+    "join below both": (
+        lambda mp, a: plant_join(mp, a, 0, 0, 5),
+        {"join-not-upper-bound", "join-identity"},
+    ),
+    "join above the least": (
+        lambda mp, a: plant_join(mp, a, 1, 1, 0),
+        {"join-not-least", "join-identity"},
+    ),
+    "leq row all false": (
+        lambda mp, a: plant_leq_row(mp, a, 0, False),
+        {"join-not-upper-bound", "join-not-least", "join-identity", "covering"},
+    ),
+    # its join-identity violations come out of the pass out of (s, x, y)
+    # order, so the report's order is checked too
+    "leq row all true": (
+        lambda mp, a: plant_leq_row(mp, a, 1, True),
+        {"join-not-least", "join-identity"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_faults_fire_on_the_bitmasks_and_the_oracle(monkeypatch, fault):
+    left = right = LinOrder.standard(3)
+    amalgams = enumerate_amalgams(left, right)
+    assert amalgams[0].preorder.ranks == (0, 0, 0, 0, 0, 0)
+    assert amalgams[5].preorder.ranks == (0, 1, 2, 0, 1, 2)
+    assert amalgams[5].leq_amalgam(amalgams[1]) and amalgams[1] != amalgams[0]
+    plant, kinds = PLANTED[fault]
+    plant(monkeypatch, amalgams)
+    report = verify_join_identity(left, right)
+    assert report == verify_join_identity_oracle(left, right)
+    assert {v[0] for v in report["violations"]} == kinds

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brokenlines.extreal import INF, ExtReal
+from brokenlines.extreal import INF, NEG_INF, ExtReal
 from brokenlines.families import (
     MarkedFiber,
     SampledFamily,
@@ -14,14 +17,17 @@ from brokenlines.families import (
     reconstruction_iso,
     section_violation,
 )
-from brokenlines.lines import fiber_over, translate
-from brokenlines.orders import LinOrder, enumerate_convex_equivalences
+from brokenlines.lines import BrokenLine, fiber_over, translate, translation_distance
+from brokenlines.orders import LinOrder, LinPreorder, enumerate_convex_equivalences
 from brokenlines.rep import (
+    RepPoint,
     concat_reps,
     rep_from_gaps,
     stratum_of,
     stratum_samples,
 )
+
+from test_rep import valid_tables
 
 
 def easybreak_family():
@@ -231,3 +237,124 @@ def test_family_json_roundtrip():
     assert again.samples == family.samples
     assert again.edges == family.edges
     assert again.limits == family.limits
+
+
+# ------------------------------------------------------- section oracle
+
+
+def section_violation_oracle(index, line, marks):
+    """The section conditions by their definition: the translation
+    distance of every pair i <= j of the index order, first failure
+    first."""
+    if set(marks) != set(range(index.n)):
+        return "marks must cover the index labels"
+    for i, p in marks.items():
+        if p.is_fixed:
+            return f"mark {i} is a fixed point"
+    for i in range(index.n):
+        for j in range(index.n):
+            if index.leq(i, j):
+                if translation_distance(line, marks[i], marks[j]) == NEG_INF:
+                    return f"d(mark {i}, mark {j}) = -inf with {i} <= {j}"
+    hit = {p.component for p in marks.values()}
+    if hit != set(range(1, line.m + 1)):
+        return "marks miss a component"
+    return None
+
+
+def violation_kind(message):
+    for kind in ("cover the index labels", "fixed point", "-inf", "miss a component"):
+        if kind in message:
+            return kind
+    raise AssertionError(message)
+
+
+SECTION_FAULTS = {
+    "fixed": "fixed point",
+    "reversed": "-inf",
+    "split": "-inf",
+    "missed": "miss a component",
+}
+
+
+def plant_section_fault(base, line, marks, kind, pick):
+    """(line, marks) with one fault of the given kind, or None when the
+    fiber has no place for it; pick chooses the place.  A fixed mark; the
+    marks of i < j swapped across components; a label moved off the
+    component of a label of equal rank; an unmarked component inserted."""
+    marks = dict(marks)
+    labels = sorted(marks)
+    if kind == "fixed":
+        i = labels[pick % len(labels)]
+        marks[i] = line.point(marks[i].component, (NEG_INF, INF)[pick % 2])
+    elif kind == "reversed":
+        pairs = [
+            (i, j) for i in labels for j in labels
+            if base.ranks[i] < base.ranks[j]
+            and marks[i].component < marks[j].component
+        ]
+        if not pairs:
+            return None
+        i, j = pairs[pick % len(pairs)]
+        marks[i], marks[j] = marks[j], marks[i]
+    elif kind == "split":
+        pairs = [(i, j) for i in labels for j in labels if i != j and base.eq(i, j)]
+        if not pairs or line.m == 1:
+            return None
+        i, j = pairs[pick % len(pairs)]
+        others = [a for a in range(1, line.m + 1) if a != marks[i].component]
+        marks[j] = line.point(others[pick % len(others)], marks[j].coord)
+    else:
+        empty = 1 + pick % (line.m + 1)
+        line = BrokenLine(line.m + 1)
+        marks = {
+            i: line.point(p.component + (p.component >= empty), p.coord)
+            for i, p in marks.items()
+        }
+    return line, marks
+
+
+def assert_same_violation(base, line, marks):
+    got = section_violation(base, line, marks)
+    want = section_violation_oracle(base, line, marks)
+    assert (got is None) == (want is None), (got, want)
+    if got is None:
+        return None
+    assert violation_kind(got) == violation_kind(want), (got, want)
+    if violation_kind(got) == "-inf":
+        i, j = map(int, re.match(r"d\(mark (\d+), mark (\d+)\) = -inf", got).groups())
+        assert base.leq(i, j)
+        assert translation_distance(line, marks[i], marks[j]) == NEG_INF
+    return violation_kind(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    valid_tables(),
+    st.sampled_from((None,) + tuple(SECTION_FAULTS)),
+    st.integers(0, 50),
+)
+def test_section_violation_matches_the_pairwise_oracle(drawn, kind, pick):
+    base, gaps, _ = drawn
+    line, marks = fiber_over(RepPoint.from_gaps(base, gaps))
+    if kind is not None:
+        line, marks = plant_section_fault(base, line, marks, kind, pick) or (line, marks)
+    assert_same_violation(base, line, marks)
+
+
+@pytest.mark.parametrize("kind", sorted(SECTION_FAULTS))
+def test_each_planted_section_fault_fires_on_the_oracle_and_the_check(kind):
+    fired = 0
+    for ranks in ([0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 1, 2]):
+        base = LinPreorder(ranks)
+        enum = base.enumeration()
+        gaps = [ExtReal(Fraction(1, 2)) if base.eq(i, j) else INF
+                for i, j in zip(enum, enum[1:])]
+        line, marks = fiber_over(RepPoint.from_gaps(base, gaps))
+        assert assert_same_violation(base, line, marks) is None
+        for pick in range(6):
+            planted = plant_section_fault(base, line, marks, kind, pick)
+            if planted is not None:
+                assert assert_same_violation(base, *planted) == SECTION_FAULTS[kind]
+                fired += 1
+    assert fired >= 12

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from brokenlines.extreal import INF, NEG_INF, ExtReal
 from brokenlines.lines import (
@@ -18,7 +19,9 @@ from brokenlines.lines import (
     translation_distance,
 )
 from brokenlines.orders import LinOrder, enumerate_convex_equivalences
-from brokenlines.rep import rep_from_gaps, stratum_of, stratum_samples
+from brokenlines.rep import RepPoint, rep_from_gaps, stratum_of, stratum_samples
+
+from test_rep import valid_tables
 
 
 def test_canonical_form_glues_components():
@@ -63,6 +66,32 @@ def test_marks_realize_distances():
                     for j in range(i, n):
                         d = translation_distance(line, marks[i], marks[j])
                         assert d == point.alpha(i, j)
+
+
+def fiber_over_oracle(point):
+    """The canonical fiber label by label: each label marked at
+    -alpha(i, b) in the component of its finite-distance class, b the
+    basepoint of the class (the largest by rank, then label)."""
+    classes = stratum_of(point).classes
+    line = BrokenLine(len(classes))
+    marks = {}
+    for a, cls in enumerate(classes, start=1):
+        basepoint = max(cls, key=lambda i: (point.base.ranks[i], i))
+        for i in cls:
+            marks[i] = line.point(a, -point.alpha(i, basepoint))
+    return line, marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_tables())
+def test_fiber_over_matches_the_per_label_oracle(drawn):
+    base, gaps, _ = drawn
+    point = RepPoint.from_gaps(base, gaps)
+    line, marks = fiber_over(point)
+    want_line, want_marks = fiber_over_oracle(point)
+    assert line == want_line
+    # the same marks, inserted in the same order
+    assert list(marks.items()) == list(want_marks.items())
 
 
 # ---------------------------------------------------------------- order
