@@ -144,10 +144,7 @@ def _load_algebra(ref) -> NonunitalAlgebra:
 
 def _associative_algebra(data) -> NonunitalAlgebra:
     """NonunitalAlgebra.from_json(data), which must be associative."""
-    algebra = NonunitalAlgebra.from_json(data)
-    if (triple := algebra.validate()) is not None:
-        raise ValueError(f"structure constants are not associative at basis triple {triple}")
-    return algebra
+    return NonunitalAlgebra.from_json(data).require_associative()
 
 
 def _family_on_linear_order(data) -> SampledFamily:

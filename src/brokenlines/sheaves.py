@@ -5,7 +5,8 @@ A global sheaf is stored by generators: one object per standard order
 [n] = {0 < ... < n} up to a truncation N, and one map per adjacent merge
 s_k: [n] -> [n-1].  The exchange relations among merges present every
 monotone surjection, so functor application is decomposition-independent;
-the relations are validated eagerly at construction.
+the relations are validated eagerly at construction.  An algebra's
+merges are its `fiber_products`, as are its twisted functor's actions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .orders import (
 )
 from .rep import RepPoint, stratum_of
 from .families import SampledFamily
-from .vect import LinMap, NonunitalAlgebra, VectObject, tensor_all
+from .vect import LinMap, NonunitalAlgebra, VectObject
 
 
 class GlobalSheaf:
@@ -67,22 +68,14 @@ class GlobalSheaf:
 
     @staticmethod
     def from_algebra(algebra: NonunitalAlgebra, N) -> "GlobalSheaf":
-        """values[n] = A^(x)(n+1), with merges multiplying adjacent slots."""
-        if algebra.validate() is not None:
-            raise ValueError("structure constants are not associative")
-        a = algebra.space
-        mult = algebra.multiplication()
-        values = [tensor_all([a] * (n + 1)) for n in range(N + 1)]
-        gen = {}
-        for n in range(1, N + 1):
-            for k in range(n):
-                factors = []
-                if k > 0:
-                    factors.append(LinMap.identity(tensor_all([a] * k)))
-                factors.append(mult)
-                if n - 1 - k > 0:
-                    factors.append(LinMap.identity(tensor_all([a] * (n - 1 - k))))
-                gen[(n, k)] = tensor_all(factors)
+        """values[n] = A^(x)(n+1); s_k multiplies slots k and k+1, the
+        fiber product of shape (1, ..., 1, 2, 1, ..., 1), 2 in slot k."""
+        algebra.require_associative()
+        shape = {(n, k): (1,) * k + (2,) + (1,) * (n - 1 - k)
+                 for n in range(1, N + 1) for k in range(n)}
+        products = algebra.fiber_products(shape.values())
+        values = [VectObject(algebra.dim ** (n + 1)) for n in range(N + 1)]
+        gen = {g: products[s] for g, s in shape.items()}
         return GlobalSheaf(N, values, gen)
 
     def to_json(self):
@@ -151,19 +144,19 @@ class ConstructibleSheaf:
             for coarse in rels:
                 if fine.refines(coarse):
                     if (fine, coarse) not in restriction:
-                        raise ValueError("missing restriction map")
+                        raise ValueError(f"missing restriction map at ({fine}, {coarse})")
                     m = restriction[(fine, coarse)]
                     if m.source != value[fine] or m.target != value[coarse]:
-                        raise ValueError("restriction map has wrong shape")
+                        raise ValueError(f"restriction map at ({fine}, {coarse}) has wrong shape")
         for fine in rels:
             if restriction[(fine, fine)] != LinMap.identity(value[fine]):
-                raise ValueError("identity restriction must be the identity")
+                raise ValueError(f"identity restriction at ({fine}, {fine}) must be the identity")
         for b in rels:
             for c in b.covers():
                 for a in rels:
                     if a.refines(b):
                         if restriction[(b, c)] @ restriction[(a, b)] != restriction[(a, c)]:
-                            raise ValueError("restrictions fail to compose")
+                            raise ValueError(f"restrictions fail to compose at ({a}, {b}, {c})")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "value", dict(value))
         object.__setattr__(self, "restriction", dict(restriction))

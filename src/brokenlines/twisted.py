@@ -11,9 +11,10 @@ a size N; truncation is exact degree by degree.
 unchecked (`TwMorphism.__init__` is the validating path and the tests'
 oracle); the functor axioms, naturality and intertwining are checked on
 grade-one generators.  An algebra's functor acts on f by a map that
-depends only on the fiber sizes of f, built once per shape.  A Day
-convolution builds each action on its first read, so `action` may be
-built on demand.  `tw_enumerate`, `tw_generators`, `tw_star`,
+depends only on the fiber sizes of f: one `fiber_products` map per shape.
+`functor_to_algebra` checks size-3 data through the recovered algebra.
+A Day convolution builds each action on its first read, so `action` may
+be built on demand.  `tw_enumerate`, `tw_generators`, `tw_star`,
 `tw_restrict` and the fiber shapes are cached for the life of the process.
 `roundtrip` builds an algebra's functor F and unfolds it once, and checks
 eta against F itself: the functor rebuilt from an equal algebra is F.
@@ -40,7 +41,6 @@ from .vect import (
     direct_sum,
     distribute,
     tensor,
-    tensor_all,
 )
 
 
@@ -391,18 +391,11 @@ def algebra_to_functor(algebra: NonunitalAlgebra, N) -> TwFunctor:
     every relation, action multiplying each fiber in order, identity lax
     maps.  The action of f depends only on its fiber sizes, so each shape
     gets one map, shared by every morphism of that shape."""
-    if algebra.validate() is not None:
-        raise ValueError("structure constants are not associative")
-    d = algebra.dim
+    algebra.require_associative()
     objects, _ = tw_enumerate(N)
-    value = {x: VectObject(d**x.n) for x in objects}
-    ident = LinMap.identity(algebra.space)
-    mult = algebra.multiplication()
-    mults = {1: ident}  # k -> the left-fold multiplication A^(x)k -> A
-    for k in range(2, N + 1):
-        mults[k] = mult @ tensor(mults[k - 1], ident)
+    value = {x: VectObject(algebra.dim**x.n) for x in objects}
     shapes = _shapes(N)
-    by_shape = {s: tensor_all(mults[k] for k in s) for s in dict.fromkeys(shapes.values())}
+    by_shape = algebra.fiber_products(shapes.values())
     action = {f: by_shape[s] for f, s in shapes.items()}
     lax = {(x, y): LinMap.identity(value[tw_star(x, y)]) for x, y in tw_pairs(N)}
     return TwFunctor(N, value, action, lax, check=False)
@@ -440,16 +433,11 @@ def _recover(functor: TwFunctor, top):
     unfolds = _unfolds(functor, top)  # then merge all n points: F(sharp n) -> F(pt)
     mult, mu3 = (functor.action[TwMorphism(sharp(n), point(), [0] * n)] @ unfolds[n]
                  for n in (2, 3))
-    ident = LinMap.identity(functor.value[point()])
-    if mult @ tensor(mult, ident) != mu3 or mult @ tensor(ident, mult) != mu3:
-        raise ValueError("functor data is not associative")
-
-    d = ident.source.dim
-    rows = mult.rows
+    d, rows = mult.target.dim, mult.rows
     c = [[rows[k][i * d : (i + 1) * d] for i in range(d)] for k in range(d)]
     algebra = NonunitalAlgebra(d, c)
-    if algebra.validate() is not None:
-        raise ValueError("recovered constants fail associativity")
+    if algebra.validate() is not None or algebra.fiber_products([(3,)])[(3,)] != mu3:
+        raise ValueError("functor data is not associative")
     return algebra, unfolds
 
 

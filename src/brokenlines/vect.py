@@ -14,8 +14,10 @@ integer matrices multiply in `int` arithmetic.  `3 == Fraction(3)`, the
 two hash alike and print alike, so equality, hashing and JSON cannot
 tell them apart.  `LinMap.rows` is a dense view of `Fraction`s, built on
 demand for JSON output and tests.  Maps between direct sums are
-assembled from blocks (`block_map`) rather than entry by entry, and every
-reindexing of a basis is one `LinMap.permutation`.
+assembled from blocks (`block_map`) rather than entry by entry, every
+reindexing of a basis is one `LinMap.permutation`, and every map of an
+algebra A^(x)n -> A^(x)m that multiplies runs of adjacent factors (sheaf
+merges, twisted actions, associativity) comes from `fiber_products`.
 """
 
 from __future__ import annotations
@@ -345,22 +347,35 @@ class NonunitalAlgebra:
         ]
         return LinMap(tensor(self.space, self.space), self.space, rows)
 
+    def fiber_products(self, shapes) -> dict:
+        """{shape: A^(x)sum(shape) -> A^(x)len(shape)} per distinct shape:
+        the tensor of the left folds mu_k for k in shape, with mu_1 the
+        identity and mu_k = mu (mu_(k-1) (x) 1)."""
+        shapes = dict.fromkeys(shapes)
+        ident = LinMap.identity(self.space)
+        mult = self.multiplication()
+        mults = [None, ident]
+        for _ in range(2, max((k for s in shapes for k in s), default=1) + 1):
+            mults.append(mult @ tensor(mults[-1], ident))
+        return {s: tensor_all(mults[k] for k in s) for s in shapes}
+
     def validate(self):
-        """None if associative, else the first violating basis triple."""
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        lhs = sum(
-                            self.c[m][i][j] * self.c[l][m][k] for m in range(d)
-                        )
-                        rhs = sum(
-                            self.c[m][j][k] * self.c[l][i][m] for m in range(d)
-                        )
-                        if lhs != rhs:
-                            return (i, j, k)
-        return None
+        """None if associative, else the first violating basis triple.
+
+        Associativity is the map identity mu (mu (x) 1) = mu (1 (x) mu) on
+        A^(x)3, whose column i*d^2 + j*d + k is the basis triple (i, j, k);
+        the triple is read off the smallest column where the sides differ."""
+        p = self.fiber_products([(2,), (3,), (1, 2)])
+        cols = [c for a, b in zip(p[(3,)].sparse, (p[(2,)] @ p[(1, 2)]).sparse)
+                for c, _ in set(a) ^ set(b)]
+        d, c = self.dim, min(cols, default=None)
+        return None if c is None else (c // d**2, c // d % d, c % d)
+
+    def require_associative(self) -> "NonunitalAlgebra":
+        """self, or ValueError naming the first violating basis triple."""
+        if (triple := self.validate()) is not None:
+            raise ValueError(f"structure constants are not associative at basis triple {triple}")
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, NonunitalAlgebra):

@@ -511,6 +511,39 @@ def test_report_stdout_matches_golden_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+# A family on the non-standard order 1 < 2 < 0, with finite, negative and
+# infinite gaps: samples on three strata, edges in both directions, an edge
+# within one stratum and an incomparable edge.
+SHEAF_FAMILY = {
+    "index": {"n": 3, "rank": [2, 0, 1]},
+    "samples": [
+        {"id": "p", "gaps": [{"fin": "1/2"}, {"fin": "3"}]},
+        {"id": "q", "gaps": ["inf", {"fin": "1"}]},
+        {"id": "r", "gaps": ["inf", "inf"]},
+        {"id": "s", "gaps": [{"fin": "0"}, "inf"]},
+        {"id": "t", "gaps": [{"fin": "-2"}, "inf"]},
+    ],
+    "edges": [["p", "q"], ["q", "r"], ["r", "p"], ["s", "q"], ["t", "s"], ["p", "t"]],
+    "limits": ["r"],
+}
+
+# sha256 of the `sheaf --family` stdout on SHEAF_FAMILY, per algebra
+GOLDEN_SHEAF_STDOUT = {
+    "builtin:nilpotent3": "fe65576dc6f28e1752f1c6b4d0d710c9a5402abad335e949c0c05134c655f835",
+    "builtin:mat2": "d7e754549e5ff461e69afec1f1a050d2ff77db39e010b12e88f455757c0ef5de",
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(GOLDEN_SHEAF_STDOUT))
+def test_sheaf_report_matches_golden_digest(capsys, tmp_path, algebra):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(SHEAF_FAMILY))
+    code, out = run(capsys, "sheaf", "--algebra", algebra, "--family", str(path))
+    assert code == 0
+    assert json.loads(out)["incomparable_edges"] == [["s", "q"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHEAF_STDOUT[algebra]
+
+
 def test_acceptance_json_uses_the_report_writer(capsys, tmp_path, monkeypatch):
     results = [
         {"name": "first", "ok": True, "detail": "3 checks \u2014 fine", "seconds": 0.25},

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,14 +22,20 @@ from brokenlines.sheaves import (
     global_to_constructible,
     stalk,
 )
+from brokenlines.twisted import TwMorphism, algebra_to_functor, sharp
 from brokenlines.vect import (
+    BUILTIN_ALGEBRAS,
     LinMap,
+    NonunitalAlgebra,
     VectObject,
+    matrix_algebra_2x2,
     nilpotent_upper3,
     rational_algebra,
+    tensor_all,
     zero_algebra,
 )
 
+from test_twisted import _rebased
 from test_vect import add
 
 
@@ -41,6 +48,61 @@ def test_exchange_relations_validated_at_construction(nil_sheaf):
     # also for the other generated sheaves
     GlobalSheaf.from_algebra(zero_algebra(2), 3)
     GlobalSheaf.from_algebra(rational_algebra(), 4)
+
+
+def merge_oracle(algebra, n, k):
+    """s_k on [n] built by hand: id(A^(x)k) (x) mult (x) id(A^(x)(n-1-k))."""
+    a = algebra.space
+    factors = [algebra.multiplication()]
+    if k > 0:
+        factors.insert(0, LinMap.identity(tensor_all([a] * k)))
+    if n - 1 - k > 0:
+        factors.append(LinMap.identity(tensor_all([a] * (n - 1 - k))))
+    return tensor_all(factors)
+
+
+CROSS_ALGEBRAS = {
+    **{f"builtin:{name}": make for name, make in BUILTIN_ALGEBRAS.items()},
+    "mat2-seeded": lambda: _rebased(matrix_algebra_2x2(), 20181),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_ALGEBRAS))
+def test_merge_generators_match_hand_built_oracle(name):
+    algebra = CROSS_ALGEBRAS[name]()
+    sheaf = GlobalSheaf.from_algebra(algebra, 3)
+    assert sheaf.values == tuple(tensor_all([algebra.space] * (n + 1)) for n in range(4))
+    assert sheaf.gen == {
+        (n, k): merge_oracle(algebra, n, k) for n in range(1, 4) for k in range(n)
+    }
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("name", sorted(CROSS_ALGEBRAS))
+def test_sheaf_side_matches_twisted_side(name, N):
+    # apply_surjection composes adjacent merges; the twisted functor acts
+    # on sharp(n) -> sharp(m) by one tensor of folds per fiber shape
+    algebra = CROSS_ALGEBRAS[name]()
+    sheaf = GlobalSheaf.from_algebra(algebra, N - 1)
+    functor = algebra_to_functor(algebra, N)
+    cases = 0
+    for n in range(1, N + 1):
+        for m in range(1, n + 1):
+            for f in enumerate_surjections(LinOrder.standard(n), LinOrder.standard(m)):
+                twisted = functor.action[TwMorphism(sharp(n), sharp(m), f.mapping)]
+                assert apply_surjection(sheaf, f) == twisted, f
+                cases += 1
+    assert cases == 2**N - 1
+
+
+def test_from_algebra_names_the_failing_triple():
+    # (e0 e0) e1 = e0 e1 = e0 + e1, but e0 (e0 e1) = 2 e0 + e1
+    bad = NonunitalAlgebra(2, [[[1, 1], [0, 0]], [[0, 1], [1, 0]]])
+    message = "structure constants are not associative at basis triple (0, 0, 1)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GlobalSheaf.from_algebra(bad, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra_to_functor(bad, 3)
 
 
 def test_bad_generators_rejected():
@@ -237,6 +299,42 @@ def test_constructible_rejects_altered_restriction():
     key = (ConvexEquiv.discrete(base), ConvexEquiv.indiscrete(base))
     restriction[key] = add(restriction[key], restriction[key])
     with pytest.raises(ValueError, match="restrictions fail to compose"):
+        ConstructibleSheaf(base, good.value, restriction)
+
+
+def _rational_on_three():
+    base = LinOrder.standard(3)
+    good = global_to_constructible(GlobalSheaf.from_algebra(rational_algebra(), 2), base)
+    fine, coarse = ConvexEquiv.discrete(base), ConvexEquiv.indiscrete(base)
+    return base, good, fine, coarse
+
+
+def test_constructible_errors_name_the_pair():
+    base, good, fine, coarse = _rational_on_three()
+    pair = f"({fine}, {coarse})"
+    missing = {k: m for k, m in good.restriction.items() if k != (fine, coarse)}
+    with pytest.raises(ValueError, match=re.escape(f"missing restriction map at {pair}")):
+        ConstructibleSheaf(base, good.value, missing)
+    wrong = dict(good.restriction)
+    wrong[(fine, coarse)] = LinMap.zero(VectObject(2), VectObject(1))
+    with pytest.raises(ValueError, match=re.escape(f"restriction map at {pair} has wrong shape")):
+        ConstructibleSheaf(base, good.value, wrong)
+    doubled = dict(good.restriction)
+    doubled[(fine, fine)] = add(doubled[(fine, fine)], doubled[(fine, fine)])
+    message = f"identity restriction at ({fine}, {fine}) must be the identity"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ConstructibleSheaf(base, good.value, doubled)
+
+
+def test_constructible_composition_error_names_the_chain():
+    base, good, fine, coarse = _rational_on_three()
+    restriction = dict(good.restriction)
+    restriction[(fine, coarse)] = add(restriction[(fine, coarse)], restriction[(fine, coarse)])
+    # the first chain fine <= b < coarse checked, with coarse covering b
+    rels = enumerate_convex_equivalences(base)
+    b = next(r for r in rels if coarse in r.covers())
+    message = f"restrictions fail to compose at ({fine}, {b}, {coarse})"
+    with pytest.raises(ValueError, match=re.escape(message)):
         ConstructibleSheaf(base, good.value, restriction)
 
 

@@ -627,6 +627,33 @@ def test_functor_to_algebra_rejects_low_truncation():
         functor_to_algebra(functor)
 
 
+def _unguarded_functor(algebra, N):
+    """algebra_to_functor(algebra, N) without its associativity guard."""
+    objects, _ = tw_enumerate(N)
+    value = {x: VectObject(algebra.dim**x.n) for x in objects}
+    shapes = twisted._shapes(N)
+    products = algebra.fiber_products(shapes.values())
+    action = {f: products[s] for f, s in shapes.items()}
+    lax = {(x, y): LinMap.identity(value[tw_star(x, y)]) for x, y in twisted.tw_pairs(N)}
+    return TwFunctor(N, value, action, lax, check=False)
+
+
+def test_functor_to_algebra_rejects_non_associative_data():
+    # constants that fail validate(), though mu_3 is their left fold
+    bad = NonunitalAlgebra(2, [[[1, 1], [0, 0]], [[0, 1], [1, 0]]])
+    with pytest.raises(ValueError, match="functor data is not associative"):
+        functor_to_algebra(_unguarded_functor(bad, 3))
+    # associative constants, but mu_3 is not their left fold
+    functor = algebra_to_functor(matrix_algebra_2x2(), 3)
+    assert _unguarded_functor(matrix_algebra_2x2(), 3).action == functor.action
+    merge3 = TwMorphism(sharp(3), point(), [0, 0, 0])
+    action = dict(functor.action)
+    action[merge3] = add(action[merge3], action[merge3])
+    broken = TwFunctor(3, functor.value, action, functor.lax, check=False)
+    with pytest.raises(ValueError, match="functor data is not associative"):
+        functor_to_algebra(broken)
+
+
 def test_functor_to_algebra_requires_invertible_comparison():
     base = algebra_to_functor(zero_algebra(1), 3)
     # break the Fun_0 condition: zero out a comparison map

@@ -83,10 +83,79 @@ def test_validate_algebra_examples():
 
 
 def test_validate_algebra_reports_triple():
-    # a non-associative product: e0 . e0 = e1, e1 . e0 = e0, rest zero
+    # a non-associative product: e0 . e0 = e1, e1 . e0 = e0, rest zero;
+    # (e0 e0) e0 = e0 but e0 (e0 e0) = e0 e1 = 0
     c = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     bad = NonunitalAlgebra(2, c)
-    assert bad.validate() is not None
+    assert bad.validate() == validate_oracle(bad) == (0, 0, 0)
+
+
+def validate_oracle(algebra):
+    """The first basis triple (i, j, k), in lexicographic order, where
+    sum_m c[m][i][j] c[l][m][k] != sum_m c[m][j][k] c[l][i][m] for some l."""
+    c, d = algebra.c, algebra.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    lhs = sum(c[m][i][j] * c[l][m][k] for m in range(d))
+                    rhs = sum(c[m][j][k] * c[l][i][m] for m in range(d))
+                    if lhs != rhs:
+                        return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_validate_reads_the_last_column_as_the_last_triple(d):
+    # u = e_(d-1): u u = e0 and e0 u = e1, every other product zero, so
+    # (u u) u = e1 but u (u u) = u e0 = 0, and every other triple
+    # multiplies to zero both ways: column d^3 - 1 is the one that differs
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    c[0][d - 1][d - 1] = 1
+    c[1][0][d - 1] = 1
+    bad = NonunitalAlgebra(d, c)
+    assert bad.validate() == validate_oracle(bad) == (d - 1, d - 1, d - 1)
+
+
+_ASSOCIATIVE_BY_DIM = {1: rational_algebra, 3: nilpotent_upper3, 4: matrix_algebra_2x2}
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """An algebra of dim <= 4 with int or Fraction constants: the zero
+    algebra, or an associative builtin of that dim, with a few constants
+    overwritten, so the first failing triple falls anywhere."""
+    d = draw(st.integers(0, 4))
+    c = [[list(row) for row in plane] for plane in zero_algebra(d).c]
+    if d in _ASSOCIATIVE_BY_DIM and draw(st.booleans()):
+        c = [[list(row) for row in plane] for plane in _ASSOCIATIVE_BY_DIM[d]().c]
+    if draw(st.booleans()):
+        values = st.integers(-2, 2)
+    else:
+        values = st.fractions(-2, 2, max_denominator=3)
+    index = st.integers(0, max(d - 1, 0))
+    for _ in range(draw(st.integers(0, 3)) if d else 0):
+        k, i, j = draw(index), draw(index), draw(index)
+        c[k][i][j] = draw(values)
+    return NonunitalAlgebra(d, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_algebras())
+def test_validate_matches_the_constant_loop_oracle(algebra):
+    assert algebra.validate() == validate_oracle(algebra)
+
+
+def test_fiber_products_are_tensors_of_left_folds():
+    a = matrix_algebra_2x2()
+    mult, ident = a.multiplication(), LinMap.identity(a.space)
+    mu3 = mult @ tensor(mult, ident)
+    products = a.fiber_products([(1, 3), (2,), (1, 3), (1,)])
+    assert list(products) == [(1, 3), (2,), (1,)]
+    assert products[(1, 3)] == tensor(ident, mu3)
+    assert products[(2,)] == mult
+    assert products[(1,)].is_identity()
+    assert a.fiber_products([]) == {}
 
 
 # ---------------------------------------------------------------- tensor
