@@ -172,8 +172,10 @@ def criterion_classification():
 
 
 def criterion_stratification():
-    """Criterion 5: |Conv(I)| = 2^(n-1) against the brute-force oracle for
-    n <= 6, and finite-coordinate counts match stratum dimensions."""
+    """Criterion 5: |Conv(I)| matches the closed form 2^(n-1) for n <= 6,
+    and finite-coordinate counts match stratum dimensions.  The
+    brute-force set-partition oracle compares the relations themselves in
+    tests/test_orders.py."""
 
     def body():
         for n in range(1, 7):
@@ -181,8 +183,6 @@ def criterion_stratification():
             rels = enumerate_convex_equivalences(base)
             if len(rels) != 2 ** (n - 1):
                 return False, f"|Conv| wrong at n={n}"
-            if len(rels) != len(_oracle_convex_count(n)):
-                return False, f"oracle disagrees at n={n}"
             for rel in rels:
                 for pt in stratum_samples(base, rel, 1):
                     gaps, _ = chart_coordinates(pt)
@@ -192,23 +192,6 @@ def criterion_stratification():
         return True, "Conv counts and stratum dimensions match for n <= 6"
 
     return _run("stratification", body)
-
-
-def _oracle_convex_count(n):
-    """Independent oracle: filter all set partitions by interval-ness."""
-    return [p for p in _set_partitions(list(range(n)))
-            if all(max(b) - min(b) + 1 == len(b) for b in p)]
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 def criterion_day_convolution():

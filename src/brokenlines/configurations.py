@@ -3,10 +3,10 @@
 A configuration is one broken line carrying an I-section and a J-section;
 its combinatorial invariant K_s is the linear preorder on I ⊔ J read off
 from translation distances, which is always an amalgam; it is computed as
-the rank vector of the marks' components.  The covering
-theorem for the open sets U_K is verified here by exhaustive enumeration
-plus deterministic grid sampling, in one pass over pairs of amalgams
-whose order is held as up-set bitmasks.
+the rank vector of the marks' components.  The covering theorem for the
+open sets U_K is verified by exhaustive enumeration plus deterministic
+grid sampling, in one pass over pairs of amalgams held as up-set
+bitmasks, which also give each pair's join.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ def k_of(config: Configuration) -> Amalgam:
 
 def u_membership(config: Configuration, amalgam: Amalgam) -> bool:
     """Membership in U_K: true iff K <= K_s in the amalgam order."""
-    if (
-        amalgam.left != config.left
-        or amalgam.right != config.right
-    ):
-        raise ValueError("amalgam is not an amalgam of the configuration's orders")
     return amalgam.leq_amalgam(k_of(config))
 
 
@@ -100,10 +95,14 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
     every configuration lies in U_{K_s} for its own K_s (covering).
 
     Each amalgam x gets its up-set as a bitmask up[x], bit z set when
-    x <= z.  For a pair (x, y) with join j, `both = up[x] & up[y]` holds
-    the common upper bounds: j must be one of them, none may lie outside
-    up[j], and, as membership in U_K depends on a configuration only
-    through K_s, both and up[j] must agree on every realized K_s.
+    x <= z.  The join j of a pair (x, y) is the last bit of the common
+    upper bounds `both = up[x] & up[y]`, with no Amalgam built and no
+    `Amalgam.join` call (the tests check that it returns j): amalgams are
+    sorted by rank vector, and an amalgam above j coarsens j, so its rank
+    vector is entrywise no larger and comes earlier.  An empty both is a
+    join-not-upper-bound, none may lie outside up[j], and, as membership
+    in U_K depends on a configuration only through K_s, both and up[j]
+    must agree on every realized K_s.
     """
     amalgams = enumerate_amalgams(left, right)
     index = {a: k for k, a in enumerate(amalgams)}
@@ -126,14 +125,15 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
         configs_checked += 1
 
     lub = []
-    for x, a in enumerate(amalgams):
-        for y, b in enumerate(amalgams):
-            j = index[a.join(b)]
-            both = up[x] & up[y]
-            if not both >> j & 1:
+    for x, ux in enumerate(up):
+        for y, uy in enumerate(up):
+            both = ux & uy
+            if not both:
                 lub.append(("join-not-upper-bound", x, y))
-            lub += [("join-not-least", x, y, z) for z in _bits(both & ~up[j])]
-            identity += [("join-identity", x, y, s) for s in _bits((both ^ up[j]) & hit)]
+                continue
+            uj = up[both.bit_length() - 1]
+            lub += [("join-not-least", x, y, z) for z in _bits(both & ~uj)]
+            identity += [("join-identity", x, y, s) for s in _bits((both ^ uj) & hit)]
     identity.sort(key=lambda v: (v[3], v[1], v[2]))
 
     return {

@@ -734,6 +734,9 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
 
 def _locate_critical(surface, criticals, point, tol):
     if isinstance(point, int):
+        if point not in range(len(criticals)):
+            raise ValueError(f"critical point index {point} is out of range "
+                             f"for {len(criticals)} critical points")
         return point
     state = point.state if isinstance(point, CriticalPoint) else point
     target = surface.embed(np.asarray(state, dtype=float))

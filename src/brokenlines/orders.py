@@ -490,9 +490,21 @@ class Amalgam:
     def n(self):
         return self.preorder.n
 
+    def _check_same_orders(self, other):
+        """Raise unless other is an amalgam of the same two orders; `is`
+        first, as the amalgams of one enumeration share their orders."""
+        if not (self.left is other.left or self.left == other.left) or not (
+            self.right is other.right or self.right == other.right
+        ):
+            raise ValueError(
+                f"{self!r} of ({self.left!r}, {self.right!r}) and {other!r} of "
+                f"({other.left!r}, {other.right!r}) are amalgams of different orders"
+            )
+
     def leq_amalgam(self, other) -> bool:
         """self <= other iff the identity on I ⊔ J is nondecreasing from
         self.preorder to other.preorder."""
+        self._check_same_orders(other)
         return _monotone(self.preorder.ranks, other.preorder.ranks) is None
 
     def join(self, other) -> "Amalgam":
@@ -501,6 +513,7 @@ class Amalgam:
         keeping `top`, the largest rank in other seen so far; a class of
         the join ends after a prefix exactly when the prefix holds as many
         labels as have rank at most `top` in other."""
+        self._check_same_orders(other)
         below = list(itertools.accumulate(map(len, other.preorder.classes())))
         other_ranks = other.preorder.ranks
         ranks = [0] * self.n

@@ -39,21 +39,27 @@ def k_of_distance_oracle(config):
 
 
 def verify_join_identity_oracle(left, right):
-    """The covering facts by brute force: leq and join matrices, the
+    """The covering facts by brute force: the leq matrix, each pair's join
+    as its last common upper bound in the enumeration, the
     least-upper-bound condition over every triple (x, y, z) and the join
     identity over every pair, once per realized K_s."""
     amalgams = enumerate_amalgams(left, right)
     index = {a: k for k, a in enumerate(amalgams)}
+    n = len(amalgams)
     leq = [[a.leq_amalgam(b) for b in amalgams] for a in amalgams]
-    joins = [[index[a.join(b)] for b in amalgams] for a in amalgams]
 
+    joins = [[None] * n for _ in range(n)]
     violations = []
-    for x in range(len(amalgams)):
-        for y in range(len(amalgams)):
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if leq[x][z] and leq[y][z]:
+                    joins[x][y] = z
             j = joins[x][y]
-            if not (leq[x][j] and leq[y][j]):
+            if j is None:
                 violations.append(("join-not-upper-bound", x, y))
-            for z in range(len(amalgams)):
+                continue
+            for z in range(n):
                 if leq[x][z] and leq[y][z] and not leq[j][z]:
                     violations.append(("join-not-least", x, y, z))
 
@@ -70,16 +76,15 @@ def verify_join_identity_oracle(left, right):
         strata_hit.add(s)
         configs_checked += 1
     for s in sorted(strata_hit):
-        for x in range(len(amalgams)):
-            for y in range(len(amalgams)):
-                want = leq[x][s] and leq[y][s]
-                got = leq[joins[x][y]][s]
-                if want != got:
+        for x in range(n):
+            for y in range(n):
+                j = joins[x][y]
+                if j is not None and (leq[x][s] and leq[y][s]) != leq[j][s]:
                     violations.append(("join-identity", x, y, s))
 
     return {
-        "amalgams": len(amalgams),
-        "pairs_checked": len(amalgams) ** 2,
+        "amalgams": n,
+        "pairs_checked": n**2,
         "configs_checked": configs_checked,
         "violations": violations,
     }
@@ -273,39 +278,93 @@ def plant_leq_row(monkeypatch, amalgams, x, answer):
     monkeypatch.setattr(Amalgam, "leq_amalgam", planted)
 
 
-# On 3x3, amalgam 0 is the indiscrete top and amalgam 5 the linear order
-# 0 = 3 < 1 = 4 < 2 = 5 on ranks, with 5 < 1 < 0.
-PLANTED = {
-    "join below both": (
-        lambda mp, a: plant_join(mp, a, 0, 0, 5),
-        {"join-not-upper-bound", "join-identity"},
-    ),
-    "join above the least": (
-        lambda mp, a: plant_join(mp, a, 1, 1, 0),
-        {"join-not-least", "join-identity"},
-    ),
-    "leq row all false": (
-        lambda mp, a: plant_leq_row(mp, a, 0, False),
-        {"join-not-upper-bound", "join-not-least", "join-identity", "covering"},
-    ),
-    # its join-identity violations come out of the pass out of (s, x, y)
-    # order, so the report's order is checked too
-    "leq row all true": (
-        lambda mp, a: plant_leq_row(mp, a, 1, True),
-        {"join-not-least", "join-identity"},
-    ),
-}
+def join_mismatches(left, right):
+    """The pairs (x, y) whose `Amalgam.join` is not their last common
+    upper bound in the enumeration, read off `leq_amalgam` bitmasks: the
+    join that `verify_join_identity` uses."""
+    amalgams = enumerate_amalgams(left, right)
+    up = [
+        sum(1 << z for z, b in enumerate(amalgams) if a.leq_amalgam(b))
+        for a in amalgams
+    ]
+    return [
+        (x, y)
+        for x, a in enumerate(amalgams)
+        for y, b in enumerate(amalgams)
+        if a.join(b) != amalgams[(up[x] & up[y]).bit_length() - 1]
+    ]
 
 
-@pytest.mark.parametrize("fault", sorted(PLANTED))
-def test_planted_faults_fire_on_the_bitmasks_and_the_oracle(monkeypatch, fault):
+def test_join_is_the_last_common_upper_bound():
+    sides = [LinOrder.standard(n) for n in range(1, 6)]
+    pairs = [(left, right) for left in sides for right in sides]
+    pairs.append((LinOrder([2, 0, 3, 1]), LinOrder.standard(3)))
+    for left, right in pairs:
+        assert join_mismatches(left, right) == [], (left, right)
+
+
+def three_by_three():
     left = right = LinOrder.standard(3)
     amalgams = enumerate_amalgams(left, right)
+    # amalgam 0 is the indiscrete top and amalgam 5 the linear order
+    # 0 = 3 < 1 = 4 < 2 = 5 on ranks, with 5 < 1 < 0
     assert amalgams[0].preorder.ranks == (0, 0, 0, 0, 0, 0)
     assert amalgams[5].preorder.ranks == (0, 1, 2, 0, 1, 2)
     assert amalgams[5].leq_amalgam(amalgams[1]) and amalgams[1] != amalgams[0]
-    plant, kinds = PLANTED[fault]
-    plant(monkeypatch, amalgams)
+    return left, right, amalgams
+
+
+# Amalgam.join answers amalgams[z] on the pair (x, y)
+PLANTED_JOINS = {"join below both": (0, 0, 5), "join above the least": (1, 1, 0)}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_JOINS))
+def test_planted_join_faults_fire_on_the_cross_check(monkeypatch, fault):
+    left, right, amalgams = three_by_three()
+    x, y, z = PLANTED_JOINS[fault]
+    plant_join(monkeypatch, amalgams, x, y, z)
+    assert join_mismatches(left, right) == [(x, y)]
+
+
+# Amalgam.leq_amalgam answers `answer` on the row of amalgams[x]; the
+# kinds and the number of violations each fault fires
+PLANTED_ROWS = {
+    "leq row all false": (
+        0, False, {"join-not-upper-bound", "join-not-least", "join-identity", "covering"}, 49
+    ),
+    "leq row all true": (1, True, {"join-not-least", "join-identity"}, 4),
+    # its join-identity violations come out of the pass out of (s, x, y)
+    # order, so the report's order is checked too
+    "leq top row all true": (0, True, {"join-not-least", "join-identity"}, 84),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_ROWS))
+def test_planted_faults_fire_on_the_bitmasks_and_the_oracle(monkeypatch, fault):
+    left, right, amalgams = three_by_three()
+    x, answer, kinds, count = PLANTED_ROWS[fault]
+    plant_leq_row(monkeypatch, amalgams, x, answer)
     report = verify_join_identity(left, right)
     assert report == verify_join_identity_oracle(left, right)
     assert {v[0] for v in report["violations"]} == kinds
+    assert len(report["violations"]) == count
+
+
+def test_verify_builds_no_amalgam_per_pair(monkeypatch):
+    left = right = LinOrder.standard(3)
+    want = verify_join_identity(left, right)
+    built = []
+    init = Amalgam.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def refuse(self, other):
+        raise AssertionError("verify_join_identity called Amalgam.join")
+
+    monkeypatch.setattr(Amalgam, "__init__", counted)
+    monkeypatch.setattr(Amalgam, "join", refuse)
+    assert verify_join_identity(left, right) == want
+    # the two enumerations and one K_s per configuration, none per pair
+    assert len(built) == 2 * want["amalgams"] + want["configs_checked"]

@@ -841,6 +841,32 @@ def test_rejects_equal_endpoints(torus, torus_criticals, torus_segments):
         )
 
 
+@pytest.mark.parametrize("start, end, bad", [(0, -1, -1), (0, 2, 2), (5, 1, 5)])
+def test_rejects_a_critical_index_out_of_range(sphere, sphere_criticals, start, end, bad):
+    # -1 would pass the height check (criticals[-1] is the maximum) and
+    # then find no path, as no segment targets -1
+    assert len(sphere_criticals) == 2
+    with pytest.raises(ValueError) as err:
+        find_broken_trajectories(
+            sphere, start, end, TOL, criticals=sphere_criticals, segments=[]
+        )
+    assert str(err.value) == (
+        f"critical point index {bad} is out of range for 2 critical points"
+    )
+
+
+def test_critical_indices_in_range_match_the_critical_points(sphere, sphere_criticals):
+    segments = find_connections(sphere, sphere_criticals, TOL)
+    by_index, by_point = (
+        find_broken_trajectories(
+            sphere, start, end, TOL, criticals=sphere_criticals, segments=segments
+        )
+        for start, end in [(0, 1), sphere_criticals]
+    )
+    assert [t.segments for t in by_index] == [t.segments for t in by_point]
+    assert len(by_index) > 0
+
+
 class SimplePath:
     """A bare sampled path for validating an arbitrary candidate path;
     point_at_height is linear interpolation on the stored grid."""

@@ -500,6 +500,36 @@ def test_amalgam_rejects_bad_preorder():
         Amalgam(one, one, LinPreorder([0, 1]))  # not essentially surjective
 
 
+@pytest.mark.parametrize(
+    "left, right, ranks",
+    [
+        (LinOrder.standard(2), LinOrder.standard(3), [0, 0, 0, 0, 0]),
+        (LinOrder.standard(3), LinOrder.standard(1), [0, 0, 0, 0]),
+        # same sizes, other left order
+        (LinOrder([1, 0]), LinOrder.standard(2), [1, 0, 0, 1]),
+    ],
+)
+def test_amalgams_of_other_orders_are_rejected(left, right, ranks):
+    two = LinOrder.standard(2)
+    a = Amalgam(two, two, LinPreorder([0, 1, 0, 1]))
+    b = Amalgam(left, right, LinPreorder(ranks))
+    for call in (a.leq_amalgam, a.join):
+        with pytest.raises(ValueError, match="amalgams of different orders") as err:
+            call(b)
+        assert repr(a) in str(err.value) and repr(b) in str(err.value)
+    for call in (b.leq_amalgam, b.join):
+        with pytest.raises(ValueError, match="amalgams of different orders"):
+            call(a)
+
+
+def test_amalgams_of_equal_orders_need_not_share_them():
+    a = Amalgam(LinOrder.standard(2), LinOrder.standard(2), LinPreorder([0, 1, 0, 1]))
+    b = Amalgam(LinOrder.standard(2), LinOrder.standard(2), LinPreorder([0, 0, 0, 0]))
+    assert a.left is not b.left and a.right is not b.right
+    assert a.leq_amalgam(b) and not b.leq_amalgam(a)
+    assert a.join(b) == b
+
+
 # ---------------------------------------------------------- concatenation
 
 
