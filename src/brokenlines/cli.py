@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Reports are machine-readable JSON first (canonical key order, rationals
-as p/q in lowest terms), human tables second.  Every report is written by
-`_json_text`, whose output is byte for byte
-`json.dumps(data, sort_keys=True, indent=2)`; it writes all siblings at
-one indentation together, a block at a time, and rows of exact ints by
-one `%d` template (`_json_texts`).  The preorders report is written
-straight from the rank tuples of `preorder_ranks`, with no preorder
-object built.  A malformed `--algebra` or `--family` file ends the run
-with a one-line error that names the file, and exit code 2, as does a
-`--config` file that cannot be read.  `morse`, and with it numpy, is
+as p/q in lowest terms), human tables second.  Every report is byte for
+byte `json.dumps(data, sort_keys=True, indent=2)`.  `_json_text` writes
+all but one of them: it writes all siblings at one indentation together,
+a block at a time, and rows of exact ints by one `%d` template
+(`_json_texts`).  The preorders report is text grown straight from the
+rank enumeration (`orders.grow_ranks`), one `%` row template per
+preorder and no tuple or preorder object built, and it is written one
+subtree of the enumeration at a time, so its memory stays bounded as n
+grows.  A malformed `--algebra` or `--family` file ends the
+run with a one-line error that names the file, and exit code 2, as does
+a `--config` file that cannot be read.  `morse`, and with it numpy, is
 imported only by the command that runs it.
 """
 
@@ -30,7 +32,8 @@ from .orders import (
     enumerate_amalgams,
     enumerate_convex_equivalences,
     enumerate_surjections,
-    preorder_ranks,
+    grow_ranks,
+    preorder_count,
 )
 from .configurations import verify_join_identity
 from .sheaves import GlobalSheaf, evaluate_on_family
@@ -50,6 +53,10 @@ _CONFIG_KEYS = ("truncation", "left", "right", "n")
 _SURFACES = ("sphere", "torus")
 
 _encode_str = json.encoder.encode_basestring_ascii
+
+# The preorders report is written one chunk per prefix of all but the
+# last this many labels: the rows of one subtree of the rank enumeration.
+_CHUNK_LABELS = 6
 
 # Siblings are written at most this many at a time, so the texts of one
 # block's descendants are freed before the next block is written.
@@ -123,11 +130,49 @@ def _json_text(node):
 
 
 def _dump(data, out_dir, filename):
-    text = _json_text(data)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text + "\n")
-    print(text)
+    _write([_json_text(data) + "\n"], out_dir, filename)
+
+
+def _write(chunks, out_dir, filename):
+    """Write each text of chunks to stdout, and to out_dir/filename if
+    out_dir is given, as soon as it is made."""
+    chunks = iter(chunks)  # so a broken pipe resumes after the last chunk
+    write = sys.stdout.write
+    if out_dir is None:
+        for chunk in chunks:
+            write(chunk)
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / filename, "w") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+                write(chunk)
+        except BrokenPipeError:
+            # a reader of stdout that quits early leaves the file whole
+            for chunk in chunks:
+                fh.write(chunk)
+            raise
+
+
+def _preorder_chunks(n, count):
+    """The text of the preorders report, _json_text({"count": count, "n":
+    n, "preorders": [{"n": n, "rank": list(word)} for word in
+    preorder_ranks(n)]}) + "\n" byte for byte, one subtree at a time: one
+    chunk per prefix of the first n - _CHUNK_LABELS labels, in
+    lexicographic order (one chunk for n <= _CHUNK_LABELS), then the
+    closing lines.  A word grows by the text of its rank lines, and each
+    row is one template around it."""
+    pieces = ["\n        %d".__mod__] + [",\n        %d".__mod__] * (n - 1)
+    row = '{\n      "n": %d,\n      "rank": [%%s\n      ]\n    }' % n
+    depth = max(n - _CHUNK_LABELS, 0)
+    lead = '{\n  "count": %d,\n  "n": %d,\n  "preorders": [\n    ' % (count, n)
+    sep = ",\n    "
+    for prefix, used in zip(*grow_ranks([""], [0], pieces[:depth], n - depth)):
+        words = grow_ranks([prefix], [used], pieces[depth:])[0]
+        yield lead + sep.join(map(row.__mod__, words))
+        lead = sep
+    yield "\n  ]\n}\n"
 
 
 def _load_algebra(ref) -> NonunitalAlgebra:
@@ -207,13 +252,9 @@ def _out_dir(args):
 def cmd_enumerate(args):
     out = _out_dir(args)
     if args.what == "preorders":
-        words = preorder_ranks(args.n)
-        _dump(
-            {"n": args.n, "count": len(words),
-             "preorders": [{"n": args.n, "rank": word} for word in words]},
-            out,
-            f"preorders_{args.n}.json",
-        )
+        # counted, and every final bitmask checked, before the first byte
+        count = preorder_count(args.n)
+        _write(_preorder_chunks(args.n, count), out, f"preorders_{args.n}.json")
     elif args.what == "convex":
         base = LinOrder.standard(args.n)
         rels = enumerate_convex_equivalences(base)

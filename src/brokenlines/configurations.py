@@ -11,6 +11,7 @@ bitmasks, which also give each pair's join.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .lines import BrokenLine, LinePoint, fiber_over
@@ -95,21 +96,19 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
     every configuration lies in U_{K_s} for its own K_s (covering).
 
     Each amalgam x gets its up-set as a bitmask up[x], bit z set when
-    x <= z.  The join j of a pair (x, y) is the last bit of the common
-    upper bounds `both = up[x] & up[y]`, with no Amalgam built and no
-    `Amalgam.join` call (the tests check that it returns j): amalgams are
-    sorted by rank vector, and an amalgam above j coarsens j, so its rank
-    vector is entrywise no larger and comes earlier.  An empty both is a
+    x <= z, built from x's coarsenings (`_up_sets`).  The join j of a pair
+    (x, y) is the last bit of the common upper bounds `both = up[x] &
+    up[y]`, with no Amalgam built and no `Amalgam.join` call (the tests
+    check that it returns j): amalgams are sorted by rank vector, and an
+    amalgam above j coarsens j, so its rank vector is entrywise no larger
+    and comes earlier.  An empty both is a
     join-not-upper-bound, none may lie outside up[j], and, as membership
     in U_K depends on a configuration only through K_s, both and up[j]
     must agree on every realized K_s.
     """
     amalgams = enumerate_amalgams(left, right)
     index = {a: k for k, a in enumerate(amalgams)}
-    up = [
-        sum(1 << z for z, b in enumerate(amalgams) if a.leq_amalgam(b))
-        for a in amalgams
-    ]
+    up = _up_sets(amalgams)
 
     violations, identity = [], []
     hit = configs_checked = 0
@@ -142,6 +141,27 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
         "configs_checked": configs_checked,
         "violations": lub + violations + identity,
     }
+
+
+def _up_sets(amalgams):
+    """up[x] for each amalgam x: the bitmask of the z with
+    `amalgams[x].leq_amalgam(amalgams[z])` (the tests check it).  x <= z
+    when z's ranks are f of x's for some f that starts at 0 and steps by
+    0 or 1 from one class of x to the next, merging the classes it does
+    not step between; so each row is the set of x's 2^(k-1) coarsenings
+    that are in the enumeration, k being x's number of classes."""
+    index = {a.preorder.ranks: z for z, a in enumerate(amalgams)}
+    up = []
+    for a in amalgams:
+        ranks = a.preorder.ranks
+        mask = 0
+        for steps in itertools.product((0, 1), repeat=max(ranks)):
+            f = tuple(itertools.accumulate(steps, initial=0))
+            z = index.get(tuple(map(f.__getitem__, ranks)))
+            if z is not None:
+                mask |= 1 << z
+        up.append(mask)
+    return up
 
 
 def _bits(mask):

@@ -688,8 +688,8 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
     are found, the first MAX_PATHS are kept and one warning says so."""
     if criticals is None:
         criticals = find_critical_points(surface, tol)
-    start_idx = _locate_critical(surface, criticals, start, tol)
-    end_idx = _locate_critical(surface, criticals, end, tol)
+    start_idx = _locate_critical(surface, criticals, start)
+    end_idx = _locate_critical(surface, criticals, end)
     if criticals[start_idx].h >= criticals[end_idx].h:
         raise ValueError("need h(start) < h(end)")
     if segments is None:
@@ -732,7 +732,7 @@ def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=No
     ]
 
 
-def _locate_critical(surface, criticals, point, tol):
+def _locate_critical(surface, criticals, point):
     if isinstance(point, int):
         if point not in range(len(criticals)):
             raise ValueError(f"critical point index {point} is out of range "

@@ -6,9 +6,11 @@ initial segment 0..k-1 of the naturals; i <= j holds iff rank(i) <= rank(j).
 Ranks and mapping entries must be integers: a float or a str is rejected,
 never truncated or parsed.  Enumerators build their objects directly:
 preorders as rank vectors grown in lexicographic order, each prefix with a
-bitmask of the ranks it uses (`preorder_ranks` returns the bare tuples),
-monotone surjections as cuts of the source order, amalgams as pairs of
-surjections onto a common [k].  Preorders and surjections are correct by
+bitmask of the ranks it uses (`grow_ranks` appends a piece per rank:
+`preorder_ranks` grows the bare tuples, the CLI the report's text, and
+`preorder_count` counts the words over the same steps), monotone
+surjections as cuts of the source order, amalgams as pairs of surjections
+onto a common [k].  Preorders and surjections are correct by
 construction, so their enumerators wrap them through the private `_of`
 constructors, which check nothing; that the ranks of a preorder form an
 initial segment is still checked, on its bitmask.  The public
@@ -138,26 +140,66 @@ def preorder_ranks(n) -> list:
     0..n-1, sorted lexicographically."""
     if n < 1:
         raise ValueError("preorders are nonempty; n must be >= 1")
-    # rank prefixes in lexicographic order, each with the bitmask of the
-    # ranks it uses; appending ranks in increasing order to each prefix in
-    # turn keeps the order
-    words, masks = [()], [0]
-    for left in reversed(range(n)):
-        steps = {}
-        grown_words, grown_masks = [], []
-        for word, used in zip(words, masks):
-            step = steps.get(used)
-            if step is None:
-                step = steps[used] = _next_ranks(used, left)
-            grown_words += [word + rank for rank in step[0]]
-            grown_masks += step[1]
-        words, masks = grown_words, grown_masks
+    words, masks = grow_ranks([()], [0], [_singleton] * n)
     # each word is a tuple of ranks >= 0 as built; that they fill 0..k-1,
     # which _next_ranks leaves room for, is checked on its bitmask
     for word, used in zip(words, masks):
         if used & (used + 1):
             raise ValueError(f"ranks {word} are no initial segment 0..k-1")
     return words
+
+
+def preorder_count(n) -> int:
+    """len(preorder_ranks(n)), the Fubini number, with no word built: the
+    number of prefixes using each bitmask of ranks, grown label by label
+    over the same `_next_ranks` steps, each step taken once per bitmask.
+    Every final bitmask is checked to be an initial segment, so a faulty
+    step raises here, before any word is built."""
+    if n < 1:
+        raise ValueError("preorders are nonempty; n must be >= 1")
+    ways = {0: 1}
+    for left in reversed(range(n)):
+        grown = {}
+        for used, count in ways.items():
+            for mask in _next_ranks(used, left)[1]:
+                grown[mask] = grown.get(mask, 0) + count
+        ways = grown
+    for used in ways:
+        if used & (used + 1):
+            raise ValueError(
+                f"ranks using bitmask {used:#b} are no initial segment 0..k-1"
+            )
+    return sum(ways.values())
+
+
+def grow_ranks(words, masks, pieces, rest=0):
+    """Grow rank words by one label per function in `pieces`, keeping
+    lexicographic order of ranks, and return the grown words and masks.
+
+    `words` are prefixes in lexicographic order and `masks` the bitmasks
+    of the ranks they use; `rest` more labels follow the grown ones.  The
+    next label of a prefix takes, in increasing order, each rank v that
+    `_next_ranks` allows, and the prefix grows by `piece(v)`: (v,) for
+    `preorder_ranks`, the rank's line of the report text for the CLI.  The
+    steps, with their pieces, are made once per bitmask and label."""
+    left = len(pieces) + rest
+    for piece in pieces:
+        left -= 1
+        steps = {}
+        grown_words, grown_masks = [], []
+        for word, used in zip(words, masks):
+            step = steps.get(used)
+            if step is None:
+                ranks, step_masks = _next_ranks(used, left)
+                step = steps[used] = list(map(piece, ranks)), step_masks
+            grown_words += map(word.__add__, step[0])
+            grown_masks += step[1]
+        words, masks = grown_words, grown_masks
+    return words, masks
+
+
+def _singleton(v):
+    return (v,)
 
 
 def enumerate_linear_preorders(n) -> list:
@@ -170,17 +212,17 @@ def enumerate_linear_preorders(n) -> list:
 
 
 def _next_ranks(used, left):
-    """The ranks v, as (v,), in increasing order, that a prefix using the
-    ranks in bitmask `used` can take next, `left` labels being left after
-    it, and the bitmasks used | 1 << v: the ranks still missing below the
-    top must fit in those labels."""
+    """The ranks v, in increasing order, that a prefix using the ranks in
+    bitmask `used` can take next, `left` labels being left after it, and
+    the bitmasks used | 1 << v: the ranks still missing below the top must
+    fit in those labels."""
     top = used.bit_length()
     missing = top - used.bit_count()
     ranks, masks = [], []
     for v in range(top + 1 + left - missing):
         mask = used | 1 << v
         if mask.bit_length() - mask.bit_count() <= left:
-            ranks.append((v,))
+            ranks.append(v)
             masks.append(mask)
     return ranks, masks
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,6 +25,8 @@ from brokenlines.orders import (
 from brokenlines.rep import rep_from_gaps
 from brokenlines.vect import nilpotent_upper3, zero_algebra
 
+from test_orders import plant_gap
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,16 +36,62 @@ def run(capsys, *argv):
     return code, out
 
 
+def preorders_report(n):
+    """The preorders report as the stdlib writes it from the preorders."""
+    words = preorder_ranks(n)
+    data = {
+        "count": len(words),
+        "n": n,
+        "preorders": [LinPreorder(word).to_json() for word in words],
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def test_enumerate_preorders(capsys):
+    # the report is text grown from the rank enumeration; it must be, byte
+    # for byte, what json.dumps writes from the preorders themselves
     for n in range(1, 8):
         code, out = run(capsys, "enumerate", "preorders", "--n", str(n))
         assert code == 0
-        data = json.loads(out)
-        words = preorder_ranks(n)
-        assert data["count"] == len(words)
-        # the report is written from bare rank tuples; each row must be
-        # what the preorder itself would write
-        assert data["preorders"] == [LinPreorder(word).to_json() for word in words]
+        assert out == preorders_report(n), n
+
+
+class RecordedStdout(io.StringIO):
+    """A stdout that keeps the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_preorders_report_is_written_one_subtree_at_a_time(monkeypatch, tmp_path):
+    stdout = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", "preorders", "--n", "7", "--out-dir", str(tmp_path)]) == 0
+    report = stdout.getvalue()
+    assert report == preorders_report(7)
+    assert (tmp_path / "preorders_7.json").read_bytes() == report.encode()
+    # one chunk per rank of label 0, then the closing lines; no write
+    # holds the whole report
+    assert len(stdout.sizes) == 7 + 1
+    assert max(stdout.sizes) < len(report) / 2
+
+
+def test_a_rank_step_that_leaves_a_gap_fails_before_any_write(
+    capsys, monkeypatch, tmp_path
+):
+    plant_gap(monkeypatch)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="bitmask 0b[01]+ are no initial segment") as err:
+        main(["enumerate", "preorders", "--n", "7", "--out-dir", str(out_dir)])
+    mask = int(err.value.args[0].split()[3], 2)
+    assert mask & (mask + 1)  # the mask it names has a gap
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
 
 
 def test_enumerate_amalgams_with_poset_edges(capsys):
@@ -229,6 +278,19 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.wait(timeout=120) != 0
     proc.stderr.close()
     assert stderr == b""
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("chunks", [["a", "b", "c"], (c for c in "abc")])
+def test_a_broken_stdout_still_gets_the_file_written_once(monkeypatch, tmp_path, chunks):
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        cli._write(chunks, tmp_path, "report.json")
+    assert (tmp_path / "report.json").read_text() == "abc"
 
 
 def test_usage_error_exit_code():

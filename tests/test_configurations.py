@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from brokenlines import configurations
 from brokenlines.configurations import (
     Configuration,
     config_from_amalgam_point,
@@ -269,13 +270,52 @@ def plant_join(monkeypatch, amalgams, x, y, z):
 
 
 def plant_leq_row(monkeypatch, amalgams, x, answer):
-    """Amalgam.leq_amalgam answers `answer` on the whole row of amalgams[x]."""
+    """Amalgam.leq_amalgam, which the oracle reads, and the up-set rows of
+    verify_join_identity both answer `answer` on the whole row of
+    amalgams[x]."""
     leq = Amalgam.leq_amalgam
+    up_sets = configurations._up_sets
 
     def planted(self, other):
         return answer if self == amalgams[x] else leq(self, other)
 
+    def planted_up_sets(enumerated):
+        up = up_sets(enumerated)
+        up[x] = (1 << len(up)) - 1 if answer else 0
+        return up
+
     monkeypatch.setattr(Amalgam, "leq_amalgam", planted)
+    monkeypatch.setattr(configurations, "_up_sets", planted_up_sets)
+
+
+def leq_bitmasks(amalgams):
+    """up[x] with bit z set when amalgams[x].leq_amalgam(amalgams[z])."""
+    return [
+        sum(1 << z for z, b in enumerate(amalgams) if a.leq_amalgam(b))
+        for a in amalgams
+    ]
+
+
+def test_up_sets_are_the_leq_amalgam_bitmasks():
+    sides = [LinOrder.standard(n) for n in range(1, 6)]
+    pairs = [(left, right) for left in sides for right in sides]
+    pairs.append((LinOrder([2, 0, 3, 1]), LinOrder.standard(3)))
+    pairs.append((LinOrder.standard(3), LinOrder([1, 2, 0])))
+    for left, right in pairs:
+        amalgams = enumerate_amalgams(left, right)
+        assert configurations._up_sets(amalgams) == leq_bitmasks(amalgams), (
+            left, right,
+        )
+
+
+def test_up_sets_skip_coarsenings_outside_the_list():
+    amalgams = enumerate_amalgams(LinOrder.standard(3), LinOrder.standard(3))
+    # amalgams[0], the indiscrete top, coarsens every amalgam; without it
+    # each row loses that bit and nothing else
+    rest = amalgams[1:]
+    assert configurations._up_sets(rest) == [
+        mask >> 1 for mask in leq_bitmasks(amalgams)[1:]
+    ]
 
 
 def join_mismatches(left, right):
@@ -283,10 +323,7 @@ def join_mismatches(left, right):
     upper bound in the enumeration, read off `leq_amalgam` bitmasks: the
     join that `verify_join_identity` uses."""
     amalgams = enumerate_amalgams(left, right)
-    up = [
-        sum(1 << z for z, b in enumerate(amalgams) if a.leq_amalgam(b))
-        for a in amalgams
-    ]
+    up = leq_bitmasks(amalgams)
     return [
         (x, y)
         for x, a in enumerate(amalgams)

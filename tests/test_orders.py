@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from brokenlines import orders
 from brokenlines.orders import (
     Amalgam,
     ConvexEquiv,
@@ -17,7 +18,9 @@ from brokenlines.orders import (
     enumerate_linear_preorders,
     enumerate_surjections,
     induced_quotient_map,
+    grow_ranks,
     preimage_equiv,
+    preorder_count,
     preorder_ranks,
     quotient,
 )
@@ -226,9 +229,68 @@ def test_preorder_ranks_are_the_enumerated_rank_vectors():
         assert all(type(word) is tuple for word in words)
 
 
+def test_preorder_count_is_the_fubini_number():
+    for n in range(1, 13):
+        assert preorder_count(n) == fubini(n), n
+    for n in range(1, 7):
+        assert preorder_count(n) == len(preorder_ranks(n))
+
+
+def test_words_grown_below_each_prefix_are_its_subtree():
+    # growing the prefixes of the first k labels, then each prefix's own
+    # subtree, gives every rank vector once, in order, whatever k is
+    for n in range(1, 7):
+        pieces = [lambda v: (v,)] * n
+        for k in range(n + 1):
+            prefixes, masks = grow_ranks([()], [0], pieces[:k], n - k)
+            assert len(set(prefixes)) == len(prefixes)
+            words = []
+            for prefix, used in zip(prefixes, masks):
+                grown, grown_masks = grow_ranks([prefix], [used], pieces[k:])
+                assert grown_masks == [sum(1 << v for v in set(w)) for w in grown]
+                words += grown
+            assert words == preorder_ranks(n), (n, k)
+
+
+def test_pieces_are_appended_per_label():
+    # the piece of the first label may differ from the others', as the
+    # report's first rank line has no comma
+    pieces = [str] + ["+{}".format] * 2
+    words, _ = grow_ranks([""], [0], pieces)
+    assert words == ["+".join(map(str, w)) for w in preorder_ranks(3)]
+
+
+def plant_gap(monkeypatch):
+    """_next_ranks also lets the last label take the rank one above the
+    top, which leaves the top rank of its prefix unused."""
+    next_ranks = orders._next_ranks
+
+    def planted(used, left):
+        ranks, masks = next_ranks(used, left)
+        if left == 0:
+            top = used.bit_length()
+            ranks, masks = ranks + [top + 1], masks + [used | 1 << (top + 1)]
+        return ranks, masks
+
+    monkeypatch.setattr(orders, "_next_ranks", planted)
+
+
+def test_a_rank_step_that_leaves_a_gap_is_caught(monkeypatch):
+    plant_gap(monkeypatch)
+    with pytest.raises(ValueError, match=r"ranks \(1,\) are no initial segment"):
+        preorder_ranks(1)
+    with pytest.raises(ValueError, match=r"ranks \(0, 0, 2\) are no initial segment"):
+        preorder_ranks(3)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="bitmask 0b[01]+ are no initial segment"):
+            preorder_count(n)
+
+
 def test_zero_rejected():
     with pytest.raises(ValueError):
         preorder_ranks(0)
+    with pytest.raises(ValueError):
+        preorder_count(0)
     with pytest.raises(ValueError):
         enumerate_linear_preorders(0)
     with pytest.raises(ValueError):
