@@ -62,7 +62,7 @@ class Sphere:
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / _norms(x)[..., None]
 
     def embed(self, x):
         return np.asarray(x, dtype=float)
@@ -124,12 +124,14 @@ class Torus:
         return (self.R + self.r * np.cos(x[..., 1])) * np.sin(x[..., 0])
 
     def field(self, x):
+        # cos and sin of the whole state at once: elementwise, so bit for
+        # bit those of each column alone
         x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        ring = self.R + self.r * np.cos(v)
+        cos, sin = np.cos(x), np.sin(x)
         out = np.empty(x.shape)
-        out[..., 0] = np.cos(u) / ring
-        out[..., 1] = -np.sin(v) * np.sin(u) / self.r
+        np.divide(cos[..., 0], self.R + self.r * cos[..., 1], out=out[..., 0])
+        # -(a b) / r, rounded the same as (a b) / -r
+        np.divide(sin[..., 1] * sin[..., 0], -self.r, out=out[..., 1])
         return out
 
     def grad_norm(self, x):
@@ -145,12 +147,12 @@ class Torus:
 
     def embed(self, x):
         x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        ring = self.R + self.r * np.cos(v)
+        cos, sin = np.cos(x), np.sin(x)
+        ring = self.R + self.r * cos[..., 1]
         out = np.empty(x.shape[:-1] + (3,))
-        out[..., 0] = ring * np.cos(u)
-        out[..., 1] = self.r * np.sin(v)
-        out[..., 2] = ring * np.sin(u)
+        out[..., 0] = ring * cos[..., 0]
+        out[..., 1] = self.r * sin[..., 1]
+        out[..., 2] = ring * sin[..., 0]
         return out
 
     def frame(self, x):
@@ -181,21 +183,24 @@ class CriticalPoint:
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
 # Wanner, Solving ODEs I, II.4-5).  Row s of _DP_A gives stage s from the
-# earlier stages, _DP_B the fifth-order state, and _DP_E the difference to
-# the embedded fourth-order state; its last entry weights the field at the
-# new state, which is also the first stage of the next step (FSAL).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (
-    -71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
-)
+# earlier stages; its last row gives the fifth-order state, whose field is
+# the seventh stage and also the first stage of the next step (FSAL).
+# _DP_E gives the difference to the embedded fourth-order state.  Each row
+# is a (s, 1, 1) column, to weight the first s stages of a (7, n, d) array.
+_DP_A = [
+    np.array(row).reshape(-1, 1, 1)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+]
+_DP_E = np.array(
+    (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+).reshape(-1, 1, 1)
 # local-error tolerance, per unit step: an adaptive step needs the norm of
 # its error estimate to be at most _ATOL + _RTOL * (its displacement).
 # Near a critical point this bounds the error relative to the distance
@@ -210,29 +215,40 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _combine(coeffs, stages):
-    # elementwise, so that a row's result does not depend on its batch
-    return sum(c * k for c, k in zip(coeffs, stages) if c)
+def _norms(v):
+    # np.linalg.norm(v, axis=-1), bit for bit, without its argument checks
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _combine(column, stages):
+    # the left-to-right sum from +0.0 of the weighted stages, elementwise,
+    # so that a row's result does not depend on its batch; a zero weight
+    # adds +-0.0 to a sum that is never -0.0, which changes no bit
+    return np.add.reduce(column * stages, axis=0, initial=0.0)
 
 
 def _dp_step(surface, x, f, h):
     """One Dormand-Prince 5(4) step of every row of x (n, d) by its own
     signed step h (n,), given f = surface.field(x).
 
-    Returns the fifth-order state before projection, the field at its
-    projection and the norm of the embedded error estimate in units of
-    _ATOL + _RTOL * |x_new - x|.
-    """
+    Returns the fifth-order state before projection, its projection and
+    the (7, n, d) array of stages, whose last one is the field at that
+    projection."""
     hc = h[:, None]
-    k = [f]
-    for row in _DP_A[1:]:
-        k.append(surface.field(surface.project(x + hc * _combine(row, k))))
-    x_new = x + hc * _combine(_DP_B, k)
-    f_new = surface.field(surface.project(x_new))
-    k.append(f_new)
-    scale = _ATOL + _RTOL * np.linalg.norm(x_new - x, axis=1)
-    err = np.linalg.norm(hc * _combine(_DP_E, k), axis=1) / scale
-    return x_new, f_new, err
+    k = np.empty((7,) + x.shape)
+    k[0] = f
+    for s, column in enumerate(_DP_A, start=1):
+        x_new = x + hc * _combine(column, k[:s])
+        y = surface.project(x_new)
+        k[s] = surface.field(y)
+    return x_new, y, k
+
+
+def _dp_error(x, x_new, k, h):
+    """The norm of the embedded error estimate of the step from x to x_new
+    by h with stages k (`_dp_step`), in units of _ATOL + _RTOL * |x_new - x|."""
+    scale = _ATOL + _RTOL * _norms(x_new - x)
+    return _norms(h[:, None] * _combine(_DP_E, k)) / scale
 
 
 def _hermite(a, fa, b, fb, h, s):
@@ -240,12 +256,10 @@ def _hermite(a, fa, b, fb, h, s):
     fa and fb at the ends, at the fractions s (n,) of each step."""
     s = s[:, None]
     h = h[:, None]
-    return (
-        (1 + 2 * s) * (1 - s) ** 2 * a
-        + s * (1 - s) ** 2 * h * fa
-        + s**2 * (3 - 2 * s) * b
-        - s**2 * (1 - s) * h * fb
-    )
+    r = 1 - s
+    r2 = r**2
+    s2 = s**2
+    return (1 + 2 * s) * r2 * a + s * r2 * h * fa + s2 * (3 - 2 * s) * b - s2 * r * h * fb
 
 
 # how a row of _flow_rows ended, by its code there
@@ -281,10 +295,12 @@ def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
     ended = np.zeros(n, dtype=int)  # index into _ENDINGS
     live = np.arange(n)
     while live.size:
-        last = step[live] >= horizon - t[live]
-        dt = np.where(last, horizon - t[live], step[live])
-        b, fb, err = _dp_step(surface, x[live], f[live], sign * dt)
-        y = surface.project(b)
+        left, trial = horizon - t[live], step[live]
+        last = trial >= left
+        dt = np.where(last, left, trial)
+        xs, h = x[live], sign * dt
+        b, y, k = _dp_step(surface, xs, f[live], h)
+        fb, err = k[-1], _dp_error(xs, b, k, h)
         hy = surface.h(y)
         ok = (err <= 1.0) & (sign * (hy - height[live]) >= -1e-13)
         growth = _SAFETY * np.maximum(err, 1e-16) ** -0.25
@@ -300,7 +316,7 @@ def _flow_rows(surface, x0, sign, horizon, tol, stop=None):
         x[rows], f[rows], height[rows] = y[ok], fb[ok], hy[ok]
         t[rows] = np.where(last[ok], horizon, t_from + dt[ok])
         if stop is not None and rows.size:
-            h = sign * dt[ok]
+            h = h[ok]
             end, s = stop(rows, a, fa, b[ok], fb[ok], h)
             if end.any():
                 cut = _hermite(a[end], fa[end], b[ok][end], fb[ok][end], h[end], s[end])
@@ -348,9 +364,11 @@ def find_critical_points(surface, tol=Tolerances()):
 def _newton_refine(surface, x, tol, iters=120):
     """Newton iteration on the field in the orthonormal frame, all rows of
     x (n, d) in one batch, with a central-difference Jacobian.  A row stops
-    when its gradient norm is below 1e-14 or its Jacobian is singular.
-    Returns the projected state of least gradient norm of each row, and a
-    mask of the rows where that norm is below tol.tol_crit."""
+    when its gradient norm is below 1e-14, when its Jacobian is singular,
+    or when it comes back to its state of two rounds before: from there it
+    only cycles through states already scored.  Returns the projected
+    state of least gradient norm of each row, and a mask of the rows where
+    that norm is below tol.tol_crit."""
     # iterate well past tol_crit: shooting seeds sit 1e-7 from the
     # critical point and state error amplifies exponentially downstream
     eps = 1e-6
@@ -358,7 +376,10 @@ def _newton_refine(surface, x, tol, iters=120):
     best = x.copy()
     best_norm = np.full(len(x), np.inf)
     live = np.arange(len(x))
+    # the states at the start of the last round and of this one
+    before = start = np.full(x.shape, np.nan)
     for _ in range(iters):
+        before, start = start, x.copy()
         norm = surface.grad_norm(x[live])
         better = norm < best_norm[live]
         best[live[better]] = surface.project(x[live[better]])
@@ -381,6 +402,7 @@ def _newton_refine(surface, x, tol, iters=120):
         delta[big] *= (0.8 / size[big])[:, None]
         live, xs, frame, delta = live[solved], xs[solved], frame[solved], delta[solved]
         x[live] = surface.project(xs + (frame @ delta[..., None])[..., 0])
+        live = live[~np.all(x[live] == before[live], axis=1)]
     return best, best_norm < tol.tol_crit
 
 
@@ -469,7 +491,7 @@ def _shoot_batch(surface, criticals, shots, tol):
     target = np.full(len(x0), -1, dtype=int)
 
     def distance(x, centres):
-        return np.linalg.norm(surface.embed(surface.project(x)) - centres, axis=-1)
+        return _norms(surface.embed(surface.project(x)) - centres)
 
     def capture(rows, a, fa, b, fb, h):
         dists = distance(b[:, None, :], crit_embed[None, :, :])
@@ -620,9 +642,11 @@ class BrokenTrajectory:
 def _flow_to_height(surface, x, t_target, tol, iters=14):
     """Newton in flow time on all rows of x (n, d) at once: move each row
     along the flow until h = its entry of t_target (n,).  Each update is
-    one Dormand-Prince step of the Newton time, capped at 50 * tol.step;
-    rows that have converged are frozen."""
+    one Dormand-Prince step of the Newton time, capped at 50 * tol.step,
+    which also gives the field at the row's new state; rows that have
+    converged are frozen."""
     x = np.array(x, dtype=float)
+    f = surface.field(x)
     cap = 50 * tol.step
     for _ in range(iters):
         err = t_target - surface.h(x)
@@ -631,8 +655,8 @@ def _flow_to_height(surface, x, t_target, tol, iters=14):
         if not live.any():
             break
         dt = np.clip(err[live] / speed[live], -cap, cap)
-        xs = x[live]
-        x[live] = surface.project(_dp_step(surface, xs, surface.field(xs), dt)[0])
+        _, y, k = _dp_step(surface, x[live], f[live], dt)
+        x[live], f[live] = y, k[-1]
     return x
 
 
@@ -670,7 +694,7 @@ def _path_points(surface, paths, tol):
         outs.append(out)
     x = np.concatenate(bases) if bases else np.empty((0, surface.state_dim))
     if len(x):
-        x = surface.project(_dp_step(surface, x, surface.field(x), np.concatenate(leads))[0])
+        x = _dp_step(surface, x, surface.field(x), np.concatenate(leads))[1]
         x = _flow_to_height(surface, x, np.concatenate(targets), tol)
     for (out, rows), part in zip(dests, np.split(x, np.cumsum([len(r) for _, r in dests]))):
         out[rows] = part
@@ -779,10 +803,12 @@ def validate_trajectories(trajs, tol=Tolerances()):
     surface = trajs[0].surface
     samples = [traj.points[:: max(1, len(traj.grid_t) // 24)] for traj in trajs]
     z = np.concatenate([np.concatenate([s, s]) for s in samples])
+    f = surface.field(z)
     nsub = 10
     dt = np.concatenate([np.repeat([0.05 / nsub, -0.05 / nsub], len(s)) for s in samples])
     for _ in range(nsub):
-        z = surface.project(_dp_step(surface, z, surface.field(z), dt)[0])
+        _, z, k = _dp_step(surface, z, f, dt)
+        f = k[-1]
     reports = []
     for traj, flowed in zip(trajs, np.split(z, np.cumsum([2 * len(s) for s in samples])[:-1])):
         grid, points = traj.grid_t, traj.points

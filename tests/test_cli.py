@@ -19,6 +19,7 @@ from brokenlines.extreal import INF, ExtReal
 from brokenlines.orders import (
     LinOrder,
     LinPreorder,
+    enumerate_amalgams,
     enumerate_convex_equivalences,
     preorder_ranks,
 )
@@ -100,6 +101,21 @@ def test_enumerate_amalgams_with_poset_edges(capsys):
     data = json.loads(out)
     assert data["count"] == 2
     assert data["poset_edges"] == [[1, 0]] or data["poset_edges"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+@pytest.mark.parametrize("p", range(1, 6))
+def test_amalgam_edges_match_all_pairs_leq(capsys, p, q):
+    amalgams = enumerate_amalgams(LinOrder.standard(p), LinOrder.standard(q))
+    code, out = run(capsys, "enumerate", "amalgams", "--left", str(p), "--right", str(q))
+    data = json.loads(out)
+    assert data["amalgams"] == [list(a.preorder.ranks) for a in amalgams]
+    assert data["poset_edges"] == [
+        [i, j]
+        for i, a in enumerate(amalgams)
+        for j, b in enumerate(amalgams)
+        if i != j and a.leq_amalgam(b)
+    ]
 
 
 def test_enumerate_convex(capsys):

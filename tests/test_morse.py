@@ -25,6 +25,7 @@ from brokenlines.morse import (
     trajectory_to_line,
     validate_trajectories,
     validate_trajectory,
+    _dp_error,
     _dp_step,
     _flow_rows,
     _flow_to_height,
@@ -52,6 +53,54 @@ def rk4_step(surface, x, dt):
     k3 = surface.field(surface.project(x + 0.5 * dt * k2))
     k4 = surface.field(surface.project(x + dt * k3))
     return surface.project(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+# The Dormand-Prince tableau as lists, with the fifth-order weights apart:
+# the oracles for the stage-array kernel of `_dp_step` and `_dp_error`.
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+
+
+def combine_list(coeffs, stages):
+    """Python's sum of the weighted stages with a nonzero weight."""
+    return sum(c * k for c, k in zip(coeffs, stages) if c)
+
+
+def dp_step_list(surface, x, f, h):
+    """One Dormand-Prince step with the stages in a list: the fifth-order
+    state before projection, the field at its projection and the error
+    norm in units of morse._ATOL + morse._RTOL * |x_new - x|."""
+    hc = h[:, None]
+    k = [f]
+    for row in DP_A[1:]:
+        k.append(surface.field(surface.project(x + hc * combine_list(row, k))))
+    x_new = x + hc * combine_list(DP_B, k)
+    f_new = surface.field(surface.project(x_new))
+    k.append(f_new)
+    scale = morse._ATOL + morse._RTOL * np.linalg.norm(x_new - x, axis=1)
+    err = np.linalg.norm(hc * combine_list(DP_E, k), axis=1) / scale
+    return x_new, f_new, err
+
+
+def hermite_terms(a, fa, b, fb, h, s):
+    """The cubic Hermite interpolant with each power of s and 1 - s
+    written out where it is used."""
+    s = s[:, None]
+    h = h[:, None]
+    return (
+        (1 + 2 * s) * (1 - s) ** 2 * a
+        + s * (1 - s) ** 2 * h * fa
+        + s**2 * (3 - 2 * s) * b
+        - s**2 * (1 - s) * h * fb
+    )
 
 
 def gaussian_bump(surface, x, center):
@@ -119,6 +168,38 @@ class CountingTorus(Torus):
     def h(self, x):
         self.calls["h"] += 1
         return super().h(x)
+
+
+def newton_refine_all_rounds(surface, x, tol, iters=120):
+    """`_newton_refine` without the cycle stop: every row that neither
+    converges nor meets a singular Jacobian runs all `iters` rounds."""
+    eps = 1e-6
+    x = np.array(x, dtype=float)
+    best = x.copy()
+    best_norm = np.full(len(x), np.inf)
+    live = np.arange(len(x))
+    for _ in range(iters):
+        norm = surface.grad_norm(x[live])
+        better = norm < best_norm[live]
+        best[live[better]] = surface.project(x[live[better]])
+        best_norm[live[better]] = norm[better]
+        live = live[~(norm < 1e-14)]
+        if not live.size:
+            break
+        xs = x[live]
+        frame = surface.frame(xs)
+        probes = [xs]
+        for e in np.moveaxis(eps * frame, -1, 0):
+            probes += [surface.project(xs + e), surface.project(xs - e)]
+        local = (np.swapaxes(frame, -1, -2) @ surface.field(np.stack(probes))[..., None])[..., 0]
+        jac = np.stack([local[1] - local[2], local[3] - local[4]], axis=-1) / (2 * eps)
+        delta, solved = _solve_rows(jac, -local[0])
+        size = np.sqrt(np.vecdot(delta, delta))
+        big = size > 0.8
+        delta[big] *= (0.8 / size[big])[:, None]
+        live, xs, frame, delta = live[solved], xs[solved], frame[solved], delta[solved]
+        x[live] = surface.project(xs + (frame @ delta[..., None])[..., 0])
+    return best, best_norm < tol.tol_crit
 
 
 def newton_refine_one_seed(surface, x, tol, iters=120):
@@ -510,6 +591,54 @@ def test_batch_matches_single_rows(torus, torus_criticals):
         assert np.array_equal(alone.h_values, together.h_values)
 
 
+def kernel_batch(surface, n, sign, seed):
+    """n seeded states of the surface, their fields and signed steps."""
+    rng = np.random.default_rng(seed)
+    x = surface.project(rng.uniform(-math.pi, math.pi, (n, surface.state_dim)))
+    h = sign * 10.0 ** rng.uniform(-4, -0.5, n)
+    return x, surface.field(x), h
+
+
+KERNEL_SURFACES = [Sphere(), Torus(2.2, 0.9), BumpedTorus()]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 7, 52, 500])
+@pytest.mark.parametrize("surface", KERNEL_SURFACES, ids=lambda s: s.name)
+def test_dp_kernel_matches_list_oracle(surface, n, sign):
+    x, f, h = kernel_batch(surface, n, sign, seed=n)
+    x_new, y, k = _dp_step(surface, x, f, h)
+    want = dp_step_list(surface, x, f, h)
+    got = (x_new, k[-1], _dp_error(x, x_new, k, h))
+    for ours, oracle in zip(got, want):
+        assert ours.tobytes() == oracle.tobytes()
+    assert y.tobytes() == surface.project(x_new).tobytes()
+    assert k.shape == (7, n, surface.state_dim)
+
+
+@pytest.mark.parametrize("surface", KERNEL_SURFACES, ids=lambda s: s.name)
+def test_dp_kernel_batch_matches_rows(surface):
+    x, f, h = kernel_batch(surface, 52, 1.0, seed=3)
+    h[::2] *= -1.0
+    x_new, _, k = _dp_step(surface, x, f, h)
+    err = _dp_error(x, x_new, k, h)
+    for i in range(len(x)):
+        row = slice(i, i + 1)
+        x_row, _, k_row = _dp_step(surface, x[row], f[row], h[row])
+        assert x_row.tobytes() == x_new[row].tobytes()
+        assert k_row.tobytes() == k[:, row].tobytes()
+        assert _dp_error(x[row], x_row, k_row, h[row]).tobytes() == err[row].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 52, 500])
+def test_hermite_matches_term_oracle(n):
+    rng = np.random.default_rng(n)
+    a, fa, b, fb = rng.normal(size=(4, n, 2))
+    h, s = rng.normal(size=n), rng.uniform(size=n)
+    got = morse._hermite(a, fa, b, fb, h, s)
+    assert got.tobytes() == hermite_terms(a, fa, b, fb, h, s).tobytes()
+
+
 CONNECTION_CASES = [
     pytest.param(
         surface, Tolerances(step=1e-2, ring_seeds=seeds), rounds,
@@ -675,6 +804,25 @@ def test_batched_newton_matches_one_seed_at_a_time(surface):
     assert states == critical_states_one_seed_at_a_time(surface, TOL)
 
 
+@pytest.mark.parametrize(
+    "surface", [Torus(), Torus(1.955, 1.02), Sphere()],
+    ids=lambda s: f"{s.name}-{s.R}-{s.r}" if isinstance(s, Torus) else s.name,
+)
+def test_newton_cycle_stop_matches_all_rounds(surface):
+    refined, converged = _newton_refine(surface, surface.seeds(), TOL)
+    oracle, oracle_converged = newton_refine_all_rounds(surface, surface.seeds(), TOL)
+    assert refined.tobytes() == oracle.tobytes()
+    assert np.array_equal(converged, oracle_converged)
+
+
+def test_newton_stops_the_cycling_rows():
+    # the 6 seeds of Torus() on u = 0 alternate between two states forever
+    torus = CountingTorus()
+    _, converged = _newton_refine(torus, torus.seeds(), TOL)
+    assert np.count_nonzero(~converged) >= 6
+    assert torus.calls["field"] <= 70
+
+
 def test_newton_evaluates_all_seeds_together():
     torus = CountingTorus()
     rounds = max(newton_refine_one_seed(torus, seed, TOL)[1] for seed in torus.seeds())
@@ -807,6 +955,24 @@ def test_trajectory_points_flow_all_paths_together(torus_criticals, torus_segmen
     # every h call is one round of _flow_to_height
     assert one_path["h"] >= 2
     assert calls(torus_segments) == one_path
+
+
+def test_every_step_starts_from_the_field_at_its_state(torus, torus_trajectories, monkeypatch):
+    # the field a caller carries over from the last step (first same as
+    # last) must be the field at the state it steps from
+    dp_step = morse._dp_step
+    rows = []
+
+    def checked(surface, x, f, h):
+        assert f.tobytes() == surface.field(x).tobytes()
+        rows.append(len(x))
+        return dp_step(surface, x, f, h)
+
+    monkeypatch.setattr(morse, "_dp_step", checked)
+    integrate_flow(torus, [0.3, 1.1], horizon=10.0, tol=TOL)
+    flowed = len(rows)
+    validate_trajectories(torus_trajectories[:4], TOL)
+    assert flowed > 1 and len(rows) > flowed + 10
 
 
 def test_point_at_height_keeps_the_tolerances(torus, torus_criticals, torus_segments, monkeypatch):
