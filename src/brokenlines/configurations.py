@@ -12,6 +12,7 @@ bitmasks, which also give each pair's join.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .lines import BrokenLine, LinePoint, fiber_over
@@ -77,14 +78,12 @@ def u_membership(config: Configuration, amalgam: Amalgam) -> bool:
 
 
 def sample_configurations(left: LinOrder, right: LinOrder):
-    """Deterministic configurations reaching every amalgam stratum:
-    for each amalgam K and each stratum of Rep(K), one grid sample."""
-    configs = []
+    """Deterministic configurations reaching every amalgam stratum, yielded
+    one by one: for each amalgam K and each stratum of Rep(K), a grid sample."""
     for amalgam in enumerate_amalgams(left, right):
         for rel in enumerate_convex_equivalences(amalgam.preorder):
             for point in stratum_samples(amalgam.preorder, rel, 1):
-                configs.append(config_from_amalgam_point(amalgam, point))
-    return configs
+                yield config_from_amalgam_point(amalgam, point)
 
 
 def verify_join_identity(left: LinOrder, right: LinOrder):
@@ -133,7 +132,7 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
             uj = up[both.bit_length() - 1]
             lub += [("join-not-least", x, y, z) for z in _bits(both & ~uj)]
             identity += [("join-identity", x, y, s) for s in _bits((both ^ uj) & hit)]
-    identity.sort(key=lambda v: (v[3], v[1], v[2]))
+    identity.sort(key=operator.itemgetter(3))
 
     return {
         "amalgams": len(amalgams),

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Frozen
+
 
 class UndefinedSum(ArithmeticError):
     """Raised for inf + (-inf), which is undefined on the extended line."""
 
 
-class ExtReal:
+class ExtReal(Frozen):
     """A point of [-inf, inf]: a rational, +inf, or -inf.
 
     Instances are immutable and totally ordered, with
@@ -34,9 +36,6 @@ class ExtReal:
         object.__setattr__(
             self, "finite", value if type(value) is Fraction else Fraction(value)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtReal is immutable")
 
     @property
     def is_finite(self):

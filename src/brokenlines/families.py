@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal
+from .extreal import ExtReal, Frozen
 from .lines import (
     BrokenLine,
     concatenate,
@@ -89,7 +89,7 @@ class MarkedFiber:
     marks: dict  # label -> LinePoint
 
 
-class ISectionData:
+class ISectionData(Frozen):
     """Per-sample marked fibers subject to the section conditions."""
 
     __slots__ = ("index", "fibers")
@@ -101,9 +101,6 @@ class ISectionData:
                 raise ValueError(f"sample {sid}: {problem}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "fibers", dict(fibers))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ISectionData is immutable")
 
     def __getitem__(self, sid) -> MarkedFiber:
         return self.fibers[sid]

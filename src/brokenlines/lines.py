@@ -9,10 +9,10 @@ distance, concatenation and isomorphism are all determined by this data.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Frozen, _integer
 from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
 from .rep import RepPoint
 
@@ -46,29 +46,20 @@ class LinePoint:
         return {"a": self.component, "t": t}
 
 
-class BrokenLine:
+class BrokenLine(Frozen):
     """A concatenation of m copies of [-inf, inf]."""
 
     __slots__ = ("m",)
 
     def __init__(self, m):
-        try:
-            m = operator.index(m)
-        except TypeError:
-            raise ValueError(f"component count must be an integer, got {m!r}") from None
+        m = _integer("component count", m)
         if m < 1:
             raise ValueError("a broken line has at least one component")
         object.__setattr__(self, "m", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BrokenLine is immutable")
-
     def point(self, component, coord) -> LinePoint:
         coord = as_ext(coord)
-        try:
-            component = operator.index(component)
-        except TypeError:
-            raise ValueError(f"component must be an integer, got {component!r}") from None
+        component = _integer("component", component)
         if not (1 <= component <= self.m):
             raise ValueError(f"component must lie in 1..{self.m}")
         if coord == INF and component < self.m:
@@ -154,7 +145,7 @@ def concatenate(left: BrokenLine, right: BrokenLine):
     return glued, embed_left, embed_right
 
 
-class LineIso:
+class LineIso(Frozen):
     """An isomorphism of broken lines with equal m: a per-component shift."""
 
     __slots__ = ("source", "target", "shifts")
@@ -168,9 +159,6 @@ class LineIso:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "shifts", shifts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineIso is immutable")
 
     def apply(self, p: LinePoint) -> LinePoint:
         if p.is_fixed:
@@ -205,7 +193,7 @@ class LineIso:
         return f"LineIso(shifts={[str(s) for s in self.shifts]})"
 
 
-class HomSet:
+class HomSet(Frozen):
     """The isomorphisms from one broken line to another: empty unless the
     component counts agree, and then freely parametrized by shift vectors."""
 
@@ -214,9 +202,6 @@ class HomSet:
     def __init__(self, source: BrokenLine, target: BrokenLine):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomSet is immutable")
 
     @property
     def is_empty(self):

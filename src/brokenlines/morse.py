@@ -213,6 +213,9 @@ _ATOL = 1e-12
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_NEWTON_ROUNDS = 120  # round cap of _newton_refine
+_HEIGHT_ROUNDS = 14  # round cap of _flow_to_height
+_HESSIAN_EPS = 1e-4  # finite-difference step of _hessian
 
 
 def _norms(v):
@@ -361,7 +364,7 @@ def find_critical_points(surface, tol=Tolerances()):
     return out
 
 
-def _newton_refine(surface, x, tol, iters=120):
+def _newton_refine(surface, x, tol):
     """Newton iteration on the field in the orthonormal frame, all rows of
     x (n, d) in one batch, with a central-difference Jacobian.  A row stops
     when its gradient norm is below 1e-14, when its Jacobian is singular,
@@ -378,7 +381,7 @@ def _newton_refine(surface, x, tol, iters=120):
     live = np.arange(len(x))
     # the states at the start of the last round and of this one
     before = start = np.full(x.shape, np.nan)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ROUNDS):
         before, start = start, x.copy()
         norm = surface.grad_norm(x[live])
         better = norm < best_norm[live]
@@ -416,8 +419,9 @@ def _solve_rows(a, b):
     return np.linalg.solve(a, b[..., None])[..., 0], solved
 
 
-def _hessian(surface, x, frame, eps=1e-4):
+def _hessian(surface, x, frame):
     """Finite-difference Hessian of h at x in the orthonormal frame."""
+    eps = _HESSIAN_EPS
 
     def phi(a, b):
         delta = a * frame[:, 0] + b * frame[:, 1]
@@ -639,7 +643,7 @@ class BrokenTrajectory:
         return pts.reshape(t.shape + pts.shape[-1:])
 
 
-def _flow_to_height(surface, x, t_target, tol, iters=14):
+def _flow_to_height(surface, x, t_target, tol):
     """Newton in flow time on all rows of x (n, d) at once: move each row
     along the flow until h = its entry of t_target (n,).  Each update is
     one Dormand-Prince step of the Newton time, capped at 50 * tol.step,
@@ -648,7 +652,7 @@ def _flow_to_height(surface, x, t_target, tol, iters=14):
     x = np.array(x, dtype=float)
     f = surface.field(x)
     cap = 50 * tol.step
-    for _ in range(iters):
+    for _ in range(_HEIGHT_ROUNDS):
         err = t_target - surface.h(x)
         speed = surface.grad_norm(x) ** 2
         live = (np.abs(err) >= 1e-13) & (speed >= 1e-18)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
+
+from ._value import Frozen, _integers
 
 
-class LinPreorder:
+class LinPreorder(Frozen):
     """A total transitive relation on labels 0..n-1, encoded by ranks."""
 
     __slots__ = ("ranks",)
@@ -51,9 +52,6 @@ class LinPreorder:
         obj = object.__new__(cls)
         object.__setattr__(obj, "ranks", ranks)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinPreorder is immutable")
 
     @property
     def n(self):
@@ -227,20 +225,6 @@ def _next_ranks(used, left):
     return ranks, masks
 
 
-def _integers(what, values):
-    """values as a tuple of ints.  A float or a str, which int() would
-    truncate or parse, raises ValueError naming it."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for v in values:
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"{what} must be integers, got {v!r}") from None
-        raise
-
-
 def _monotone(src_ranks, image_ranks):
     """A pair (i, j) with src_ranks[i] <= src_ranks[j] but image_ranks[i] >
     image_ranks[j], or None if there is none.  src_ranks is the rank vector
@@ -258,7 +242,7 @@ def _monotone(src_ranks, image_ranks):
     return None
 
 
-class OrderMorphism:
+class OrderMorphism(Frozen):
     """A nondecreasing, essentially surjective map of linear preorders."""
 
     __slots__ = ("source", "target", "mapping")
@@ -292,9 +276,6 @@ class OrderMorphism:
         object.__setattr__(obj, "target", target)
         object.__setattr__(obj, "mapping", mapping)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderMorphism is immutable")
 
     def __call__(self, i):
         return self.mapping[i]
@@ -356,7 +337,7 @@ def enumerate_surjections(source: LinOrder, target: LinOrder) -> list:
     return [OrderMorphism._of(source, target, mapping) for mapping in mappings]
 
 
-class ConvexEquiv:
+class ConvexEquiv(Frozen):
     """An equivalence relation on a preordered base whose classes are
     convex: i <= j <= k and i ~ k forces i ~ j ~ k.
 
@@ -400,9 +381,6 @@ class ConvexEquiv:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "classes", norm)
         object.__setattr__(self, "index", tuple(index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexEquiv is immutable")
 
     @staticmethod
     def discrete(base):
@@ -503,7 +481,7 @@ def concatenate_orders(left: LinOrder, right: LinOrder) -> LinOrder:
     return LinOrder(ranks)
 
 
-class Amalgam:
+class Amalgam(Frozen):
     """A linear preorder on I ⊔ J restricting nondecreasingly and
     essentially surjectively to both factors.
 
@@ -524,9 +502,6 @@ class Amalgam:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "preorder", preorder)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Amalgam is immutable")
 
     @property
     def n(self):

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
+from .extreal import INF, NEG_INF, ZERO, ExtReal, Frozen, as_ext
 from .orders import ConvexEquiv, LinOrder, LinPreorder, OrderMorphism, concatenate_orders
 
 # Deterministic rational grid used whenever a stratum is sampled.
 GRID = tuple(Fraction(k, 2) for k in range(1, 11))
 
 
-class RepPoint:
+class RepPoint(Frozen):
     """A functor I -> BR+, stored as its gaps along base.enumeration()."""
 
     __slots__ = ("base", "_gaps")
@@ -53,9 +53,6 @@ class RepPoint:
                 )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_gaps", point._gaps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepPoint is immutable")
 
     @classmethod
     def from_gaps(cls, base: LinPreorder, gaps) -> "RepPoint":

@@ -21,10 +21,10 @@ from .orders import (
 )
 from .rep import RepPoint, stratum_of
 from .families import SampledFamily
-from .vect import LinMap, NonunitalAlgebra, VectObject
+from .vect import Frozen, LinMap, NonunitalAlgebra, VectObject
 
 
-class GlobalSheaf:
+class GlobalSheaf(Frozen):
     """A functor on orders of size <= N+1 by generators and relations.
 
     values[n] is the object at [n]; gen[(n, k)] is the map at s_k.
@@ -56,9 +56,6 @@ class GlobalSheaf:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "gen", gen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GlobalSheaf is immutable")
 
     def value_at_size(self, size) -> VectObject:
         """The object at any linear order with `size` elements."""
@@ -126,7 +123,7 @@ def apply_surjection(sheaf: GlobalSheaf, f: OrderMorphism) -> LinMap:
     return out
 
 
-class ConstructibleSheaf:
+class ConstructibleSheaf(Frozen):
     """A functor on the convex-equivalence poset of a fixed linear order:
     an object per stratum, a restriction map from finer to coarser.
 
@@ -160,9 +157,6 @@ class ConstructibleSheaf:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "value", dict(value))
         object.__setattr__(self, "restriction", dict(restriction))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstructibleSheaf is immutable")
 
 
 def global_to_constructible(sheaf: GlobalSheaf, base: LinOrder) -> ConstructibleSheaf:

@@ -28,6 +28,7 @@ from itertools import combinations
 
 from .orders import (
     ConvexEquiv,
+    Frozen,
     LinOrder,
     OrderMorphism,
     enumerate_convex_equivalences,
@@ -44,7 +45,7 @@ from .vect import (
 )
 
 
-class TwObject:
+class TwObject(Frozen):
     """A pair (standard linear order, convex equivalence relation)."""
 
     __slots__ = ("order", "rel")
@@ -56,9 +57,6 @@ class TwObject:
             raise ValueError("relation must live on the given order")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rel", rel)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwObject is immutable")
 
     @property
     def n(self):
@@ -97,7 +95,7 @@ def point() -> TwObject:
     return sharp(1)
 
 
-class TwMorphism:
+class TwMorphism(Frozen):
     """A monotone surjection reflecting the target relation: if
     f(i) ~ f(i') in the target then i ~ i' in the source."""
 
@@ -126,9 +124,6 @@ class TwMorphism:
         object.__setattr__(obj, "target", target)
         object.__setattr__(obj, "f", f)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwMorphism is immutable")
 
     @property
     def mapping(self):
@@ -255,7 +250,7 @@ def valid_cuts(x: TwObject):
     return [c[0] for c in x.rel.classes[1:]]
 
 
-class TwFunctor:
+class TwFunctor(Frozen):
     """A truncated functor on the twisted arrow category, with optional
     lax monoidal structure maps.
 
@@ -279,9 +274,6 @@ class TwFunctor:
             problem = self.validate()
             if problem is not None:
                 raise ValueError(problem)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwFunctor is immutable")
 
     def validate(self):
         """None, or a message naming the first failed functor axiom.

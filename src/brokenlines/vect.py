@@ -22,10 +22,11 @@ merges, twisted actions, associativity) comes from `fiber_products`.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
+
+from ._value import Frozen, _integer
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -36,29 +37,17 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _dimension(dim):
-    """dim as an int.  A float or a str, which int() would truncate or
-    parse, raises ValueError naming it."""
-    try:
-        return operator.index(dim)
-    except TypeError:
-        raise ValueError(f"dimension must be an integer, got {dim!r}") from None
-
-
-class VectObject:
+class VectObject(Frozen):
     """A vector space, recorded by its dimension (dim 0 is the zero
     object, the empty coproduct)."""
 
     __slots__ = ("dim",)
 
     def __init__(self, dim):
-        dim = _dimension(dim)
+        dim = _integer("dimension", dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectObject is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, VectObject):
@@ -72,7 +61,7 @@ class VectObject:
         return f"VectObject({self.dim})"
 
 
-class LinMap:
+class LinMap(Frozen):
     """An exact matrix source -> target (rows x cols = target.dim x
     source.dim), stored as one tuple of nonzero (col, value) pairs per
     row, in increasing column order."""
@@ -97,9 +86,6 @@ class LinMap:
     def _of(source, target, sparse) -> "LinMap":
         """Wrap rows that are already sparse: sorted columns, no zeros."""
         return object.__new__(LinMap)._fill(source, target, sparse)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinMap is immutable")
 
     @property
     def rows(self):
@@ -311,14 +297,14 @@ def distribute(a: VectObject, parts) -> LinMap:
     )
 
 
-class NonunitalAlgebra:
+class NonunitalAlgebra(Frozen):
     """A nonunital associative algebra by structure constants:
     e_i . e_j = sum_k c[k][i][j] e_k."""
 
     __slots__ = ("dim", "c")
 
     def __init__(self, dim, c):
-        dim = _dimension(dim)
+        dim = _integer("dimension", dim)
         c = tuple(
             tuple(tuple(_exact(Fraction(x)) for x in row) for row in plane)
             for plane in c
@@ -330,9 +316,6 @@ class NonunitalAlgebra:
             raise ValueError("structure constants must be dim x dim x dim")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonunitalAlgebra is immutable")
 
     @property
     def space(self):

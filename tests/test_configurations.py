@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -181,6 +182,12 @@ def test_u_membership_monotone_decreasing():
             for b in amalgams:
                 if a.leq_amalgam(b) and u_membership(config, b):
                     assert u_membership(config, a)
+
+
+def test_sample_configurations_streams():
+    # verify amalgams reads the configurations once, one at a time
+    configs = sample_configurations(LinOrder.standard(2), LinOrder.standard(2))
+    assert inspect.isgenerator(configs)
 
 
 def test_covering_property():
