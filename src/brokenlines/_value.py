@@ -2,9 +2,13 @@
 
 A value is immutable once built: its constructor stores its slots with
 `object.__setattr__`, and afterwards setting or deleting any attribute
-raises AttributeError naming the instance's own class.  Integer inputs
-go through `operator.index`, so a float or a str, which int() would
-truncate or parse, is rejected, never truncated.
+raises AttributeError naming the instance's own class.  A `Value` equals
+an instance of the class that declared its key exactly when the keys are
+equal, and hashes its key; `ExtReal` keeps its own rule, and the types
+that are only `Frozen` (`TwFunctor`, the sheaves, `ISectionData`,
+`HomSet`) keep identity equality.  Integer inputs go through
+`operator.index`, so a float or a str, which int() would truncate or
+parse, is rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -24,6 +28,29 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class Value(Frozen):
+    """A subclass declares `_key`, an `operator.attrgetter`; `__eq__` and
+    `__hash__` are closures over it, made once per declaring class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        key = cls.__dict__.get("_key")
+        if key is None:
+            return
+
+        def __eq__(self, other):
+            if not isinstance(other, cls):
+                return NotImplemented
+            return key(self) == key(other)
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+
 def _integer(what, value):
     """value as an int; a float or a str raises ValueError naming it."""
     try:
@@ -34,6 +61,7 @@ def _integer(what, value):
 
 def _integers(what, values):
     """values as a tuple of ints; a float or a str raises ValueError naming it."""
+    values = tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:

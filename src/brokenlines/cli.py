@@ -35,7 +35,7 @@ from .orders import (
     grow_ranks,
     preorder_count,
 )
-from .configurations import _bits, _up_sets, verify_join_identity
+from .configurations import poset_edges, verify_join_identity
 from .sheaves import GlobalSheaf, evaluate_on_family
 from .twisted import (
     algebra_to_functor,
@@ -290,14 +290,13 @@ def cmd_enumerate(args):
         left = LinOrder.standard(args.left)
         right = LinOrder.standard(args.right)
         amalgams = enumerate_amalgams(left, right)
-        edges = [[i, j] for i, m in enumerate(_up_sets(amalgams)) for j in _bits(m) if i != j]
         _dump(
             {
                 "left": args.left,
                 "right": args.right,
                 "count": len(amalgams),
                 "amalgams": [list(a.preorder.ranks) for a in amalgams],
-                "poset_edges": edges,
+                "poset_edges": poset_edges(amalgams),
             },
             out,
             f"amalgams_{args.left}_{args.right}.json",

@@ -142,6 +142,12 @@ def verify_join_identity(left: LinOrder, right: LinOrder):
     }
 
 
+def poset_edges(amalgams):
+    """The pairs [x, z], x != z, with amalgams[x] <= amalgams[z], by x
+    and then z: the strict amalgam order, read off the up-set bitmasks."""
+    return [[x, z] for x, mask in enumerate(_up_sets(amalgams)) for z in _bits(mask) if x != z]
+
+
 def _up_sets(amalgams):
     """up[x] for each amalgam x: the bitmask of the z with
     `amalgams[x].leq_amalgam(amalgams[z])` (the tests check it).  x <= z

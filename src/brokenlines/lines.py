@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from ._value import Frozen, _integer
+from ._value import Frozen, Value, _integer
 from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
 from .rep import RepPoint
 
@@ -46,10 +47,11 @@ class LinePoint:
         return {"a": self.component, "t": t}
 
 
-class BrokenLine(Frozen):
+class BrokenLine(Value):
     """A concatenation of m copies of [-inf, inf]."""
 
     __slots__ = ("m",)
+    _key = attrgetter("m")
 
     def __init__(self, m):
         m = _integer("component count", m)
@@ -73,14 +75,6 @@ class BrokenLine(Frozen):
     @property
     def terminal(self):
         return LinePoint(self.m, INF)
-
-    def __eq__(self, other):
-        if not isinstance(other, BrokenLine):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash(("BrokenLine", self.m))
 
     def __repr__(self):
         return f"BrokenLine(m={self.m})"
@@ -145,10 +139,11 @@ def concatenate(left: BrokenLine, right: BrokenLine):
     return glued, embed_left, embed_right
 
 
-class LineIso(Frozen):
+class LineIso(Value):
     """An isomorphism of broken lines with equal m: a per-component shift."""
 
     __slots__ = ("source", "target", "shifts")
+    _key = attrgetter("source.m", "shifts")
 
     def __init__(self, source: BrokenLine, target: BrokenLine, shifts):
         if source.m != target.m:
@@ -176,18 +171,6 @@ class LineIso(Frozen):
 
     def inverse(self) -> "LineIso":
         return LineIso(self.target, self.source, [-s for s in self.shifts])
-
-    def __eq__(self, other):
-        if not isinstance(other, LineIso):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.shifts == other.shifts
-        )
-
-    def __hash__(self):
-        return hash((self.source.m, self.shifts))
 
     def __repr__(self):
         return f"LineIso(shifts={[str(s) for s in self.shifts]})"

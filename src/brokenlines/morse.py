@@ -647,18 +647,21 @@ def _flow_to_height(surface, x, t_target, tol):
     """Newton in flow time on all rows of x (n, d) at once: move each row
     along the flow until h = its entry of t_target (n,).  Each update is
     one Dormand-Prince step of the Newton time, capped at 50 * tol.step,
-    which also gives the field at the row's new state; rows that have
-    converged are frozen."""
+    which also gives the field at the row's new state; a row that has
+    converged is frozen, never stepped or evaluated again."""
     x = np.array(x, dtype=float)
     f = surface.field(x)
     cap = 50 * tol.step
+    live = np.arange(len(x))
     for _ in range(_HEIGHT_ROUNDS):
-        err = t_target - surface.h(x)
-        speed = surface.grad_norm(x) ** 2
-        live = (np.abs(err) >= 1e-13) & (speed >= 1e-18)
-        if not live.any():
+        xl = x[live]
+        err = t_target[live] - surface.h(xl)
+        speed = surface.grad_norm(xl) ** 2
+        moving = (np.abs(err) >= 1e-13) & (speed >= 1e-18)
+        live = live[moving]
+        if not live.size:
             break
-        dt = np.clip(err[live] / speed[live], -cap, cap)
+        dt = np.clip(err[moving] / speed[moving], -cap, cap)
         _, y, k = _dp_step(surface, x[live], f[live], dt)
         x[live], f[live] = y, k[-1]
     return x

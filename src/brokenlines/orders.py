@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from operator import attrgetter
 
-from ._value import Frozen, _integers
+from ._value import Value, _integers
 
 
-class LinPreorder(Frozen):
+class LinPreorder(Value):
     """A total transitive relation on labels 0..n-1, encoded by ranks."""
 
     __slots__ = ("ranks",)
+    _key = attrgetter("ranks")
 
     def __init__(self, ranks):
         ranks = _integers("ranks", ranks)
@@ -90,14 +92,6 @@ class LinPreorder(Frozen):
             for j in range(self.n)
             if self.leq(i, j)
         ]
-
-    def __eq__(self, other):
-        if not isinstance(other, LinPreorder):
-            return NotImplemented
-        return self.ranks == other.ranks
-
-    def __hash__(self):
-        return hash(self.ranks)
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.ranks)})"
@@ -242,10 +236,11 @@ def _monotone(src_ranks, image_ranks):
     return None
 
 
-class OrderMorphism(Frozen):
+class OrderMorphism(Value):
     """A nondecreasing, essentially surjective map of linear preorders."""
 
     __slots__ = ("source", "target", "mapping")
+    _key = attrgetter("source.ranks", "target.ranks", "mapping")
 
     def __init__(self, source, target, mapping):
         mapping = _integers("mapping entries", mapping)
@@ -299,18 +294,6 @@ class OrderMorphism(Frozen):
     def fiber(self, j):
         return tuple(i for i in range(self.source.n) if self.mapping[i] == j)
 
-    def __eq__(self, other):
-        if not isinstance(other, OrderMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash((self.source.ranks, self.target.ranks, self.mapping))
-
     def __repr__(self):
         return f"OrderMorphism({list(self.mapping)})"
 
@@ -337,7 +320,7 @@ def enumerate_surjections(source: LinOrder, target: LinOrder) -> list:
     return [OrderMorphism._of(source, target, mapping) for mapping in mappings]
 
 
-class ConvexEquiv(Frozen):
+class ConvexEquiv(Value):
     """An equivalence relation on a preordered base whose classes are
     convex: i <= j <= k and i ~ k forces i ~ j ~ k.
 
@@ -345,6 +328,7 @@ class ConvexEquiv(Frozen):
     """
 
     __slots__ = ("base", "classes", "index")
+    _key = attrgetter("base.ranks", "classes")
 
     def __init__(self, base, classes):
         classes = [tuple(c) for c in classes]
@@ -415,14 +399,6 @@ class ConvexEquiv(Frozen):
         q = LinOrder(range(len(self.classes)))
         return q, OrderMorphism(self.base, q, self.index)
 
-    def __eq__(self, other):
-        if not isinstance(other, ConvexEquiv):
-            return NotImplemented
-        return self.base == other.base and self.classes == other.classes
-
-    def __hash__(self):
-        return hash((self.base.ranks, self.classes))
-
     def __repr__(self):
         return f"ConvexEquiv({[list(c) for c in self.classes]})"
 
@@ -481,7 +457,7 @@ def concatenate_orders(left: LinOrder, right: LinOrder) -> LinOrder:
     return LinOrder(ranks)
 
 
-class Amalgam(Frozen):
+class Amalgam(Value):
     """A linear preorder on I ⊔ J restricting nondecreasingly and
     essentially surjectively to both factors.
 
@@ -489,6 +465,7 @@ class Amalgam(Frozen):
     """
 
     __slots__ = ("left", "right", "preorder")
+    _key = attrgetter("left.ranks", "right.ranks", "preorder.ranks")
 
     def __init__(self, left: LinOrder, right: LinOrder, preorder: LinPreorder):
         if preorder.n != left.n + right.n:
@@ -543,18 +520,6 @@ class Amalgam(Frozen):
             if size == below[top]:
                 k += 1
         return Amalgam(self.left, self.right, LinPreorder(ranks))
-
-    def __eq__(self, other):
-        if not isinstance(other, Amalgam):
-            return NotImplemented
-        return (
-            self.left == other.left
-            and self.right == other.right
-            and self.preorder == other.preorder
-        )
-
-    def __hash__(self):
-        return hash((self.left.ranks, self.right.ranks, self.preorder.ranks))
 
     def __repr__(self):
         return f"Amalgam({list(self.preorder.ranks)})"

@@ -18,18 +18,21 @@ in this module is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
-from .extreal import INF, NEG_INF, ZERO, ExtReal, Frozen, as_ext
+from ._value import Value
+from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
 from .orders import ConvexEquiv, LinOrder, LinPreorder, OrderMorphism, concatenate_orders
 
 # Deterministic rational grid used whenever a stratum is sampled.
 GRID = tuple(Fraction(k, 2) for k in range(1, 11))
 
 
-class RepPoint(Frozen):
+class RepPoint(Value):
     """A functor I -> BR+, stored as its gaps along base.enumeration()."""
 
     __slots__ = ("base", "_gaps")
+    _key = attrgetter("base.ranks", "_gaps")
 
     def __init__(self, base: LinPreorder, table: dict):
         """The point whose value on each comparable pair (i, j) is
@@ -97,14 +100,6 @@ class RepPoint(Frozen):
 
     def gaps(self, enumeration=None):
         return chart_coordinates(self, enumeration)[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, RepPoint):
-            return NotImplemented
-        return self.base == other.base and self._gaps == other._gaps
-
-    def __hash__(self):
-        return hash((self.base, self._gaps))
 
     def __repr__(self):
         return f"RepPoint({self.base!r}, gaps={[str(g) for g in self.gaps()]})"

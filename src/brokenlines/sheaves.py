@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._value import Frozen
 from .orders import (
     LinOrder,
     OrderMorphism,
@@ -21,7 +22,7 @@ from .orders import (
 )
 from .rep import RepPoint, stratum_of
 from .families import SampledFamily
-from .vect import Frozen, LinMap, NonunitalAlgebra, VectObject
+from .vect import LinMap, NonunitalAlgebra, VectObject
 
 
 class GlobalSheaf(Frozen):

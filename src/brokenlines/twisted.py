@@ -25,10 +25,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 
+from ._value import Frozen, Value
 from .orders import (
     ConvexEquiv,
-    Frozen,
     LinOrder,
     OrderMorphism,
     enumerate_convex_equivalences,
@@ -45,10 +46,11 @@ from .vect import (
 )
 
 
-class TwObject(Frozen):
+class TwObject(Value):
     """A pair (standard linear order, convex equivalence relation)."""
 
     __slots__ = ("order", "rel")
+    _key = attrgetter("order.ranks", "rel.classes")
 
     def __init__(self, order: LinOrder, rel: ConvexEquiv):
         if order.ranks != tuple(range(order.n)):
@@ -66,14 +68,6 @@ class TwObject(Frozen):
     def grade(self):
         """n - |classes|, the stratum dimension; non-identity maps lower it."""
         return self.n - len(self.rel.classes)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwObject):
-            return NotImplemented
-        return self.order == other.order and self.rel == other.rel
-
-    def __hash__(self):
-        return hash((self.order.ranks, self.rel.classes))
 
     def __repr__(self):
         return f"TwObject(n={self.n}, classes={[list(c) for c in self.rel.classes]})"
@@ -95,11 +89,12 @@ def point() -> TwObject:
     return sharp(1)
 
 
-class TwMorphism(Frozen):
+class TwMorphism(Value):
     """A monotone surjection reflecting the target relation: if
     f(i) ~ f(i') in the target then i ~ i' in the source."""
 
     __slots__ = ("source", "target", "f")
+    _key = attrgetter("source", "target", "f.mapping")
 
     def __init__(self, source: TwObject, target: TwObject, mapping):
         f = OrderMorphism(source.order, target.order, mapping)
@@ -142,18 +137,6 @@ class TwMorphism(Frozen):
         return TwMorphism(
             self.source, other.target, [other(v) for v in self.mapping]
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, TwMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash((hash(self.source), hash(self.target), self.mapping))
 
     def __repr__(self):
         return f"TwMorphism({list(self.mapping)})"

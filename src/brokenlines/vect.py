@@ -25,8 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import attrgetter
 
-from ._value import Frozen, _integer
+from ._value import Value, _integer
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,11 +38,12 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-class VectObject(Frozen):
+class VectObject(Value):
     """A vector space, recorded by its dimension (dim 0 is the zero
     object, the empty coproduct)."""
 
     __slots__ = ("dim",)
+    _key = attrgetter("dim")
 
     def __init__(self, dim):
         dim = _integer("dimension", dim)
@@ -49,24 +51,17 @@ class VectObject(Frozen):
             raise ValueError("dimension must be nonnegative")
         object.__setattr__(self, "dim", dim)
 
-    def __eq__(self, other):
-        if not isinstance(other, VectObject):
-            return NotImplemented
-        return self.dim == other.dim
-
-    def __hash__(self):
-        return hash(("VectObject", self.dim))
-
     def __repr__(self):
         return f"VectObject({self.dim})"
 
 
-class LinMap(Frozen):
+class LinMap(Value):
     """An exact matrix source -> target (rows x cols = target.dim x
     source.dim), stored as one tuple of nonzero (col, value) pairs per
     row, in increasing column order."""
 
     __slots__ = ("source", "target", "sparse")
+    _key = attrgetter("source.dim", "target.dim", "sparse")
 
     def __init__(self, source: VectObject, target: VectObject, rows):
         dense = [[_exact(Fraction(x)) for x in row] for row in rows]
@@ -193,18 +188,6 @@ class LinMap(Frozen):
             for p in pivot_rows
         ))
 
-    def __eq__(self, other):
-        if not isinstance(other, LinMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.sparse == other.sparse
-        )
-
-    def __hash__(self):
-        return hash((self.source.dim, self.target.dim, self.sparse))
-
     def __repr__(self):
         return f"LinMap({self.target.dim}x{self.source.dim})"
 
@@ -297,11 +280,12 @@ def distribute(a: VectObject, parts) -> LinMap:
     )
 
 
-class NonunitalAlgebra(Frozen):
+class NonunitalAlgebra(Value):
     """A nonunital associative algebra by structure constants:
     e_i . e_j = sum_k c[k][i][j] e_k."""
 
     __slots__ = ("dim", "c")
+    _key = attrgetter("dim", "c")
 
     def __init__(self, dim, c):
         dim = _integer("dimension", dim)
@@ -359,14 +343,6 @@ class NonunitalAlgebra(Frozen):
         if (triple := self.validate()) is not None:
             raise ValueError(f"structure constants are not associative at basis triple {triple}")
         return self
-
-    def __eq__(self, other):
-        if not isinstance(other, NonunitalAlgebra):
-            return NotImplemented
-        return self.dim == other.dim and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.dim, self.c))
 
     def __repr__(self):
         return f"NonunitalAlgebra(dim={self.dim})"

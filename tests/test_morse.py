@@ -255,6 +255,24 @@ def critical_states_one_seed_at_a_time(surface, tol):
     return sorted(found, key=lambda c: (float(surface.h(np.array(c))), c))
 
 
+def flow_to_height_all_rows(surface, x, t_target, tol):
+    """`_flow_to_height` evaluating h and the gradient on every row in
+    each round, the frozen rows too: its oracle."""
+    x = np.array(x, dtype=float)
+    f = surface.field(x)
+    cap = 50 * tol.step
+    for _ in range(morse._HEIGHT_ROUNDS):
+        err = t_target - surface.h(x)
+        speed = surface.grad_norm(x) ** 2
+        live = (np.abs(err) >= 1e-13) & (speed >= 1e-18)
+        if not live.any():
+            break
+        dt = np.clip(err[live] / speed[live], -cap, cap)
+        _, y, k = _dp_step(surface, x[live], f[live], dt)
+        x[live], f[live] = y, k[-1]
+    return x
+
+
 def path_points_row_by_row(surface, criticals, segments, ts, tol):
     """Points of one path at heights ts with the segment of each height
     found row by row, the oracle for the batched lookup in `_path_points`."""
@@ -993,6 +1011,20 @@ def test_point_at_height_keeps_the_tolerances(torus, torus_criticals, torus_segm
     monkeypatch.setattr(morse, "_flow_to_height", spy)
     traj.point_at_height(traj.grid_t[1:-1])
     assert seen == [tol]
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_flow_to_height_matches_the_all_rows_oracle(name):
+    surface = SURFACES[name]()
+    x = surface.seeds()
+    shift = np.random.default_rng(3).uniform(-0.2, 0.2, len(x))
+    # every third row starts at its target height, so it is frozen at once
+    shift[::3] = 0.0
+    t = surface.h(x) + shift
+    flowed = _flow_to_height(surface, x, t, TOL)
+    assert flowed.tobytes() == flow_to_height_all_rows(surface, x, t, TOL).tobytes()
+    assert flowed[::3].tobytes() == x[::3].tobytes()
+    assert not np.array_equal(flowed[1::3], x[1::3])
 
 
 def test_rejects_equal_endpoints(torus, torus_criticals, torus_segments):

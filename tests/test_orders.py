@@ -303,22 +303,33 @@ def test_rank_image_must_be_initial_segment():
 
 
 @pytest.mark.parametrize(
-    "ranks, bad", [([0.9, 1.2], "0.9"), (["1", "0"], "'1'"), ([0, 1.0], "1.0")]
+    "ranks, bad",
+    [([0.9, 1.2], "0.9"), (["1", "0"], "'1'"), ([0, 1.0], "1.0"), ([0, 1.5], "1.5")],
 )
 def test_non_integer_ranks_rejected(ranks, bad):
-    # int() would truncate 0.9 and 1.2 to the linear order [0, 1] and parse "1"
+    # int() would truncate 0.9 and 1.2 to the linear order [0, 1] and parse
+    # "1"; a generator is read once, so it names the same entry as the list
     message = re.escape(f"ranks must be integers, got {bad}")
     for build in (LinPreorder, LinOrder):
-        with pytest.raises(ValueError, match=message):
-            build(ranks)
+        for given in (ranks, (r for r in ranks)):
+            with pytest.raises(ValueError, match=message):
+                build(given)
     with pytest.raises(ValueError, match=message):
         LinPreorder.from_json({"n": 2, "rank": ranks})
 
 
 def test_non_integer_mapping_rejected():
     two, one = LinOrder.standard(2), LinOrder.standard(1)
-    with pytest.raises(ValueError, match=re.escape("mapping entries must be integers, got 0.0")):
-        OrderMorphism(two, one, [0, 0.0])
+    for mapping in ([0, 0.0], (v for v in [0, 0.0])):
+        with pytest.raises(ValueError, match=re.escape("mapping entries must be integers, got 0.0")):
+            OrderMorphism(two, one, mapping)
+
+
+def test_ranks_and_mapping_from_a_generator_equal_the_list():
+    assert LinPreorder(r for r in [0, 0, 1]) == LinPreorder([0, 0, 1])
+    assert LinOrder(r for r in [1, 0]) == LinOrder([1, 0])
+    two, one = LinOrder.standard(2), LinOrder.standard(1)
+    assert OrderMorphism(two, one, (v for v in [0, 0])) == OrderMorphism(two, one, [0, 0])
 
 
 def test_json_roundtrip():
