@@ -8,12 +8,14 @@ equal, and hashes its key; `ExtReal` keeps its own rule, and the types
 that are only `Frozen` (`TwFunctor`, the sheaves, `ISectionData`,
 `HomSet`) keep identity equality.  Integer inputs go through
 `operator.index`, so a float or a str, which int() would truncate or
-parse, is rejected, never truncated.
+parse, is rejected, never truncated; exact inputs go through `_rational`,
+which rejects a float or a bool too, never reading it as a fraction.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 
 class Frozen:
@@ -71,3 +73,19 @@ def _integers(what, values):
             except TypeError:
                 raise ValueError(f"{what} must be integers, got {v!r}") from None
         raise
+
+
+def _exact(x):
+    """An int or Fraction as an int when integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _rational(what, value, *index):
+    """value as an int when integral, else as a Fraction; a float or a
+    bool raises ValueError naming the entry, what[index], and the value."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, bool)):
+        where = what + "".join(f"[{i}]" for i in index)
+        raise ValueError(f"{where} must be an int, a Fraction or a 'p/q' string, got {value!r}")
+    return _exact(Fraction(value))

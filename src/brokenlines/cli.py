@@ -9,10 +9,10 @@ a block at a time, and rows of exact ints by one `%d` template
 rank enumeration (`orders.grow_ranks`), one `%` row template per
 preorder and no tuple or preorder object built, and it is written one
 subtree of the enumeration at a time, so its memory stays bounded as n
-grows.  A malformed `--algebra` or `--family` file ends the
-run with a one-line error that names the file, and exit code 2, as does
-a `--config` file that cannot be read.  `morse`, and with it numpy, is
-imported only by the command that runs it.
+grows.  Each option is set by its flag alone.  A malformed `--algebra`
+or `--family` file ends the run with a one-line error that names the
+file, and exit code 2.  `morse`, and with it numpy, is imported only by
+the command that runs it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from .twisted import (
 )
 from .vect import BUILTIN_ALGEBRAS, NonunitalAlgebra
 
-
-# The keys a --config file may set; each overrides the flag of that name.
-_CONFIG_KEYS = ("truncation", "left", "right", "n")
 
 # The names of morse.SURFACES, kept here so that parsing needs no numpy.
 _SURFACES = ("sphere", "torus")
@@ -222,39 +219,11 @@ def _read_json(path, build):
     raise _InputError(f"{path}: {reason}")
 
 
-def _read_config_file(path):
-    """Simple key = value lines; '#' starts a comment.  A line without '='
-    or a key outside _CONFIG_KEYS raises ValueError."""
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ValueError(f"config line has no '=': {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(
-                f"unknown config key {key!r}; choose from {list(_CONFIG_KEYS)}"
-            )
-        values[key] = value.strip()
-    return values
-
-
-def _out_dir(args):
-    if args.out_dir:
-        return Path(args.out_dir)
-    env = os.environ.get("BROKENLINES_OUT")
-    return Path(env) if env else None
-
-
 def cmd_enumerate(args):
-    out = _out_dir(args)
     if args.what == "preorders":
         # counted, and every final bitmask checked, before the first byte
         count = preorder_count(args.n)
-        _write(_preorder_chunks(args.n, count), out, f"preorders_{args.n}.json")
+        _write(_preorder_chunks(args.n, count), args.out_dir, f"preorders_{args.n}.json")
     elif args.what == "convex":
         base = LinOrder.standard(args.n)
         rels = enumerate_convex_equivalences(base)
@@ -273,7 +242,7 @@ def cmd_enumerate(args):
                 "relations": [[list(c) for c in r.classes] for r in rels],
                 "refinement_edges": edges,
             },
-            out,
+            args.out_dir,
             f"convex_{args.n}.json",
         )
     elif args.what == "surjections":
@@ -283,7 +252,7 @@ def cmd_enumerate(args):
         _dump(
             {"source": args.n, "target": args.target,
              "count": len(maps), "maps": [m.to_json() for m in maps]},
-            out,
+            args.out_dir,
             f"surjections_{args.n}_{args.target}.json",
         )
     elif args.what == "amalgams":
@@ -298,7 +267,7 @@ def cmd_enumerate(args):
                 "amalgams": [list(a.preorder.ranks) for a in amalgams],
                 "poset_edges": poset_edges(amalgams),
             },
-            out,
+            args.out_dir,
             f"amalgams_{args.left}_{args.right}.json",
         )
     return 0
@@ -316,7 +285,7 @@ def cmd_verify(args):
         "configs_checked": report["configs_checked"],
         "violations": [list(map(str, v)) for v in report["violations"]],
     }
-    _dump(payload, _out_dir(args), f"verify_amalgams_{args.left}_{args.right}.json")
+    _dump(payload, args.out_dir, f"verify_amalgams_{args.left}_{args.right}.json")
     return 0 if not report["violations"] else 1
 
 
@@ -333,7 +302,7 @@ def cmd_sheaf(args):
         },
         "incomparable_edges": [list(e) for e in ev.incomparable],
     }
-    _dump(payload, _out_dir(args), "sheaf_eval.json")
+    _dump(payload, args.out_dir, "sheaf_eval.json")
     return 0
 
 
@@ -353,7 +322,7 @@ def cmd_roundtrip(args):
             }
         else:
             payload["natural_iso_components"] = len(eta)
-    _dump(payload, _out_dir(args), "roundtrip_mainc.json")
+    _dump(payload, args.out_dir, "roundtrip_mainc.json")
     return 0 if payload["ok"] else 1
 
 
@@ -369,7 +338,7 @@ def cmd_daycon(args):
         "associativity_ok": assoc["ok"],
         "mismatches": [list(map(str, m)) for m in assoc["mismatches"]],
     }
-    _dump(payload, _out_dir(args), "daycon.json")
+    _dump(payload, args.out_dir, "daycon.json")
     return 0 if assoc["ok"] else 1
 
 
@@ -378,11 +347,10 @@ def cmd_morse(args):
 
     report = morse.demo_report(args.surface)
     svg = report.pop("svg")
-    out = _out_dir(args)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"morse_{args.surface}.svg").write_text(svg)
-    _dump(report, out, f"morse_{args.surface}.json")
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        (args.out_dir / f"morse_{args.surface}.svg").write_text(svg)
+    _dump(report, args.out_dir, f"morse_{args.surface}.json")
     return 0
 
 
@@ -397,10 +365,9 @@ def cmd_accept(args):
         ],
         "all_ok": all(r["ok"] for r in results),
     }
-    out = _out_dir(args)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "acceptance.json").write_text(_json_text(payload) + "\n")
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        (args.out_dir / "acceptance.json").write_text(_json_text(payload) + "\n")
     return 0 if payload["all_ok"] else 1
 
 
@@ -409,17 +376,14 @@ def build_parser():
         prog="brokenlines",
         description="Combinatorics of the moduli of broken lines, at desk scale.",
     )
-    # --out-dir and --truncation may come before or after the subcommand;
-    # after it, SUPPRESS keeps an absent flag from resetting the value
-    # given before it.
-    out_dir = dict(help="directory for JSON/SVG artifacts (or env BROKENLINES_OUT)")
+    # --truncation may come before or after the subcommand; after it,
+    # SUPPRESS keeps an absent flag from resetting the value given before it.
     truncation = dict(type=int, metavar="N", help="truncate the twisted-arrow "
                       "category at orders of size <= N (default 4)")
-    parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--truncation", default=4, **truncation)
-    parser.add_argument("--out-dir", **out_dir)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=argparse.SUPPRESS, **out_dir)
+    common.add_argument("--out-dir", type=lambda text: Path(text) if text else None,
+                        help="directory for JSON/SVG artifacts ('' writes none)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, help):
@@ -470,20 +434,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            overrides = _read_config_file(args.config)
-        except OSError as exc:
-            parser.error(f"cannot read config file {args.config}: {exc.strerror}")
-        except ValueError as exc:
-            parser.error(str(exc))
-        try:
-            for name in _CONFIG_KEYS:
-                if name in overrides:
-                    setattr(args, name, int(overrides[name]))
-        except ValueError as exc:
-            parser.error(f"config value is not an integer: {exc}")
-    for name in (*_CONFIG_KEYS, "target"):
+    for name in ("truncation", "left", "right", "n", "target"):
         value = getattr(args, name, 1)
         if value < 1:
             parser.error(f"{name} must be a positive integer, got {value}")

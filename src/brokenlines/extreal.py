@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Frozen
+from ._value import Frozen, _rational
 
 
 class UndefinedSum(ArithmeticError):
@@ -121,7 +121,7 @@ class ExtReal(Frozen):
             return INF
         if data == "-inf":
             return NEG_INF
-        return ExtReal(Fraction(data["fin"]))
+        return ExtReal(_rational("fin", data["fin"]))
 
 
 _NEG_KEY = (-1, 0)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal, Frozen
+from ._value import Frozen
+from .extreal import ExtReal
 from .lines import (
     BrokenLine,
     concatenate,

@@ -162,7 +162,7 @@ class LineIso(Value):
 
     def then(self, other: "LineIso") -> "LineIso":
         if other.source != self.target:
-            raise ValueError("isomorphisms not composable")
+            raise ValueError(f"isomorphisms not composable: {self.target!r} != {other.source!r}")
         return LineIso(
             self.source,
             other.target,

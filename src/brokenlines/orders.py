@@ -286,7 +286,7 @@ class OrderMorphism(Value):
     def then(self, other):
         """other o self (apply self first)."""
         if other.source != self.target:
-            raise ValueError("morphisms not composable")
+            raise ValueError(f"morphisms not composable: {self.target!r} != {other.source!r}")
         return OrderMorphism(
             self.source, other.target, [other.mapping[v] for v in self.mapping]
         )

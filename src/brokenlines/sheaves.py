@@ -61,7 +61,7 @@ class GlobalSheaf(Frozen):
     def value_at_size(self, size) -> VectObject:
         """The object at any linear order with `size` elements."""
         if not (1 <= size <= self.N + 1):
-            raise ValueError("size outside truncation")
+            raise ValueError(f"size {size} outside 1..{self.N + 1} (truncation N={self.N})")
         return self.values[size - 1]
 
     @staticmethod
@@ -105,7 +105,7 @@ def apply_surjection(sheaf: GlobalSheaf, f: OrderMorphism) -> LinMap:
     if not f.is_surjective:
         raise ValueError("morphism must be surjective")
     if f.source.n > sheaf.N + 1:
-        raise ValueError("source outside truncation")
+        raise ValueError(f"source of size {f.source.n} outside truncation N={sheaf.N}")
     # positions: reduce to a standard surjection [n] -> [m]
     n = f.source.n - 1
     std = [0] * f.source.n
@@ -164,7 +164,7 @@ def global_to_constructible(sheaf: GlobalSheaf, base: LinOrder) -> Constructible
     """Restrict a global sheaf to a chart: value(E) = F(I/E), restriction
     along E <= E' the induced quotient surjection."""
     if base.n > sheaf.N + 1:
-        raise ValueError("order outside truncation")
+        raise ValueError(f"order of size {base.n} outside truncation N={sheaf.N}")
     rels = enumerate_convex_equivalences(base)
     value = {rel: sheaf.value_at_size(len(rel.classes)) for rel in rels}
     restriction = {}

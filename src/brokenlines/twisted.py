@@ -133,7 +133,7 @@ class TwMorphism(Value):
 
     def then(self, other: "TwMorphism") -> "TwMorphism":
         if other.source != self.target:
-            raise ValueError("morphisms not composable")
+            raise ValueError(f"morphisms not composable: {self.target!r} != {other.source!r}")
         return TwMorphism(
             self.source, other.target, [other(v) for v in self.mapping]
         )

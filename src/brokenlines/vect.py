@@ -4,7 +4,7 @@ direct sums, and nonunital associative algebras by structure constants.
 The model is strictly skeletal: an object is its dimension, and the basis
 of V (x) W is ordered with the second index fastest, so iterated tensor
 products literally agree and the associator is the identity permutation.
-All arithmetic is exact.
+All arithmetic is exact; a float or a bool entry is rejected.
 
 A map stores only its nonzero entries, one tuple of (col, value) pairs
 per row in increasing column order; structure-constant matrices are
@@ -27,15 +27,10 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import attrgetter
 
-from ._value import Value, _integer
+from ._value import Value, _exact, _integer, _rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _exact(x):
-    """An int or Fraction as an int when integral, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class VectObject(Value):
@@ -64,7 +59,8 @@ class LinMap(Value):
     _key = attrgetter("source.dim", "target.dim", "sparse")
 
     def __init__(self, source: VectObject, target: VectObject, rows):
-        dense = [[_exact(Fraction(x)) for x in row] for row in rows]
+        dense = [[_rational("rows", x, r, c) for c, x in enumerate(row)]
+                 for r, row in enumerate(rows)]
         if len(dense) != target.dim or any(len(r) != source.dim for r in dense):
             raise ValueError("matrix shape must be target.dim x source.dim")
         self._fill(source, target, tuple(
@@ -117,7 +113,7 @@ class LinMap(Value):
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """self o other (apply other first)."""
         if other.target != self.source:
-            raise ValueError("maps not composable")
+            raise ValueError(f"maps not composable: {self!r} after {other!r}")
         if self.is_identity():
             return other
         if other.is_identity():
@@ -152,7 +148,7 @@ class LinMap(Value):
         row p of column col ends as e_col on the left, so row col of the
         inverse is the right half of row p."""
         if not self.is_square:
-            raise ValueError("only square maps can be inverted")
+            raise ValueError(f"only square maps can be inverted, got {self!r}")
         if self.is_identity():
             return self
         n = self.source.dim
@@ -166,7 +162,7 @@ class LinMap(Value):
         for col in range(n):
             p = min(holders[col] & free, default=None)
             if p is None:
-                raise ValueError("map is singular")
+                raise ValueError(f"map {self!r} is singular: no pivot in column {col}")
             free.discard(p)
             pivot_rows.append(p)
             pivot = rows[p]
@@ -289,10 +285,8 @@ class NonunitalAlgebra(Value):
 
     def __init__(self, dim, c):
         dim = _integer("dimension", dim)
-        c = tuple(
-            tuple(tuple(_exact(Fraction(x)) for x in row) for row in plane)
-            for plane in c
-        )
+        c = tuple(tuple(tuple(_rational("c", x, k, i, j) for j, x in enumerate(row))
+                        for i, row in enumerate(plane)) for k, plane in enumerate(c))
         if len(c) != dim or any(
             len(plane) != dim or any(len(row) != dim for row in plane)
             for plane in c

@@ -248,21 +248,6 @@ def test_reports_byte_identical(capsys):
     assert first == second
 
 
-def test_out_dir_writes_files(capsys, tmp_path):
-    code, _ = run(
-        capsys,
-        "--out-dir",
-        str(tmp_path),
-        "enumerate",
-        "preorders",
-        "--n",
-        "2",
-    )
-    assert code == 0
-    written = json.loads((tmp_path / "preorders_2.json").read_text())
-    assert written["count"] == 3
-
-
 def test_out_dir_after_subcommand(capsys, tmp_path):
     code, _ = run(
         capsys, "enumerate", "preorders", "--n", "2", "--out-dir", str(tmp_path)
@@ -271,19 +256,44 @@ def test_out_dir_after_subcommand(capsys, tmp_path):
     assert json.loads((tmp_path / "preorders_2.json").read_text())["count"] == 3
 
 
-def test_config_file_overrides(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 4\n# comment\n")
-    code, out = run(capsys, "--config", str(cfg), "enumerate", "convex", "--n", "2")
+def test_empty_out_dir_writes_no_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    _, plain = run(capsys, "enumerate", "preorders", "--n", "2")
+    code, out = run(capsys, "enumerate", "preorders", "--n", "2", "--out-dir", "")
     assert code == 0
-    assert json.loads(out)["count"] == 8  # config n=4 wins over the flag
+    assert out == plain
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out-dir"])
+def test_an_option_before_the_subcommand_other_than_truncation_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, flag
+):
+    # the option's one source is its flag after the subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("n = 4\n")
+    with pytest.raises(SystemExit) as err:
+        main([flag, "run.cfg", "enumerate", "preorders", "--n", "2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("brokenlines: error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+def test_the_environment_sets_no_out_dir(capsys, monkeypatch, tmp_path):
+    _, plain = run(capsys, "enumerate", "preorders", "--n", "3")
+    monkeypatch.setenv("BROKENLINES_OUT", str(tmp_path / "out"))
+    code, out = run(capsys, "enumerate", "preorders", "--n", "3")
+    assert code == 0
+    assert out == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_pipe_exits_quietly():
     # the report is far larger than a pipe buffer, so the writer is still
     # writing when the reader quits after one line, as `| head -1` does
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("BROKENLINES_OUT", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "brokenlines.cli", "enumerate", "preorders", "--n", "7"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -337,37 +347,6 @@ def test_nonpositive_bound_is_a_usage_error(capsys, argv, bound):
     )
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("n = 0", "n must be a positive integer, got 0"),
-        ("truncation = -2", "truncation must be a positive integer, got -2"),
-        ("n = three", "config value is not an integer: "),
-        ("truncaton = 9", "unknown config key 'truncaton'; choose from "),
-        ("n 5", "config line has no '=': 'n 5'"),
-    ],
-)
-def test_bad_config_bound_is_a_usage_error(capsys, tmp_path, line, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit) as err:
-        main(["--config", str(cfg), "enumerate", "convex"])
-    assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        f"brokenlines: error: {message}"
-    )
-
-
-def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
-    cfg = tmp_path / "nope.cfg"
-    with pytest.raises(SystemExit) as err:
-        main(["--config", str(cfg), "enumerate", "preorders"])
-    assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"brokenlines: error: cannot read config file {cfg}: No such file or directory"
-    )
-
-
 def test_surface_choices_are_the_morse_surfaces():
     from brokenlines import morse
 
@@ -395,6 +374,12 @@ NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis tripl
         ("roundtrip mainc --algebra", '{"dim": 1, "c": [[["x"]]]}',
          "Invalid literal for Fraction: 'x'"),
         ("daycon --algebra", '{"c": [[[1]]]}', "missing key 'dim'"),
+        # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+        # and true as 1, and both runs would pass
+        ("roundtrip mainc --algebra", '{"dim": 1, "c": [[[0.1]]]}',
+         "c[0][0][0] must be an int, a Fraction or a 'p/q' string, got 0.1"),
+        ("daycon --algebra", '{"dim": 1, "c": [[[true]]]}',
+         "c[0][0][0] must be an int, a Fraction or a 'p/q' string, got True"),
         ("daycon --algebra", '{"dim": 1.9, "c": [[["1"]]]}',
          "dimension must be an integer, got 1.9"),
         ("roundtrip mainc --algebra", '{"dim": "1", "c": [[["1"]]]}',

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,18 @@ def test_addition_matches_fractions(a, b):
 def test_json_roundtrip(a):
     for value in (ExtReal(a), INF, NEG_INF):
         assert ExtReal.from_json(value.to_json()) == value
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=repr)
+def test_json_rejects_a_float_or_bool_value(bad):
+    message = f"fin must be an int, a Fraction or a 'p/q' string, got {bad!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ExtReal.from_json({"fin": bad})
+
+
+def test_json_takes_ints_fractions_and_strings():
+    for value, want in ((3, 3), ("1/2", Fraction(1, 2)), (Fraction(2, 4), Fraction(1, 2))):
+        assert ExtReal.from_json({"fin": value}) == ExtReal(want)
 
 
 def test_coercion():

@@ -277,6 +277,13 @@ def test_hom_set_groupoid_laws():
         assert iso.then(ident) == iso
 
 
+def test_composing_mismatched_isos_names_both_lines():
+    two, three = HomSet(BrokenLine(2), BrokenLine(2)), HomSet(BrokenLine(3), BrokenLine(3))
+    message = "isomorphisms not composable: BrokenLine(m=2) != BrokenLine(m=3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        two.identity().then(three.identity())
+
+
 def test_iso_preserves_structure():
     line = BrokenLine(2)
     iso = LineIso(line, line, [Fraction(1, 2), -3])

@@ -424,6 +424,13 @@ def test_composition_is_associative_with_identities():
                 assert fg.then(h) == f.then(g.then(h))
 
 
+def test_composing_mismatched_morphisms_names_both_orders():
+    two, three = LinOrder.standard(2), LinOrder.standard(3)
+    message = "morphisms not composable: LinOrder([0, 1]) != LinOrder([0, 1, 2])"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OrderMorphism.identity(two).then(OrderMorphism.identity(three))
+
+
 # --------------------------------------------------------------- convex
 
 

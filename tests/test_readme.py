@@ -41,7 +41,6 @@ def test_readme_cli_line_runs(line, tmp_path):
     )
     (tmp_path / "family.json").write_text(json.dumps(family.to_json()))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("BROKENLINES_OUT", None)  # artifacts go to tmp_path or nowhere
     result = subprocess.run(
         [sys.executable, "-m", "brokenlines.cli", *shlex.split(line)[1:]],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,

@@ -349,3 +349,26 @@ def test_json_roundtrip(nil_sheaf):
     again = GlobalSheaf.from_json(nil_sheaf.to_json())
     assert again.values == nil_sheaf.values
     assert again.gen == nil_sheaf.gen
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=repr)
+def test_json_rejects_a_float_or_bool_entry(nil_sheaf, bad):
+    data = nil_sheaf.to_json()
+    data["gen"]["1,0"][2][4] = bad
+    message = f"rows[2][4] must be an int, a Fraction or a 'p/q' string, got {bad!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        GlobalSheaf.from_json(data)
+
+
+def test_truncation_errors_name_the_size_and_n(nil_sheaf):
+    with pytest.raises(ValueError, match=re.escape("size 5 outside 1..4 (truncation N=3)")):
+        nil_sheaf.value_at_size(5)
+    with pytest.raises(ValueError, match=re.escape("size 0 outside 1..4 (truncation N=3)")):
+        nil_sheaf.value_at_size(0)
+    five, four = LinOrder.standard(5), LinOrder.standard(4)
+    with pytest.raises(ValueError, match=re.escape(
+        "source of size 5 outside truncation N=3"
+    )):
+        apply_surjection(nil_sheaf, OrderMorphism(five, four, [0, 1, 2, 3, 3]))
+    with pytest.raises(ValueError, match=re.escape("order of size 5 outside truncation N=3")):
+        global_to_constructible(nil_sheaf, five)

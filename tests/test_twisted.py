@@ -134,6 +134,14 @@ def test_composition_closed():
                 assert f.then(g) in pool
 
 
+def test_composing_mismatched_morphisms_names_both_objects():
+    one, two = tw_objects(1)[0], tw_objects(2)[-1]
+    message = f"morphisms not composable: {one!r} != {two!r}"
+    assert repr(two) == "TwObject(n=2, classes=[[0], [1]])"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TwMorphism.identity(one).then(TwMorphism.identity(two))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_generators_generate(N):
     # the oracle behind checking functors on generators only: closing the

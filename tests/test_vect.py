@@ -283,6 +283,50 @@ def test_dimension_must_be_an_integer(dim):
         VectObject(dim)
 
 
+INEXACT = [0.1, 1.0, True, False]
+
+
+def inexact(bad):
+    return re.escape(f"must be an int, a Fraction or a 'p/q' string, got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_exact_entries_reject_floats_and_bools(bad):
+    # Fraction(0.1) is the binary value 3602879701896397/36028797018963968,
+    # and Fraction(True) is 1
+    with pytest.raises(ValueError, match=r"^rows\[0\]\[1\] " + inexact(bad)):
+        LinMap(VectObject(2), VectObject(1), [[1, bad]])
+    c = [[[0, 0], [0, 0]], [[0, 0], [bad, 0]]]
+    with pytest.raises(ValueError, match=r"^c\[1\]\[1\]\[0\] " + inexact(bad)):
+        NonunitalAlgebra(2, c)
+    with pytest.raises(ValueError, match=r"^c\[1\]\[1\]\[0\] " + inexact(bad)):
+        NonunitalAlgebra.from_json({"dim": 2, "c": c})
+
+
+def test_exact_entries_take_ints_fractions_and_strings():
+    m = LinMap(VectObject(5), VectObject(1), [[0, 2, Fraction(4, 2), "1/2", "-3"]])
+    assert m.sparse == (((1, 2), (2, 2), (3, Fraction(1, 2)), (4, -3)),)
+    assert [type(x) for _, x in m.sparse[0]] == [int, int, Fraction, int]
+    alg = NonunitalAlgebra(1, [[["6/3"]]])
+    assert alg.c == (((2,),),) and type(alg.c[0][0][0]) is int
+
+
+def test_map_errors_name_the_maps():
+    two, three = LinMap.identity(VectObject(2)), LinMap.identity(VectObject(3))
+    with pytest.raises(ValueError, match=re.escape(
+        "maps not composable: LinMap(2x2) after LinMap(3x3)"
+    )):
+        two @ three
+    with pytest.raises(ValueError, match=re.escape(
+        "only square maps can be inverted, got LinMap(3x2)"
+    )):
+        LinMap.zero(VectObject(2), VectObject(3)).inverse()
+    with pytest.raises(ValueError, match=re.escape(
+        "map LinMap(2x2) is singular: no pivot in column 1"
+    )):
+        LinMap(VectObject(2), VectObject(2), [[1, 2], [2, 4]]).inverse()
+
+
 # ------------------------------------------- sparse maps vs a dense oracle
 # every operation is recomputed here on plain lists of Fractions
 
