@@ -20,7 +20,7 @@ from .orders import (
     enumerate_surjections,
     preimage_equiv,
 )
-from .rep import RepPoint, stratum_of, stratum_samples, chart_coordinates
+from .rep import RepPoint, stratum_of, stratum_samples
 from .sheaves import GlobalSheaf, evaluate_on_family, global_to_constructible
 from .twisted import (
     algebra_to_functor,
@@ -185,8 +185,7 @@ def criterion_stratification():
                 return False, f"|Conv| wrong at n={n}"
             for rel in rels:
                 for pt in stratum_samples(base, rel, 1):
-                    gaps, _ = chart_coordinates(pt)
-                    finite = sum(1 for g in gaps if g.is_finite)
+                    finite = sum(1 for g in pt.gaps() if g.is_finite)
                     if finite != n - len(rel.classes):
                         return False, f"dimension wrong at n={n}, {rel}"
         return True, "Conv counts and stratum dimensions match for n <= 6"

@@ -9,10 +9,10 @@ a block at a time, and rows of exact ints by one `%d` template
 rank enumeration (`orders.grow_ranks`), one `%` row template per
 preorder and no tuple or preorder object built, and it is written one
 subtree of the enumeration at a time, so its memory stays bounded as n
-grows.  Each option is set by its flag alone.  A malformed `--algebra`
-or `--family` file ends the run with a one-line error that names the
-file, and exit code 2.  `morse`, and with it numpy, is imported only by
-the command that runs it.
+grows.  Each option is set by its flag alone.  An unknown builtin or a
+malformed `--algebra` or `--family` file ends the run with a one-line
+error that names it, and exit code 2.  `morse`, and with it numpy, is
+imported only by the command that runs it.
 """
 
 from __future__ import annotations
@@ -176,10 +176,8 @@ def _load_algebra(ref) -> NonunitalAlgebra:
     if ref.startswith("builtin:"):
         name = ref.split(":", 1)[1]
         if name not in BUILTIN_ALGEBRAS:
-            raise SystemExit(
-                f"unknown builtin algebra {name!r}; "
-                f"choose from {sorted(BUILTIN_ALGEBRAS)}"
-            )
+            raise _InputError(f"unknown builtin algebra {name!r}; "
+                              f"choose from {sorted(BUILTIN_ALGEBRAS)}")
         return BUILTIN_ALGEBRAS[name]()
     return _read_json(ref, _associative_algebra)
 
@@ -200,7 +198,7 @@ def _family_on_linear_order(data) -> SampledFamily:
 
 
 class _InputError(Exception):
-    """A file named on the command line that does not hold its object."""
+    """An input named on the command line that does not give its object."""
 
 
 def _read_json(path, build):
@@ -371,16 +369,24 @@ def cmd_accept(args):
     return 0 if payload["all_ok"] else 1
 
 
+class _Misplaced(argparse.Action):
+    """A subcommand's option given before it: a usage error saying so."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the subcommand")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="brokenlines",
         description="Combinatorics of the moduli of broken lines, at desk scale.",
     )
-    # --truncation may come before or after the subcommand; after it,
-    # SUPPRESS keeps an absent flag from resetting the value given before it.
-    truncation = dict(type=int, metavar="N", help="truncate the twisted-arrow "
-                      "category at orders of size <= N (default 4)")
-    parser.add_argument("--truncation", default=4, **truncation)
+    # SUPPRESS keeps an absent --truncation out of the namespace: the later value wins
+    truncation = dict(type=int, metavar="N", default=argparse.SUPPRESS, help="roundtrip, daycon: "
+                      "truncate the twisted-arrow category at orders of size <= N (default 4)")
+    parser.add_argument("--truncation", **truncation)
+    parser.add_argument("--out-dir", action=_Misplaced, dest=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", type=lambda text: Path(text) if text else None,
                         help="directory for JSON/SVG artifacts ('' writes none)")
@@ -413,12 +419,12 @@ def build_parser():
     p_round = add_parser("roundtrip", help="run the main-theorem roundtrip")
     p_round.add_argument("what", choices=["mainc"])
     p_round.add_argument("--algebra", default="builtin:nilpotent3")
-    p_round.add_argument("--truncation", default=argparse.SUPPRESS, **truncation)
+    p_round.add_argument("--truncation", **truncation)
     p_round.set_defaults(fn=cmd_roundtrip)
 
     p_day = add_parser("daycon", help="Day convolution dimensions and checks")
     p_day.add_argument("--algebra", default="builtin:rational")
-    p_day.add_argument("--truncation", default=argparse.SUPPRESS, **truncation)
+    p_day.add_argument("--truncation", **truncation)
     p_day.set_defaults(fn=cmd_daycon)
 
     p_morse = add_parser("morse", help="gradient-flow demo")
@@ -434,6 +440,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("roundtrip", "daycon"):
+        vars(args).setdefault("truncation", 4)
+    elif "truncation" in vars(args):
+        parser.error(f"--truncation applies to roundtrip and daycon only, not {args.command}")
     for name in ("truncation", "left", "right", "n", "target"):
         value = getattr(args, name, 1)
         if value < 1:

@@ -22,7 +22,7 @@ from .lines import (
     translation_distance,
 )
 from .orders import LinPreorder, _monotone, concatenate_orders
-from .rep import RepPoint, chart_coordinates, concat_reps, stratum_of
+from .rep import RepPoint, concat_reps, stratum_of
 
 DEFAULT_DELTA = Fraction(1, 100)
 
@@ -228,9 +228,7 @@ def check_axioms_on_path(family: SampledFamily, delta=DEFAULT_DELTA):
                 violations.append(
                     (a, f"stratum jump along edge ({a},{b}) without a limit")
                 )
-        gaps_a, _ = chart_coordinates(pa)
-        gaps_b, _ = chart_coordinates(pb)
-        for m, (ga, gb) in enumerate(zip(gaps_a, gaps_b)):
+        for m, (ga, gb) in enumerate(zip(pa.gaps(), pb.gaps())):
             if ga.is_finite and gb.is_finite:
                 jump = ga.finite - gb.finite
                 if abs(jump) >= delta:

@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,14 +27,16 @@ from .rep import RepPoint
 
 @dataclass(frozen=True)
 class Tolerances:
-    tol_crit: float = 1e-8      # gradient norm at accepted critical points
-    tol_end: float = 1e-4       # endpoint distance of a trajectory
-    tol_reparam: float = 1e-5   # max |h(p(t)) - t|
-    tol_inv: float = 1e-4       # flow-invariance residual of the image
+    """The float pipeline's tolerances: seven fixed class constants and five settable fields."""
+
+    tol_crit: ClassVar[float] = 1e-8      # gradient norm at accepted critical points
+    tol_end: ClassVar[float] = 1e-4       # endpoint distance of a trajectory
+    tol_reparam: ClassVar[float] = 1e-5   # max |h(p(t)) - t|
+    tol_inv: ClassVar[float] = 1e-4       # flow-invariance residual of the image
+    tol_merge: ClassVar[float] = 1e-5     # critical-point deduplication distance
+    capture: ClassVar[float] = 1e-4       # capture radius at a critical point
+    escape: ClassVar[float] = 1e-3        # radius a seed must leave before capture counts
     step: float = 1e-3          # first trial step; unit of the Newton cap
-    tol_merge: float = 1e-5     # critical-point deduplication distance
-    capture: float = 1e-4       # capture radius at a critical point
-    escape: float = 1e-3        # radius a seed must leave before capture counts
     horizon: float = 90.0       # max flow time per shot
     max_halvings: int = 20      # stall bound: steps below step / 2**max_halvings
     ring_seeds: int = 16        # seeds on an index-0 unstable sphere
@@ -712,19 +715,15 @@ def _path_points(surface, paths, tol):
 MAX_PATHS = 64
 
 
-def find_broken_trajectories(surface, start, end, tol=Tolerances(), criticals=None, segments=None):
-    """Broken gradient trajectories from one critical point to another,
-    assembled by chaining shooting segments through intermediate criticals
-    in increasing h and reparametrizing by height.  If more than MAX_PATHS
+def find_broken_trajectories(surface, start, end, tol=Tolerances(), *, criticals, segments):
+    """Broken gradient trajectories from one critical point to another, by
+    chaining `segments` (from `find_connections`) through `criticals` in
+    increasing h and reparametrizing by height.  If more than MAX_PATHS
     are found, the first MAX_PATHS are kept and one warning says so."""
-    if criticals is None:
-        criticals = find_critical_points(surface, tol)
     start_idx = _locate_critical(surface, criticals, start)
     end_idx = _locate_critical(surface, criticals, end)
     if criticals[start_idx].h >= criticals[end_idx].h:
         raise ValueError("need h(start) < h(end)")
-    if segments is None:
-        segments = find_connections(surface, criticals, tol)
     by_source = {}
     for seg in segments:
         by_source.setdefault(seg.source, []).append(seg)

@@ -98,8 +98,8 @@ class RepPoint(Value):
             return sum(self._gaps[p:q], ZERO)
         return -sum(self._gaps[q:p], ZERO)
 
-    def gaps(self, enumeration=None):
-        return chart_coordinates(self, enumeration)[0]
+    def gaps(self):
+        return list(self._gaps)
 
     def __repr__(self):
         return f"RepPoint({self.base!r}, gaps={[str(g) for g in self.gaps()]})"
@@ -124,22 +124,11 @@ def rep_from_gaps(gaps) -> RepPoint:
     return RepPoint.from_gaps(LinOrder.standard(len(gaps) + 1), gaps)
 
 
-def chart_coordinates(point: RepPoint, enumeration=None):
-    """Gap vector along a nondecreasing enumeration, plus per-slot flags
-    telling whether finiteness is forced (consecutive elements comparing
-    both ways).  Inverse of rep_from_gaps for the standard order."""
-    base = point.base
-    canonical = base.enumeration()
-    enumeration = canonical if enumeration is None else tuple(enumeration)
-    if sorted(enumeration) != list(range(base.n)):
-        raise ValueError("enumeration must list each label exactly once")
-    adjacent = list(zip(enumeration, enumeration[1:]))
-    if not all(base.leq(i, j) for i, j in adjacent):
-        raise ValueError("enumeration must be nondecreasing")
-    forced = [base.leq(j, i) for i, j in adjacent]
-    if enumeration == canonical:
-        return list(point._gaps), forced
-    return [point.alpha(i, j) for i, j in adjacent], forced
+def chart_coordinates(point: RepPoint):
+    """The gaps along the canonical enumeration `base.enumeration()`, and
+    per slot whether its finiteness is forced (its ends compare both ways)."""
+    enum = point.base.enumeration()
+    return list(point._gaps), [point.base.leq(j, i) for i, j in zip(enum, enum[1:])]
 
 
 def stratum_of(point: RepPoint) -> ConvexEquiv:

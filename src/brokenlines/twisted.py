@@ -235,7 +235,7 @@ def valid_cuts(x: TwObject):
 
 class TwFunctor(Frozen):
     """A truncated functor on the twisted arrow category, with optional
-    lax monoidal structure maps.
+    lax monoidal structure maps; the constructor checks the axioms.
 
     value: TwObject -> VectObject for all objects of size <= N;
     action: TwMorphism -> LinMap for all enumerated morphisms, built on
@@ -246,17 +246,23 @@ class TwFunctor(Frozen):
 
     __slots__ = ("N", "value", "action", "lax")
 
-    def __init__(self, N, value, action, lax=None, check=True):
+    def __init__(self, N, value, action, lax=None):
+        problem = self._fill(N, value, action, lax).validate()
+        if problem is not None:
+            raise ValueError(problem)
+
+    def _fill(self, N, value, action, lax):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "value", dict(value))
-        if not isinstance(action, _Actions):
-            action = dict(action)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "action",
+                           action if isinstance(action, _Actions) else dict(action))
         object.__setattr__(self, "lax", None if lax is None else dict(lax))
-        if check:
-            problem = self.validate()
-            if problem is not None:
-                raise ValueError(problem)
+        return self
+
+    @staticmethod
+    def _of(N, value, action, lax=None) -> "TwFunctor":
+        """Wrap functor data already known to satisfy the axioms."""
+        return object.__new__(TwFunctor)._fill(N, value, action, lax)
 
     def validate(self):
         """None, or a message naming the first failed functor axiom.
@@ -373,7 +379,7 @@ def algebra_to_functor(algebra: NonunitalAlgebra, N) -> TwFunctor:
     by_shape = algebra.fiber_products(shapes.values())
     action = {f: by_shape[s] for f, s in shapes.items()}
     lax = {(x, y): LinMap.identity(value[tw_star(x, y)]) for x, y in tw_pairs(N)}
-    return TwFunctor(N, value, action, lax, check=False)
+    return TwFunctor._of(N, value, action, lax)
 
 
 def _unfolds(functor: TwFunctor, top) -> dict:
@@ -476,20 +482,18 @@ def _natural_iso(functor: TwFunctor, rebuilt: TwFunctor, unfolds) -> dict:
     return eta
 
 
-def day_convolution(left: TwFunctor, right: TwFunctor, N=None) -> TwFunctor:
-    """Day convolution by the decomposition formula: the value on (I, ~)
-    is the direct sum over downward-closed ~-invariant proper cuts of
-    left(first part) (x) right(second part).  Both parts are proper, so
-    truncation N needs factors truncated at N - 1 or more.  Each action
-    is built on its first read, so checks on generators build few."""
+def day_convolution(left: TwFunctor, right: TwFunctor, N) -> TwFunctor:
+    """Day convolution truncated at N, by the decomposition formula: the
+    value on (I, ~) is the direct sum over downward-closed ~-invariant
+    proper cuts of left(first part) (x) right(second part).  Both parts
+    are proper, so N needs factors truncated at N - 1 or more.  Each
+    action is built on its first read, so checks on generators build few."""
     return _day_convolution(left, right, N)[0]
 
 
 def _day_convolution(left, right, N):
     """day_convolution(left, right, N) and the `_summands` of each of its
     objects, which its actions and `day_square` read."""
-    if N is None:
-        N = min(left.N, right.N)
     if N > min(left.N, right.N) + 1:
         raise ValueError(f"Day convolution at truncation {N} needs factors truncated "
                          f"at {N - 1} or more, got {left.N} and {right.N}")
@@ -497,7 +501,7 @@ def _day_convolution(left, right, N):
     summands = {x: _summands(left, right, x) for x in objects}
     value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
     action = _Actions(morphisms, lambda f: _day_action(left, right, f, summands))
-    return TwFunctor(N, value, action, lax=None, check=False), summands
+    return TwFunctor._of(N, value, action), summands
 
 
 def _summands(left, right, x: TwObject) -> dict:
@@ -527,7 +531,7 @@ def _day_action(left, right, f: TwMorphism, summands) -> LinMap:
     return block_map(targets.values(), cols.values(), blocks)
 
 
-def day_square(functor: TwFunctor, N=None) -> TwFunctor:
+def day_square(functor: TwFunctor, N) -> TwFunctor:
     """F ⊛ F with its canonical lax structure, folded from F's own
     structure maps across the cut."""
     if functor.lax is None:
@@ -535,7 +539,7 @@ def day_square(functor: TwFunctor, N=None) -> TwFunctor:
     bare, sums = _day_convolution(functor, functor, N)
     lax = {(x, y): _day_square_lax(functor, bare, sums, x, y)
            for x, y in tw_pairs(bare.N)}
-    return TwFunctor(bare.N, bare.value, bare.action, lax, check=False)
+    return TwFunctor._of(bare.N, bare.value, bare.action, lax)
 
 
 def _day_square_lax(F, bare, summands, x, y) -> LinMap:

@@ -171,6 +171,36 @@ def test_truncation_before_or_after_subcommand(capsys, command):
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["truncation"] == 3
+    code, out = run(capsys, *command)
+    assert code == 0
+    assert json.loads(out)["truncation"] == 4
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["enumerate", "preorders"], ["verify", "amalgams"], ["sheaf", "--family", "f.json"],
+     ["morse", "demo"], ["accept"]],
+    ids=["enumerate", "verify", "sheaf", "morse", "accept"],
+)
+def test_truncation_before_a_command_that_ignores_it_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, command
+):
+    # rejected while parsing: the acceptance suite must not run
+    def suite_ran():
+        raise AssertionError("the acceptance suite ran")
+
+    monkeypatch.setattr(acceptance, "run_all", suite_ran)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["--truncation", "3", *command, "--out-dir", "out"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"brokenlines: error: --truncation applies to roundtrip and daycon only, not {command[0]}"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_roundtrip_reports_a_changed_algebra_as_a_witness(capsys, monkeypatch):
@@ -213,9 +243,20 @@ def test_roundtrip_builds_and_unfolds_one_functor(capsys, monkeypatch):
     assert sorted(calls) == ["_unfolds", "algebra_to_functor"]
 
 
-def test_roundtrip_unknown_builtin(capsys):
-    with pytest.raises(SystemExit):
-        main(["roundtrip", "mainc", "--algebra", "builtin:nope"])
+def test_roundtrip_unknown_builtin(capsys, tmp_path):
+    # a bad input, not a failed check: exit 2 and one error line, as for a bad file
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(SHEAF_FAMILY))
+    known = "['mat2', 'nilpotent3', 'rational', 'zero1']"
+    for command in (["roundtrip", "mainc"], ["daycon"], ["sheaf", "--family", str(family)]):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--algebra", "builtin:nope"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"brokenlines: error: unknown builtin algebra 'nope'; choose from {known}\n"
+        )
 
 
 def test_daycon(capsys):
@@ -278,6 +319,11 @@ def test_an_option_before_the_subcommand_other_than_truncation_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("brokenlines: error: ")
+    if flag == "--out-dir":
+        # named as the misplaced option, not read as the subcommand
+        assert captured.err.splitlines()[-1] == (
+            "brokenlines: error: --out-dir goes after the subcommand"
+        )
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -780,6 +780,26 @@ def test_stalled_flow_is_truncated(torus):
     result = integrate_flow(torus, [0.3, 1.1], tol=Tolerances(step=5.0, max_halvings=0))
     assert result.truncated
     assert len(result.states) == 1
+
+
+# the tolerances that are the same for every run, at their values
+FIXED_TOLERANCES = {
+    "tol_crit": 1e-8, "tol_end": 1e-4, "tol_reparam": 1e-5, "tol_inv": 1e-4,
+    "tol_merge": 1e-5, "capture": 1e-4, "escape": 1e-3,
+}
+
+
+@pytest.mark.parametrize("name, value", FIXED_TOLERANCES.items(), ids=list(FIXED_TOLERANCES))
+def test_fixed_tolerances_are_class_constants(name, value):
+    with pytest.raises(TypeError):
+        Tolerances(**{name: value})
+    assert getattr(Tolerances, name) == value
+    assert getattr(Tolerances(step=1e-2, ring_seeds=8), name) == value
+
+
+def test_the_settable_tolerances_are_the_fields():
+    names = [field.name for field in fields(Tolerances)]
+    assert names == ["step", "horizon", "max_halvings", "ring_seeds", "grid_points"]
 
 
 # --------------------------------------------------------- critical points

@@ -506,7 +506,7 @@ def with_zero_action(functor, f):
     """An unchecked copy of functor that acts by zero on f."""
     action = dict(functor.action)
     action[f] = LinMap.zero(functor.value[f.source], functor.value[f.target])
-    return TwFunctor(functor.N, functor.value, action, functor.lax, check=False)
+    return TwFunctor._of(functor.N, functor.value, action, functor.lax)
 
 
 def test_roundtrip_names_a_non_natural_generator():
@@ -553,7 +553,7 @@ def test_validate_names_a_lax_fault_off_the_sharp_pairs():
     functor = algebra_to_functor(nilpotent_upper3(), 4)
     lax = dict(functor.lax)
     lax[pair] = add(lax[pair], lax[pair])
-    broken = TwFunctor(4, functor.value, functor.action, lax, check=False)
+    broken = TwFunctor._of(4, functor.value, functor.action, lax)
     objects, _ = tw_enumerate(4)
     naming = set()
     for g in tw_generators(4):
@@ -580,7 +580,7 @@ def test_roundtrip_names_a_lax_fault_at_a_sharp_pair():
     functor = algebra_to_functor(nilpotent_upper3(), 4)
     lax = dict(functor.lax)
     lax[pair] = add(lax[pair], lax[pair])
-    broken = TwFunctor(4, functor.value, functor.action, lax, check=False)
+    broken = TwFunctor._of(4, functor.value, functor.action, lax)
     msg = re.escape(f"monoidal compatibility fails at ({sharp(2)},{point()})")
     with pytest.raises(ValueError, match=msg):
         roundtrip_natural_iso(broken)
@@ -619,7 +619,7 @@ TRANSPORT_CASES = [
     "make", [c[1] for c in TRANSPORT_CASES], ids=[c[0] for c in TRANSPORT_CASES]
 )
 def test_roundtrip_of_a_transported_functor(make):
-    # TwFunctor's check=True is part of the test: the transport is a functor
+    # TwFunctor's own check is part of the test: the transport is a functor
     algebra = make()
     functor, eta = transported(algebra_to_functor(algebra, 4), seed=17)
     assert [x for x, m in eta.items() if m.is_identity()] == [point()]
@@ -643,7 +643,7 @@ def _unguarded_functor(algebra, N):
     products = algebra.fiber_products(shapes.values())
     action = {f: products[s] for f, s in shapes.items()}
     lax = {(x, y): LinMap.identity(value[tw_star(x, y)]) for x, y in twisted.tw_pairs(N)}
-    return TwFunctor(N, value, action, lax, check=False)
+    return TwFunctor._of(N, value, action, lax)
 
 
 def test_functor_to_algebra_rejects_non_associative_data():
@@ -657,7 +657,7 @@ def test_functor_to_algebra_rejects_non_associative_data():
     merge3 = TwMorphism(sharp(3), point(), [0, 0, 0])
     action = dict(functor.action)
     action[merge3] = add(action[merge3], action[merge3])
-    broken = TwFunctor(3, functor.value, action, functor.lax, check=False)
+    broken = TwFunctor._of(3, functor.value, action, functor.lax)
     with pytest.raises(ValueError, match="functor data is not associative"):
         functor_to_algebra(broken)
 
@@ -670,7 +670,7 @@ def test_functor_to_algebra_requires_invertible_comparison():
     action[bad] = LinMap.zero(base.value[sharp(2)], base.value[flat(2)])
     # fix functoriality by zeroing everything out of flat(2) too; simpler:
     # construct without checks and confirm the error path fires
-    broken = TwFunctor(3, base.value, action, base.lax, check=False)
+    broken = TwFunctor._of(3, base.value, action, base.lax)
     with pytest.raises(ValueError, match=re.escape(
         f"Fun_0 comparison map at {flat(2)} is not invertible"
     )):
@@ -683,7 +683,7 @@ def with_singular_comparison(functor, n):
     action[comparison_morphism(flat(n))] = LinMap.zero(
         functor.value[sharp(n)], functor.value[flat(n)]
     )
-    return TwFunctor(functor.N, functor.value, action, functor.lax, check=False)
+    return TwFunctor._of(functor.N, functor.value, action, functor.lax)
 
 
 def test_singular_comparison_is_named_by_its_object():
@@ -703,7 +703,7 @@ def test_validate_rejects_altered_composite_action():
     merge3 = TwMorphism(sharp(3), point(), [0, 0, 0])  # a composite of merges
     action = dict(functor.action)
     action[merge3] = add(action[merge3], action[merge3])
-    broken = TwFunctor(3, functor.value, action, functor.lax, check=False)
+    broken = TwFunctor._of(3, functor.value, action, functor.lax)
     assert broken.validate().startswith("functoriality fails")
     with pytest.raises(ValueError, match="functoriality fails"):
         TwFunctor(3, functor.value, action, functor.lax)
@@ -714,8 +714,15 @@ def test_validate_rejects_unnatural_lax_map():
     lax = dict(functor.lax)
     u = lax[(point(), point())]
     lax[(point(), point())] = add(u, u)  # right shape, not natural in the merges
-    broken = TwFunctor(3, functor.value, functor.action, lax, check=False)
+    broken = TwFunctor._of(3, functor.value, functor.action, lax)
     assert broken.validate().startswith("lax naturality fails")
+
+
+def test_the_constructor_takes_no_check_flag():
+    # the constructor always validates; TwFunctor._of is the unchecked path
+    functor = algebra_to_functor(rational_algebra(), 3)
+    with pytest.raises(TypeError):
+        TwFunctor(3, functor.value, functor.action, functor.lax, check=False)
 
 
 # --------------------------------------------------------- day convolution
@@ -820,7 +827,7 @@ def test_day_assoc_zero_factor(const_functor):
     zero_actions = {
         f: LinMap.zero(VectObject(0), VectObject(0)) for f in morphisms
     }
-    zero_f = TwFunctor(3, zero_values, zero_actions, check=False)
+    zero_f = TwFunctor._of(3, zero_values, zero_actions)
     lhs = day_convolution(day_convolution(zero_f, const_functor, 3), const_functor, 3)
     rhs = day_convolution(zero_f, day_convolution(const_functor, const_functor, 3), 3)
     for x in objects:
@@ -1030,8 +1037,8 @@ def test_lazy_day_actions_match_eager_oracle(names, N):
 
 def test_lazy_day_actions_of_a_lazy_factor_match_eager_oracle(nil_functor):
     inner = day_convolution(nil_functor, nil_functor, 4)
-    eager_inner = TwFunctor(
-        4, inner.value, eager_day_actions(nil_functor, nil_functor, 4), check=False
+    eager_inner = TwFunctor._of(
+        4, inner.value, eager_day_actions(nil_functor, nil_functor, 4)
     )
     outer = day_convolution(inner, nil_functor, 4)
     want = eager_day_actions(eager_inner, nil_functor, 4)
@@ -1065,12 +1072,12 @@ def test_day_actions_are_built_once_on_first_read(nil_functor, monkeypatch):
 def test_functor_keeps_lazy_actions_and_copies_others(nil_functor, monkeypatch):
     calls = spy_day_action(monkeypatch)
     conv = day_convolution(nil_functor, nil_functor, 3)
-    assert TwFunctor(3, conv.value, conv.action, check=False).action is conv.action
+    assert TwFunctor._of(3, conv.value, conv.action).action is conv.action
     square = day_square(nil_functor, 3)
     assert isinstance(square.action, twisted._Actions)
     assert calls == []  # the lax maps of day_square read no action
     plain = dict(nil_functor.action)
-    assert TwFunctor(4, nil_functor.value, plain, check=False).action is not plain
+    assert TwFunctor._of(4, nil_functor.value, plain).action is not plain
     assert square.validate() is None
 
 
@@ -1102,7 +1109,7 @@ def test_planted_counterexample_fails():
     lax[(point(), point())] = LinMap.zero(
         VectObject(1), base.value[flat(2)]
     )
-    planted = TwFunctor(3, base.value, base.action, lax, check=True)
+    planted = TwFunctor(3, base.value, base.action, lax)
     assert planted.validate() is None  # still a valid lax functor
     assert not factorizable_check(planted)
 
