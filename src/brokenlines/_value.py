@@ -8,8 +8,9 @@ equal, and hashes its key; `ExtReal` keeps its own rule, and the types
 that are only `Frozen` (`TwFunctor`, the sheaves, `ISectionData`,
 `HomSet`) keep identity equality.  Integer inputs go through
 `operator.index`, so a float or a str, which int() would truncate or
-parse, is rejected, never truncated; exact inputs go through `_rational`,
-which rejects a float or a bool too, never reading it as a fraction.
+parse, is rejected, never truncated, and so is a bool, which is no count
+or rank; exact inputs go through `_rational`, which rejects a float or a
+bool too, never reading it as a fraction, and names a zero denominator.
 """
 
 from __future__ import annotations
@@ -54,25 +55,29 @@ class Value(Frozen):
 
 
 def _integer(what, value):
-    """value as an int; a float or a str raises ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """value as an int; a float, a str or a bool raises ValueError naming it."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _integers(what, values):
-    """values as a tuple of ints; a float or a str raises ValueError naming it."""
+    """values as a tuple of ints; a float, a str or a bool raises
+    ValueError naming it."""
     values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for v in values:
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"{what} must be integers, got {v!r}") from None
-        raise
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    for v in values:
+        try:
+            _integer(what, v)
+        except ValueError:
+            raise ValueError(f"{what} must be integers, got {v!r}") from None
 
 
 def _exact(x):
@@ -81,11 +86,17 @@ def _exact(x):
 
 
 def _rational(what, value, *index):
-    """value as an int when integral, else as a Fraction; a float or a
-    bool raises ValueError naming the entry, what[index], and the value."""
+    """value as an int when integral, else as a Fraction; a float, a bool
+    or a zero denominator raises ValueError naming the entry, what[index],
+    and the value."""
     if type(value) is int:
         return value
     if isinstance(value, (float, bool)):
-        where = what + "".join(f"[{i}]" for i in index)
-        raise ValueError(f"{where} must be an int, a Fraction or a 'p/q' string, got {value!r}")
-    return _exact(Fraction(value))
+        problem = "must be an int, a Fraction or a 'p/q' string"
+    else:
+        try:
+            return _exact(Fraction(value))
+        except ZeroDivisionError:
+            problem = "has a zero denominator"
+    where = what + "".join(f"[{i}]" for i in index)
+    raise ValueError(f"{where} {problem}, got {value!r}")

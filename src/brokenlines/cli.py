@@ -6,18 +6,22 @@ byte `json.dumps(data, sort_keys=True, indent=2)`.  `_json_text` writes
 all but one of them: it writes all siblings at one indentation together,
 a block at a time, and rows of exact ints by one `%d` template
 (`_json_texts`).  The preorders report is text grown straight from the
-rank enumeration (`orders.grow_ranks`), one `%` row template per
-preorder and no tuple or preorder object built, and it is written one
-subtree of the enumeration at a time, so its memory stays bounded as n
-grows.  Each option is set by its flag alone.  An unknown builtin or a
-malformed `--algebra` or `--family` file ends the run with a one-line
-error that names it, and exit code 2.  `morse`, and with it numpy, is
-imported only by the command that runs it.
+rank enumeration (`orders.grow_ranks`), with no tuple or preorder object
+built: the texts completing a prefix by its last three labels are grown
+once per rank bitmask, and each prefix's rows are one `str.join` of
+them.  It is written one subtree of the enumeration at a time, so its
+memory stays bounded as n grows.  The parser is built once per process
+and parsing leaves it unchanged.  Each option is set by its flag alone,
+and `enumerate` rejects a flag that its kind does not read.  An unknown
+builtin or a malformed `--algebra` or `--family` file ends the run with
+a one-line error that names it, and exit code 2.  `morse`, and with it
+numpy, is imported only by the command that runs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -52,8 +56,10 @@ _SURFACES = ("sphere", "torus")
 _encode_str = json.encoder.encode_basestring_ascii
 
 # The preorders report is written one chunk per prefix of all but the
-# last this many labels: the rows of one subtree of the rank enumeration.
-_CHUNK_LABELS = 6
+# last _CHUNK_LABELS labels: the rows of one subtree of the rank
+# enumeration.  Each prefix of all but the last _JOIN_LABELS labels writes
+# its rows by one join over the completion texts of its rank bitmask.
+_CHUNK_LABELS, _JOIN_LABELS = 6, 3
 
 # Siblings are written at most this many at a time, so the texts of one
 # block's descendants are freed before the next block is written.
@@ -158,16 +164,22 @@ def _preorder_chunks(n, count):
     preorder_ranks(n)]}) + "\n" byte for byte, one subtree at a time: one
     chunk per prefix of the first n - _CHUNK_LABELS labels, in
     lexicographic order (one chunk for n <= _CHUNK_LABELS), then the
-    closing lines.  A word grows by the text of its rank lines, and each
-    row is one template around it."""
+    closing lines.  A word grows by the text of its rank lines.  The
+    completions of a prefix of all but the last _JOIN_LABELS labels
+    depend only on its rank bitmask, so their texts are grown once per
+    bitmask, and the prefix's rows are one join of them."""
     pieces = ["\n        %d".__mod__] + [",\n        %d".__mod__] * (n - 1)
-    row = '{\n      "n": %d,\n      "rank": [%%s\n      ]\n    }' % n
-    depth = max(n - _CHUNK_LABELS, 0)
+    head, tail = '{\n      "n": %d,\n      "rank": [' % n, "\n      ]\n    }"
+    depth, last = max(n - _CHUNK_LABELS, 0), max(n - _JOIN_LABELS, 0)
     lead = '{\n  "count": %d,\n  "n": %d,\n  "preorders": [\n    ' % (count, n)
     sep = ",\n    "
-    for prefix, used in zip(*grow_ranks([""], [0], pieces[:depth], n - depth)):
-        words = grow_ranks([prefix], [used], pieces[depth:])[0]
-        yield lead + sep.join(map(row.__mod__, words))
+    completions = functools.cache(lambda used: grow_ranks([""], [used], pieces[last:])[0])
+    for start, used in zip(*grow_ranks([""], [0], pieces[:depth], n - depth)):
+        prefixes = zip(*grow_ranks([start], [used], pieces[depth:last], n - last))
+        yield lead + sep.join(
+            head + prefix + (tail + sep + head + prefix).join(completions(used)) + tail
+            for prefix, used in prefixes
+        )
         lead = sep
     yield "\n  ]\n}\n"
 
@@ -207,17 +219,30 @@ def _read_json(path, build):
     with a one-line reason that names the file."""
     try:
         with open(path) as fh:
-            return build(json.load(fh))
+            data = json.load(fh)
+        if type(data) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return build(data)
     except OSError as exc:
         reason = exc.strerror
     except KeyError as exc:
         reason = f"missing key {exc}"
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         reason = str(exc)
     raise _InputError(f"{path}: {reason}")
 
 
+# The flags each kind of `enumerate` reads, with their defaults.
+_ENUMERATE_FLAGS = {
+    "preorders": {"n": 3},
+    "convex": {"n": 3},
+    "surjections": {"n": 3, "target": 2},
+    "amalgams": {"left": 2, "right": 2},
+}
+
+
 def cmd_enumerate(args):
+    args = argparse.Namespace(**{**_ENUMERATE_FLAGS[args.what], **vars(args)})
     if args.what == "preorders":
         # counted, and every final bitmask checked, before the first byte
         count = preorder_count(args.n)
@@ -376,7 +401,10 @@ class _Misplaced(argparse.Action):
         parser.error(f"{option_string} goes after the subcommand")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="brokenlines",
         description="Combinatorics of the moduli of broken lines, at desk scale.",
@@ -399,10 +427,15 @@ def build_parser():
     p_enum.add_argument(
         "what", choices=["preorders", "convex", "surjections", "amalgams"]
     )
-    p_enum.add_argument("--n", type=int, default=3)
-    p_enum.add_argument("--target", type=int, default=2)
-    p_enum.add_argument("--left", type=int, default=2)
-    p_enum.add_argument("--right", type=int, default=2)
+    # SUPPRESS keeps an absent flag out of the namespace, so a flag given to
+    # a kind that does not read it is seen (main) and rejected
+    for flag, help in (
+        ("--n", "preorders, convex, surjections: the number of labels (default 3)"),
+        ("--target", "surjections: the number of labels of the target (default 2)"),
+        ("--left", "amalgams: the number of labels of the left order (default 2)"),
+        ("--right", "amalgams: the number of labels of the right order (default 2)"),
+    ):
+        p_enum.add_argument(flag, type=int, metavar="N", default=argparse.SUPPRESS, help=help)
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_verify = add_parser("verify", help="verify covering/join identities")
@@ -444,6 +477,10 @@ def main(argv=None):
         vars(args).setdefault("truncation", 4)
     elif "truncation" in vars(args):
         parser.error(f"--truncation applies to roundtrip and daycon only, not {args.command}")
+    if args.command == "enumerate":
+        for name in ("n", "target", "left", "right"):
+            if name in vars(args) and name not in _ENUMERATE_FLAGS[args.what]:
+                parser.error(f"--{name} does not apply to enumerate {args.what}")
     for name in ("truncation", "left", "right", "n", "target"):
         value = getattr(args, name, 1)
         if value < 1:

@@ -7,8 +7,9 @@ Ranks and mapping entries must be integers: a float or a str is rejected,
 never truncated or parsed.  Enumerators build their objects directly:
 preorders as rank vectors grown in lexicographic order, each prefix with a
 bitmask of the ranks it uses (`grow_ranks` appends a piece per rank:
-`preorder_ranks` grows the bare tuples, the CLI the report's text, and
-`preorder_count` counts the words over the same steps), monotone
+`preorder_ranks` grows the bare tuples, the CLI the report's text, once
+per bitmask for a prefix's last labels, and `preorder_count` counts the
+words over the same steps), monotone
 surjections as cuts of the source order, amalgams as pairs of surjections
 onto a common [k].  Preorders and surjections are correct by
 construction, so their enumerators wrap them through the private `_of`
@@ -173,7 +174,10 @@ def grow_ranks(words, masks, pieces, rest=0):
     next label of a prefix takes, in increasing order, each rank v that
     `_next_ranks` allows, and the prefix grows by `piece(v)`: (v,) for
     `preorder_ranks`, the rank's line of the report text for the CLI.  The
-    steps, with their pieces, are made once per bitmask and label."""
+    steps, with their pieces, are made once per bitmask and label.  What
+    grows below a prefix depends only on its bitmask, so the CLI grows the
+    texts of the last labels once per bitmask, from [""], and joins them
+    behind each prefix that uses it."""
     left = len(pieces) + rest
     for piece in pieces:
         left -= 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -393,6 +394,79 @@ def test_nonpositive_bound_is_a_usage_error(capsys, argv, bound):
     )
 
 
+# the flags each kind of `enumerate` reads, with their defaults
+ENUMERATE_FLAGS = {
+    "preorders": {"n": 3},
+    "convex": {"n": 3},
+    "surjections": {"n": 3, "target": 2},
+    "amalgams": {"left": 2, "right": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "what, flag",
+    [(what, flag) for what, reads in ENUMERATE_FLAGS.items()
+     for flag in ("n", "target", "left", "right") if flag not in reads],
+)
+def test_enumerate_rejects_a_flag_its_kind_does_not_read(capsys, monkeypatch, tmp_path, what, flag):
+    # named as not applying, not as a nonpositive bound, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", what, f"--{flag}", "0", "--out-dir", "out"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"brokenlines: error: --{flag} does not apply to enumerate {what}"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("what", sorted(ENUMERATE_FLAGS))
+def test_enumerate_kinds_keep_their_defaults(capsys, what):
+    explicit = [f"--{flag}={value}" for flag, value in ENUMERATE_FLAGS[what].items()]
+    _, plain = run(capsys, "enumerate", what)
+    code, out = run(capsys, "enumerate", what, *explicit)
+    assert code == 0
+    assert out == plain
+
+
+def test_enumerate_flags_have_help_text(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--help"])
+    assert err.value.code == 0
+    flat = " ".join(capsys.readouterr().out.split())
+    for flag in ("n", "target", "left", "right"):
+        assert re.search(rf"--{flag} N [^()-]+ \(default \d\)", flat), flag
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_does(capsys, monkeypatch, tmp_path):
+    # after a usage error and after an --out-dir run, each command prints
+    # what it printed as the first call of the process
+    monkeypatch.chdir(tmp_path)
+    commands = [["enumerate", "preorders", "--n", "3"], ["enumerate", "amalgams"],
+                ["--truncation", "2", "roundtrip", "mainc"], ["daycon", "--truncation", "2"]]
+    cli.build_parser.cache_clear()
+    first = [run(capsys, *command) for command in commands]
+    parser = cli.build_parser()
+    for bad in (["--truncation", "3", "enumerate", "preorders"],
+                ["enumerate", "preorders", "--left", "3"],
+                ["--out-dir", "out", "enumerate", "amalgams"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+        assert [run(capsys, *command) for command in commands] == first
+    for i, command in enumerate(commands):
+        assert run(capsys, *command, "--out-dir", f"out{i}") == first[i]
+        assert [run(capsys, *command) for command in commands] == first
+    assert cli.build_parser() is parser
+    # each --out-dir run wrote its one report, and no later run wrote there
+    written = [[path.name for path in (tmp_path / f"out{i}").iterdir()] for i in range(4)]
+    assert written == [["preorders_3.json"], ["amalgams_2_2.json"],
+                       ["roundtrip_mainc.json"], ["daycon.json"]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out0", "out1", "out2", "out3"]
+
+
 def test_surface_choices_are_the_morse_surfaces():
     from brokenlines import morse
 
@@ -438,7 +512,15 @@ NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis tripl
         ("sheaf --family", '{"index": {"n": 2, "rank": [0, 0]}, "samples": []}',
          "family index [0, 0] is not a linear order"),
         ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),
-        ("sheaf --family", "[1]", "list indices must be integers or slices, not str"),
+        ("sheaf --family", "[1]", "expected a JSON object, got list"),
+        ("roundtrip mainc --algebra", "[1]", "expected a JSON object, got list"),
+        # operator.index reads true as 1, and the run would pass as dimension 1
+        ("roundtrip mainc --algebra", '{"dim": true, "c": [[[1]]]}',
+         "dimension must be an integer, got True"),
+        ("daycon --algebra", '{"dim": 1, "c": [[["1/0"]]]}',
+         "c[0][0][0] has a zero denominator, got '1/0'"),
+        ("sheaf --family", '{"index": {"n": 2, "rank": [true, false]}, "samples": []}',
+         "ranks must be integers, got True"),
         ("sheaf --family", None, "No such file or directory"),
     ],
 )

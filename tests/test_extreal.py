@@ -54,6 +54,11 @@ def test_json_rejects_a_float_or_bool_value(bad):
         ExtReal.from_json({"fin": bad})
 
 
+def test_json_names_a_zero_denominator():
+    with pytest.raises(ValueError, match="^" + re.escape("fin has a zero denominator, got '1/0'")):
+        ExtReal.from_json({"fin": "1/0"})
+
+
 def test_json_takes_ints_fractions_and_strings():
     for value, want in ((3, 3), ("1/2", Fraction(1, 2)), (Fraction(2, 4), Fraction(1, 2))):
         assert ExtReal.from_json({"fin": value}) == ExtReal(want)

@@ -323,7 +323,7 @@ def test_point_json_roundtrip():
     assert BrokenLine.from_json(line.to_json()) == line
 
 
-@pytest.mark.parametrize("m", [1.9, 2.0, "2", Fraction(2)])
+@pytest.mark.parametrize("m", [1.9, 2.0, "2", Fraction(2), True])
 def test_broken_line_rejects_a_component_count_that_is_not_an_integer(m):
     # int() would truncate 1.9 to one component and parse "2"
     message = re.escape(f"component count must be an integer, got {m!r}")
@@ -335,7 +335,7 @@ def test_broken_line_rejects_a_component_count_that_is_not_an_integer(m):
         BrokenLine(0)
 
 
-@pytest.mark.parametrize("component", [1.5, 2.0, "1", Fraction(1)])
+@pytest.mark.parametrize("component", [1.5, 2.0, "1", Fraction(1), True])
 def test_point_rejects_a_component_that_is_not_an_integer(component):
     # 1.5 would name a point between the two components
     line = BrokenLine(2)

@@ -304,11 +304,13 @@ def test_rank_image_must_be_initial_segment():
 
 @pytest.mark.parametrize(
     "ranks, bad",
-    [([0.9, 1.2], "0.9"), (["1", "0"], "'1'"), ([0, 1.0], "1.0"), ([0, 1.5], "1.5")],
+    [([0.9, 1.2], "0.9"), (["1", "0"], "'1'"), ([0, 1.0], "1.0"), ([0, 1.5], "1.5"),
+     ([True, False], "True"), ([0, False], "False")],
 )
 def test_non_integer_ranks_rejected(ranks, bad):
     # int() would truncate 0.9 and 1.2 to the linear order [0, 1] and parse
-    # "1"; a generator is read once, so it names the same entry as the list
+    # "1", and operator.index reads True as 1; a generator is read once, so
+    # it names the same entry as the list
     message = re.escape(f"ranks must be integers, got {bad}")
     for build in (LinPreorder, LinOrder):
         for given in (ranks, (r for r in ranks)):
@@ -320,9 +322,11 @@ def test_non_integer_ranks_rejected(ranks, bad):
 
 def test_non_integer_mapping_rejected():
     two, one = LinOrder.standard(2), LinOrder.standard(1)
-    for mapping in ([0, 0.0], (v for v in [0, 0.0])):
-        with pytest.raises(ValueError, match=re.escape("mapping entries must be integers, got 0.0")):
-            OrderMorphism(two, one, mapping)
+    for bad in (0.0, False):
+        message = re.escape(f"mapping entries must be integers, got {bad}")
+        for mapping in ([0, bad], (v for v in [0, bad])):
+            with pytest.raises(ValueError, match=message):
+                OrderMorphism(two, one, mapping)
 
 
 def test_ranks_and_mapping_from_a_generator_equal_the_list():

@@ -273,9 +273,9 @@ def test_algebra_json_roundtrip():
     assert NonunitalAlgebra.from_json(alg.to_json()) == alg
 
 
-@pytest.mark.parametrize("dim", [1.9, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("dim", [1.9, 1.0, "1", True], ids=repr)
 def test_dimension_must_be_an_integer(dim):
-    # int() would truncate 1.9 and parse "1"
+    # int() would truncate 1.9 and parse "1", and operator.index reads True as 1
     message = f"dimension must be an integer, got {dim!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         NonunitalAlgebra.from_json({"dim": dim, "c": [[["1"]]]})
@@ -301,6 +301,15 @@ def test_exact_entries_reject_floats_and_bools(bad):
         NonunitalAlgebra(2, c)
     with pytest.raises(ValueError, match=r"^c\[1\]\[1\]\[0\] " + inexact(bad)):
         NonunitalAlgebra.from_json({"dim": 2, "c": c})
+
+
+def test_a_zero_denominator_is_named_with_its_entry():
+    # Fraction("1/0") raises ZeroDivisionError: Fraction(1, 0), naming neither
+    message = re.escape("has a zero denominator, got '1/0'")
+    with pytest.raises(ValueError, match=r"^rows\[0\]\[1\] " + message):
+        LinMap(VectObject(2), VectObject(1), [[1, "1/0"]])
+    with pytest.raises(ValueError, match=r"^c\[0\]\[0\]\[0\] " + message):
+        NonunitalAlgebra.from_json({"dim": 1, "c": [[["1/0"]]]})
 
 
 def test_exact_entries_take_ints_fractions_and_strings():
