@@ -2,7 +2,11 @@
 
 A value is immutable once built: its constructor stores its slots with
 `object.__setattr__`, and afterwards setting or deleting any attribute
-raises AttributeError naming the instance's own class.  A `Value` equals
+raises AttributeError naming the instance's own class.  A public
+constructor validates its inputs; the one trusted path is the inherited
+`Frozen._of(*values)`, which checks nothing but the number of values and
+stores them in the class's slot order, for enumerators and operations
+whose results are correct by construction.  A `Value` equals
 an instance of the class that declared its key exactly when the keys are
 equal, and hashes its key; `ExtReal` keeps its own rule, and the types
 that are only `Frozen` (`TwFunctor`, the sheaves, `ISectionData`,
@@ -23,6 +27,23 @@ class Frozen:
     """Base of the immutable value types: no setattr, no delattr."""
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for k in reversed(cls.__mro__) for name in k.__dict__.get("__slots__", ())
+        )
+
+    @classmethod
+    def _of(cls, *values):
+        """The instance holding values, one per slot in `_fields` order,
+        unchecked: only for values already known to be valid.  A wrong
+        number of values raises ValueError."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -213,6 +213,11 @@ class _InputError(Exception):
     """An input named on the command line that does not give its object."""
 
 
+# The JSON name of each type `json.load` returns other than dict.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array"}
+
+
 def _read_json(path, build):
     """build(the JSON value in the file at path); a file that cannot be
     read, is not JSON or does not describe the object raises _InputError
@@ -221,7 +226,7 @@ def _read_json(path, build):
         with open(path) as fh:
             data = json.load(fh)
         if type(data) is not dict:
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            raise TypeError(f"expected a JSON object, got {_JSON_TYPES[type(data)]}")
         return build(data)
     except OSError as exc:
         reason = exc.strerror

@@ -3,8 +3,11 @@
 Finite values are rationals (``fractions.Fraction``), the infinities are
 real elements of the type rather than floats.  Addition follows
 t + inf = inf; the combination inf + (-inf) has no value and raises.
-A `Fraction` is stored as given and any other rational is converted;
-comparing or adding two ExtReals builds no Fraction but the sum.
+`ExtReal(x)` takes a finite rational: a `Fraction` is stored as given
+and any other rational is converted; the infinities are the constants
+`INF` and `NEG_INF`, and `as_ext` is the coercion that passes an ExtReal
+through.  Comparing or adding two ExtReals builds no Fraction but the
+sum.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ class ExtReal(Frozen):
     __slots__ = ("sign", "finite")
 
     def __init__(self, value=0):
-        if isinstance(value, ExtReal):
-            object.__setattr__(self, "sign", value.sign)
-            object.__setattr__(self, "finite", value.finite)
-            return
         object.__setattr__(self, "sign", 0)
         object.__setattr__(
             self, "finite", value if type(value) is Fraction else Fraction(value)
@@ -60,9 +59,6 @@ class ExtReal(Frozen):
 
     def __sub__(self, other):
         return self + (-as_ext(other))
-
-    def __rsub__(self, other):
-        return as_ext(other) + (-self)
 
     def _key(self):
         # -inf and +inf compare below/above every rational
@@ -128,15 +124,8 @@ _NEG_KEY = (-1, 0)
 _POS_KEY = (1, 0)
 
 
-def _make_infinite(sign):
-    obj = object.__new__(ExtReal)
-    object.__setattr__(obj, "sign", sign)
-    object.__setattr__(obj, "finite", None)
-    return obj
-
-
-INF = _make_infinite(1)
-NEG_INF = _make_infinite(-1)
+INF = ExtReal._of(1, None)
+NEG_INF = ExtReal._of(-1, None)
 ZERO = ExtReal(0)
 
 

@@ -37,15 +37,6 @@ class LinePoint:
     def key(self):
         return (self.component, self.coord)
 
-    def to_json(self):
-        if self.coord == INF:
-            t = "+inf"
-        elif self.coord == NEG_INF:
-            t = "-inf"
-        else:
-            t = str(self.coord.finite)
-        return {"a": self.component, "t": t}
-
 
 class BrokenLine(Value):
     """A concatenation of m copies of [-inf, inf]."""
@@ -78,13 +69,6 @@ class BrokenLine(Value):
 
     def __repr__(self):
         return f"BrokenLine(m={self.m})"
-
-    def to_json(self):
-        return {"m": self.m}
-
-    @staticmethod
-    def from_json(data):
-        return BrokenLine(data["m"])
 
 
 def compare(line: BrokenLine, x: LinePoint, y: LinePoint) -> int:

@@ -60,8 +60,9 @@ class Sphere:
         out[..., 2] += 1.0
         return out
 
-    def grad_norm(self, x):
-        return np.linalg.norm(self.field(x), axis=-1)
+    def grad_norm(self, x, f):
+        """|grad h| at x, given f = self.field(x)."""
+        return np.linalg.norm(f, axis=-1)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -137,12 +138,10 @@ class Torus:
         np.divide(sin[..., 1] * sin[..., 0], -self.r, out=out[..., 1])
         return out
 
-    def grad_norm(self, x):
-        x = np.asarray(x, dtype=float)
-        u, v = x[..., 0], x[..., 1]
-        ring = self.R + self.r * np.cos(v)
-        vec = self.field(x)
-        return np.sqrt((ring * vec[..., 0]) ** 2 + (self.r * vec[..., 1]) ** 2)
+    def grad_norm(self, x, f):
+        """|grad h| at x in the metric g, given f = self.field(x)."""
+        ring = self.R + self.r * np.cos(np.asarray(x, dtype=float)[..., 1])
+        return np.sqrt((ring * f[..., 0]) ** 2 + (self.r * f[..., 1]) ** 2)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -358,7 +357,7 @@ def find_critical_points(surface, tol=Tolerances()):
         CriticalPoint(
             state=c,
             h=float(surface.h(np.array(c))),
-            grad_norm=float(surface.grad_norm(np.array(c))),
+            grad_norm=float(surface.grad_norm(np.array(c), surface.field(np.array(c)))),
             index=_morse_index(surface, np.array(c)),
         )
         for c in found
@@ -386,7 +385,8 @@ def _newton_refine(surface, x, tol):
     before = start = np.full(x.shape, np.nan)
     for _ in range(_NEWTON_ROUNDS):
         before, start = start, x.copy()
-        norm = surface.grad_norm(x[live])
+        xl = x[live]
+        norm = surface.grad_norm(xl, surface.field(xl))
         better = norm < best_norm[live]
         best[live[better]] = surface.project(x[live[better]])
         best_norm[live[better]] = norm[better]
@@ -659,7 +659,7 @@ def _flow_to_height(surface, x, t_target, tol):
     for _ in range(_HEIGHT_ROUNDS):
         xl = x[live]
         err = t_target[live] - surface.h(xl)
-        speed = surface.grad_norm(xl) ** 2
+        speed = surface.grad_norm(xl, f[live]) ** 2
         moving = (np.abs(err) >= 1e-13) & (speed >= 1e-18)
         live = live[moving]
         if not live.size:

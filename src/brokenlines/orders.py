@@ -12,9 +12,10 @@ per bitmask for a prefix's last labels, and `preorder_count` counts the
 words over the same steps), monotone
 surjections as cuts of the source order, amalgams as pairs of surjections
 onto a common [k].  Preorders and surjections are correct by
-construction, so their enumerators wrap them through the private `_of`
-constructors, which check nothing; that the ranks of a preorder form an
-initial segment is still checked, on its bitmask.  The public
+construction, so their enumerators wrap them through the trusted
+`_of(ranks)` and `_of(source, target, mapping)` inherited from
+`_value.Frozen`, which check nothing; that the ranks of a preorder form
+an initial segment is still checked, on its bitmask.  The public
 constructors are the one validating path, and the tests rebuild every
 enumerated object through them as the oracle.  They check their
 invariants in time linear in the number of labels: monotonicity by
@@ -47,14 +48,6 @@ class LinPreorder(Value):
         if len(set(ranks)) != max(ranks) + 1:
             raise ValueError("rank image must be an initial segment 0..k-1")
         object.__setattr__(self, "ranks", ranks)
-
-    @classmethod
-    def _of(cls, ranks):
-        """Wrap a tuple of ints already known to be a valid rank vector
-        (one of a linear order, for LinOrder)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ranks", ranks)
-        return obj
 
     @property
     def n(self):
@@ -265,16 +258,6 @@ class OrderMorphism(Value):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mapping", mapping)
-
-    @staticmethod
-    def _of(source, target, mapping) -> "OrderMorphism":
-        """Wrap a tuple of ints already known to map source onto target
-        nondecreasingly and essentially surjectively."""
-        obj = object.__new__(OrderMorphism)
-        object.__setattr__(obj, "source", source)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "mapping", mapping)
-        return obj
 
     def __call__(self, i):
         return self.mapping[i]
@@ -527,13 +510,6 @@ class Amalgam(Value):
 
     def __repr__(self):
         return f"Amalgam({list(self.preorder.ranks)})"
-
-    def to_json(self):
-        return {
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "preorder": self.preorder.to_json(),
-        }
 
 
 def enumerate_amalgams(left: LinOrder, right: LinOrder) -> list:

@@ -81,10 +81,7 @@ class RepPoint(Value):
                     f"gap {m} = alpha({i},{j}) joins equivalent elements "
                     f"and must be finite"
                 )
-        point = object.__new__(cls)
-        object.__setattr__(point, "base", base)
-        object.__setattr__(point, "_gaps", gaps)
-        return point
+        return cls._of(base, gaps)
 
     def alpha(self, i, j) -> ExtReal:
         """The sum of the gaps from i to j, negated when j comes first in
@@ -109,12 +106,6 @@ class RepPoint(Value):
             "base": self.base.to_json(),
             "gaps": [g.to_json() for g in self.gaps()],
         }
-
-    @staticmethod
-    def from_json(data):
-        base = LinPreorder.from_json(data["base"])
-        gaps = [ExtReal.from_json(g) for g in data["gaps"]]
-        return RepPoint.from_gaps(base, gaps)
 
 
 def rep_from_gaps(gaps) -> RepPoint:

@@ -76,25 +76,6 @@ class GlobalSheaf(Frozen):
         gen = {g: products[s] for g, s in shape.items()}
         return GlobalSheaf(N, values, gen)
 
-    def to_json(self):
-        return {
-            "N": self.N,
-            "V": [v.dim for v in self.values],
-            "gen": {
-                f"{n},{k}": [[str(x) for x in row] for row in m.rows]
-                for (n, k), m in sorted(self.gen.items())
-            },
-        }
-
-    @staticmethod
-    def from_json(data):
-        values = [VectObject(d) for d in data["V"]]
-        gen = {}
-        for key, rows in data["gen"].items():
-            n, k = (int(v) for v in key.split(","))
-            gen[(n, k)] = LinMap(values[n], values[n - 1], rows)
-        return GlobalSheaf(data["N"], values, gen)
-
 
 def apply_surjection(sheaf: GlobalSheaf, f: OrderMorphism) -> LinMap:
     """The matrix of a monotone surjection, via its rightmost-first

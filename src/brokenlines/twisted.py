@@ -8,9 +8,9 @@ the target relation into the source relation.  Functors are truncated at
 a size N; truncation is exact degree by degree.
 
 `tw_enumerate` builds each morphism once, from its target, and wraps it
-unchecked (`TwMorphism.__init__` is the validating path and the tests'
-oracle); the functor axioms, naturality and intertwining are checked on
-grade-one generators.  An algebra's functor acts on f by a map that
+unchecked through the inherited `_of` (`TwMorphism.__init__` is the
+validating path and the tests' oracle); the functor axioms, naturality
+and intertwining are checked on grade-one generators.  An algebra's functor acts on f by a map that
 depends only on the fiber sizes of f: one `fiber_products` map per shape.
 `functor_to_algebra` checks size-3 data through the recovered algebra.
 A Day convolution builds each action on its first read, so `action` may
@@ -109,16 +109,6 @@ class TwMorphism(Value):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "f", f)
-
-    @staticmethod
-    def _of(source, target, f) -> "TwMorphism":
-        """Wrap an OrderMorphism f of the orders of source and target
-        already known to be surjective and to reflect target's relation."""
-        obj = object.__new__(TwMorphism)
-        object.__setattr__(obj, "source", source)
-        object.__setattr__(obj, "target", target)
-        object.__setattr__(obj, "f", f)
-        return obj
 
     @property
     def mapping(self):
@@ -235,7 +225,9 @@ def valid_cuts(x: TwObject):
 
 class TwFunctor(Frozen):
     """A truncated functor on the twisted arrow category, with optional
-    lax monoidal structure maps; the constructor checks the axioms.
+    lax monoidal structure maps; the constructor copies the dicts it is
+    given and checks the axioms, and the trusted `TwFunctor._of(N, value,
+    action, lax)` stores its data as given.
 
     value: TwObject -> VectObject for all objects of size <= N;
     action: TwMorphism -> LinMap for all enumerated morphisms, built on
@@ -247,22 +239,14 @@ class TwFunctor(Frozen):
     __slots__ = ("N", "value", "action", "lax")
 
     def __init__(self, N, value, action, lax=None):
-        problem = self._fill(N, value, action, lax).validate()
-        if problem is not None:
-            raise ValueError(problem)
-
-    def _fill(self, N, value, action, lax):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "value", dict(value))
         object.__setattr__(self, "action",
                            action if isinstance(action, _Actions) else dict(action))
         object.__setattr__(self, "lax", None if lax is None else dict(lax))
-        return self
-
-    @staticmethod
-    def _of(N, value, action, lax=None) -> "TwFunctor":
-        """Wrap functor data already known to satisfy the axioms."""
-        return object.__new__(TwFunctor)._fill(N, value, action, lax)
+        problem = self.validate()
+        if problem is not None:
+            raise ValueError(problem)
 
     def validate(self):
         """None, or a message naming the first failed functor axiom.
@@ -501,7 +485,7 @@ def _day_convolution(left, right, N):
     summands = {x: _summands(left, right, x) for x in objects}
     value = {x: direct_sum(parts.values()) for x, parts in summands.items()}
     action = _Actions(morphisms, lambda f: _day_action(left, right, f, summands))
-    return TwFunctor._of(N, value, action), summands
+    return TwFunctor._of(N, value, action, None), summands
 
 
 def _summands(left, right, x: TwObject) -> dict:

@@ -53,7 +53,8 @@ class VectObject(Value):
 class LinMap(Value):
     """An exact matrix source -> target (rows x cols = target.dim x
     source.dim), stored as one tuple of nonzero (col, value) pairs per
-    row, in increasing column order."""
+    row, in increasing column order.  `LinMap._of(source, target, sparse)`
+    wraps rows that are already sparse: sorted columns, no zeros."""
 
     __slots__ = ("source", "target", "sparse")
     _key = attrgetter("source.dim", "target.dim", "sparse")
@@ -63,20 +64,11 @@ class LinMap(Value):
                  for r, row in enumerate(rows)]
         if len(dense) != target.dim or any(len(r) != source.dim for r in dense):
             raise ValueError("matrix shape must be target.dim x source.dim")
-        self._fill(source, target, tuple(
-            tuple((c, x) for c, x in enumerate(row) if x) for row in dense
-        ))
-
-    def _fill(self, source, target, sparse):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sparse", sparse)
-        return self
-
-    @staticmethod
-    def _of(source, target, sparse) -> "LinMap":
-        """Wrap rows that are already sparse: sorted columns, no zeros."""
-        return object.__new__(LinMap)._fill(source, target, sparse)
+        object.__setattr__(self, "sparse", tuple(
+            tuple((c, x) for c, x in enumerate(row) if x) for row in dense
+        ))
 
     @property
     def rows(self):

@@ -512,8 +512,12 @@ NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis tripl
         ("sheaf --family", '{"index": {"n": 2, "rank": [0, 0]}, "samples": []}',
          "family index [0, 0] is not a linear order"),
         ("sheaf --family", "{oops", "Expecting property name enclosed in double quotes"),
-        ("sheaf --family", "[1]", "expected a JSON object, got list"),
-        ("roundtrip mainc --algebra", "[1]", "expected a JSON object, got list"),
+        ("sheaf --family", "[1]", "expected a JSON object, got array"),
+        ("roundtrip mainc --algebra", "[1]", "expected a JSON object, got array"),
+        ("daycon --algebra", "null", "expected a JSON object, got null"),
+        ("sheaf --family", "3", "expected a JSON object, got number"),
+        ("roundtrip mainc --algebra", '"x"', "expected a JSON object, got string"),
+        ("sheaf --family", "true", "expected a JSON object, got boolean"),
         # operator.index reads true as 1, and the run would pass as dimension 1
         ("roundtrip mainc --algebra", '{"dim": true, "c": [[[1]]]}',
          "dimension must be an integer, got True"),

@@ -179,7 +179,8 @@ def newton_refine_all_rounds(surface, x, tol, iters=120):
     best_norm = np.full(len(x), np.inf)
     live = np.arange(len(x))
     for _ in range(iters):
-        norm = surface.grad_norm(x[live])
+        xl = x[live]
+        norm = surface.grad_norm(xl, surface.field(xl))
         better = norm < best_norm[live]
         best[live[better]] = surface.project(x[live[better]])
         best_norm[live[better]] = norm[better]
@@ -211,7 +212,7 @@ def newton_refine_one_seed(surface, x, tol, iters=120):
     best_norm = float("inf")
     singular = False
     for rounds in range(1, iters + 1):
-        norm = float(surface.grad_norm(x))
+        norm = float(surface.grad_norm(x, surface.field(x)))
         if norm < best_norm:
             best, best_norm = surface.project(x), norm
         if norm < 1e-14:
@@ -263,7 +264,7 @@ def flow_to_height_all_rows(surface, x, t_target, tol):
     cap = 50 * tol.step
     for _ in range(morse._HEIGHT_ROUNDS):
         err = t_target - surface.h(x)
-        speed = surface.grad_norm(x) ** 2
+        speed = surface.grad_norm(x, surface.field(x)) ** 2
         live = (np.abs(err) >= 1e-13) & (speed >= 1e-18)
         if not live.any():
             break
@@ -507,7 +508,10 @@ def metric_gradient(surface, x, eps=1e-5):
 def test_surface_protocol(surface):
     rng = np.random.default_rng(7)
     x = surface.project(rng.uniform(-math.pi, math.pi, (9, surface.state_dim)))
-    for method in (surface.h, surface.field, surface.grad_norm, surface.frame):
+    def grad_norm(y):
+        return surface.grad_norm(y, surface.field(y))
+
+    for method in (surface.h, surface.field, grad_norm, surface.frame):
         batch = method(x)
         assert batch.shape[0] == len(x)
         assert np.array_equal(batch, np.array([method(row) for row in x]))
@@ -543,7 +547,7 @@ def integrate_flow(surface, x0, direction=1, horizon=10.0, tol=TOL):
     Returns every accepted state with its signed flow time; `truncated` is
     set when the step stalled before the horizon."""
     x = surface.project(np.asarray(x0, dtype=float))
-    if surface.grad_norm(x) < tol.tol_crit:
+    if surface.grad_norm(x, surface.field(x)) < tol.tol_crit:
         raise ValueError("flow must not start at a critical point")
     sign = 1.0 if direction >= 0 else -1.0
     (times,), (states,), (ended,) = _flow_rows(surface, x[None], sign, horizon, tol)
@@ -1045,6 +1049,28 @@ def test_flow_to_height_matches_the_all_rows_oracle(name):
     assert flowed.tobytes() == flow_to_height_all_rows(surface, x, t, TOL).tobytes()
     assert flowed[::3].tobytes() == x[::3].tobytes()
     assert not np.array_equal(flowed[1::3], x[1::3])
+
+
+def test_flow_to_height_reads_the_speed_off_the_carried_field(monkeypatch):
+    # one field call for the start and one per stage of each step; the
+    # speed of a round comes from the field its step carried over (first
+    # same as last), not from one more call per round
+    torus = CountingTorus()
+    x = torus.seeds()
+    t = torus.h(x) + np.random.default_rng(3).uniform(-0.2, 0.2, len(x))
+    dp_step = morse._dp_step
+    steps = []
+
+    def counted(surface, x, f, h):
+        steps.append(len(x))
+        return dp_step(surface, x, f, h)
+
+    monkeypatch.setattr(morse, "_dp_step", counted)
+    torus.calls.update(field=0, h=0)
+    _flow_to_height(torus, x, t, TOL)
+    rounds = torus.calls["h"]
+    assert rounds >= 2 and len(steps) >= rounds - 1
+    assert torus.calls["field"] == 1 + len(morse._DP_A) * len(steps)
 
 
 def test_rejects_equal_endpoints(torus, torus_criticals, torus_segments):

@@ -338,28 +338,6 @@ def test_constructible_composition_error_names_the_chain():
         ConstructibleSheaf(base, good.value, restriction)
 
 
-def test_json_shape(nil_sheaf):
-    data = nil_sheaf.to_json()
-    assert data["N"] == 3
-    assert data["V"] == [3, 9, 27, 81]
-    assert "1,0" in data["gen"]
-
-
-def test_json_roundtrip(nil_sheaf):
-    again = GlobalSheaf.from_json(nil_sheaf.to_json())
-    assert again.values == nil_sheaf.values
-    assert again.gen == nil_sheaf.gen
-
-
-@pytest.mark.parametrize("bad", [0.5, 1.0, True, False], ids=repr)
-def test_json_rejects_a_float_or_bool_entry(nil_sheaf, bad):
-    data = nil_sheaf.to_json()
-    data["gen"]["1,0"][2][4] = bad
-    message = f"rows[2][4] must be an int, a Fraction or a 'p/q' string, got {bad!r}"
-    with pytest.raises(ValueError, match="^" + re.escape(message)):
-        GlobalSheaf.from_json(data)
-
-
 def test_truncation_errors_name_the_size_and_n(nil_sheaf):
     with pytest.raises(ValueError, match=re.escape("size 5 outside 1..4 (truncation N=3)")):
         nil_sheaf.value_at_size(5)

@@ -827,7 +827,7 @@ def test_day_assoc_zero_factor(const_functor):
     zero_actions = {
         f: LinMap.zero(VectObject(0), VectObject(0)) for f in morphisms
     }
-    zero_f = TwFunctor._of(3, zero_values, zero_actions)
+    zero_f = TwFunctor._of(3, zero_values, zero_actions, None)
     lhs = day_convolution(day_convolution(zero_f, const_functor, 3), const_functor, 3)
     rhs = day_convolution(zero_f, day_convolution(const_functor, const_functor, 3), 3)
     for x in objects:
@@ -1038,7 +1038,7 @@ def test_lazy_day_actions_match_eager_oracle(names, N):
 def test_lazy_day_actions_of_a_lazy_factor_match_eager_oracle(nil_functor):
     inner = day_convolution(nil_functor, nil_functor, 4)
     eager_inner = TwFunctor._of(
-        4, inner.value, eager_day_actions(nil_functor, nil_functor, 4)
+        4, inner.value, eager_day_actions(nil_functor, nil_functor, 4), None
     )
     outer = day_convolution(inner, nil_functor, 4)
     want = eager_day_actions(eager_inner, nil_functor, 4)
@@ -1072,12 +1072,14 @@ def test_day_actions_are_built_once_on_first_read(nil_functor, monkeypatch):
 def test_functor_keeps_lazy_actions_and_copies_others(nil_functor, monkeypatch):
     calls = spy_day_action(monkeypatch)
     conv = day_convolution(nil_functor, nil_functor, 3)
-    assert TwFunctor._of(3, conv.value, conv.action).action is conv.action
+    assert TwFunctor._of(3, conv.value, conv.action, None).action is conv.action
     square = day_square(nil_functor, 3)
     assert isinstance(square.action, twisted._Actions)
     assert calls == []  # the lax maps of day_square read no action
+    assert TwFunctor(3, conv.value, conv.action).action is conv.action
     plain = dict(nil_functor.action)
-    assert TwFunctor._of(4, nil_functor.value, plain).action is not plain
+    copied = TwFunctor(4, nil_functor.value, plain)
+    assert copied.action is not plain and copied.action == plain
     assert square.validate() is None
 
 

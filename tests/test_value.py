@@ -284,3 +284,43 @@ def test_only_the_value_base_and_extreal_define_equality_or_hashing():
         if re.search(r"def (__eq__|__hash__)\b", path.read_text())
     }
     assert defining == {"_value.py", "extreal.py"}
+
+
+def test_only_the_value_base_builds_a_value_unchecked():
+    package = Path(brokenlines.__file__).parent
+    building = {
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"object\.__new__|def _of\b", path.read_text())
+    }
+    assert building == {"_value.py"}
+
+
+# the types the package builds through the trusted `Frozen._of`
+TRUSTED = [LinPreorder, LinOrder, OrderMorphism, RepPoint, ExtReal, LinMap, TwMorphism, TwFunctor]
+
+
+def _slots(value):
+    """The slot values of value, base classes' slots first."""
+    mro = reversed(type(value).__mro__)
+    return [getattr(value, name) for klass in mro for name in vars(klass).get("__slots__", ())]
+
+
+@pytest.mark.parametrize("cls", TRUSTED, ids=lambda cls: cls.__name__)
+def test_the_trusted_path_rebuilds_a_validated_value(cls):
+    value = VALUES[cls]()
+    again = cls._of(*_slots(value))
+    assert type(again) is cls
+    assert all(a is b for a, b in zip(_slots(again), _slots(value), strict=True))
+    if cls is TwFunctor:
+        assert again.validate() is None
+    else:
+        assert again == value and hash(again) == hash(value)
+
+
+@pytest.mark.parametrize("cls", TRUSTED, ids=lambda cls: cls.__name__)
+def test_the_trusted_path_rejects_a_wrong_number_of_values(cls):
+    values = _slots(VALUES[cls]())
+    for wrong in (values[:-1], values + [None]):
+        with pytest.raises(ValueError, match="^zip"):
+            cls._of(*wrong)
