@@ -13,8 +13,8 @@ that are only `Frozen` (`TwFunctor`, the sheaves, `ISectionData`,
 `HomSet`) keep identity equality.  Integer inputs go through
 `operator.index`, so a float or a str, which int() would truncate or
 parse, is rejected, never truncated, and so is a bool, which is no count
-or rank; exact inputs go through `_rational`, which rejects a float or a
-bool too, never reading it as a fraction, and names a zero denominator.
+or rank; exact inputs go through `_rational`, which rejects a float or a bool
+too, never reading it as a fraction, and names every entry it rejects.
 """
 
 from __future__ import annotations
@@ -107,17 +107,18 @@ def _exact(x):
 
 
 def _rational(what, value, *index):
-    """value as an int when integral, else as a Fraction; a float, a bool
-    or a zero denominator raises ValueError naming the entry, what[index],
-    and the value."""
+    """value as an int when integral, else as a Fraction; a float, a bool,
+    a zero denominator or any value Fraction cannot read raises ValueError
+    naming the entry, what[index], and the value."""
     if type(value) is int:
         return value
-    if isinstance(value, (float, bool)):
-        problem = "must be an int, a Fraction or a 'p/q' string"
-    else:
+    problem = "must be an int, a Fraction or a 'p/q' string"
+    if not isinstance(value, (float, bool)):
         try:
             return _exact(Fraction(value))
         except ZeroDivisionError:
             problem = "has a zero denominator"
+        except (TypeError, ValueError):
+            pass
     where = what + "".join(f"[{i}]" for i in index)
     raise ValueError(f"{where} {problem}, got {value!r}")

@@ -256,12 +256,12 @@ def cmd_enumerate(args):
         base = LinOrder.standard(args.n)
         rels = enumerate_convex_equivalences(base)
         # a refines b iff every cut of b, where a class starts, cuts a too
-        cuts = [frozenset(c[0] for c in r.classes[1:]) for r in rels]
+        cuts = [r.cuts for r in rels]
         edges = [
             [i, j]
             for i, a in enumerate(cuts)
             for j, b in enumerate(cuts)
-            if i != j and b <= a
+            if i != j and not b & ~a
         ]
         _dump(
             {

@@ -4,10 +4,10 @@ Finite values are rationals (``fractions.Fraction``), the infinities are
 real elements of the type rather than floats.  Addition follows
 t + inf = inf; the combination inf + (-inf) has no value and raises.
 `ExtReal(x)` takes a finite rational: a `Fraction` is stored as given
-and any other rational is converted; the infinities are the constants
-`INF` and `NEG_INF`, and `as_ext` is the coercion that passes an ExtReal
-through.  Comparing or adding two ExtReals builds no Fraction but the
-sum.
+and any other value is read by `_value._rational`, which rejects a float;
+the infinities are the constants `INF` and `NEG_INF`, and `as_ext` is the
+coercion that passes an ExtReal through.  Comparing or adding two
+ExtReals builds no Fraction but the sum.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ class ExtReal(Frozen):
     __slots__ = ("sign", "finite")
 
     def __init__(self, value=0):
+        if type(value) is not Fraction:
+            value = Fraction(_rational("ExtReal value", value))
         object.__setattr__(self, "sign", 0)
-        object.__setattr__(
-            self, "finite", value if type(value) is Fraction else Fraction(value)
-        )
+        object.__setattr__(self, "finite", value)
 
     @property
     def is_finite(self):

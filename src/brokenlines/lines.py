@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from ._value import Frozen, Value, _integer
+from ._value import Frozen, Value, _integer, _rational
 from .extreal import INF, NEG_INF, ZERO, ExtReal, as_ext
 from .rep import RepPoint
 
@@ -80,9 +80,10 @@ def compare(line: BrokenLine, x: LinePoint, y: LinePoint) -> int:
 
 def translate(line: BrokenLine, t, x: LinePoint) -> LinePoint:
     """The R-action: shift interior coordinates by t, fix the fixed locus."""
+    t = _rational("t", t)
     if x.is_fixed:
         return x
-    return line.point(x.component, x.coord + as_ext(Fraction(t)))
+    return line.point(x.component, x.coord + t)
 
 
 def translation_distance(line: BrokenLine, x: LinePoint, y: LinePoint) -> ExtReal:
@@ -132,7 +133,7 @@ class LineIso(Value):
     def __init__(self, source: BrokenLine, target: BrokenLine, shifts):
         if source.m != target.m:
             raise ValueError("isomorphic broken lines have equal m")
-        shifts = tuple(Fraction(s) for s in shifts)
+        shifts = tuple(Fraction(_rational("shifts", s, i)) for i, s in enumerate(shifts))
         if len(shifts) != source.m:
             raise ValueError("one shift per component")
         object.__setattr__(self, "source", source)

@@ -15,13 +15,14 @@ onto a common [k].  Preorders and surjections are correct by
 construction, so their enumerators wrap them through the trusted
 `_of(ranks)` and `_of(source, target, mapping)` inherited from
 `_value.Frozen`, which check nothing; that the ranks of a preorder form
-an initial segment is still checked, on its bitmask.  The public
-constructors are the one validating path, and the tests rebuild every
-enumerated object through them as the oracle.  They check their
-invariants in time linear in the number of labels: monotonicity by
-comparing labels of equal and of adjacent ranks (`_monotone`), convexity
-by counting the labels in each class's rank range, refinement and
-reflection through a label -> class position tuple.
+an initial segment is still checked, on its bitmask.  A convex relation
+is its cut mask, and every one the package builds comes from its cuts
+through `ConvexEquiv.from_cuts`.  The public constructors are the one
+validating path, and the tests rebuild every enumerated object through
+them as the oracle.  They check their invariants in time linear in the
+number of labels: monotonicity by comparing labels of equal and of
+adjacent ranks (`_monotone`), convexity by counting the labels in each
+class's rank range, reflection through a label -> class position tuple.
 """
 
 from __future__ import annotations
@@ -311,23 +312,24 @@ class ConvexEquiv(Value):
     """An equivalence relation on a preordered base whose classes are
     convex: i <= j <= k and i ~ k forces i ~ j ~ k.
 
-    `index[i]` is the position in `classes` of the class of label i.
+    Labels of equal rank are related (i <= j <= i), so a relation is its
+    cut mask: bit r-1 of `cuts` is set when rank r starts a class.  The
+    `classes`, in rank order and each by (rank, label), and `index[i]`,
+    the position of the class of label i, are computed from the cuts.
     """
 
-    __slots__ = ("base", "classes", "index")
-    _key = attrgetter("base.ranks", "classes")
+    __slots__ = ("base", "cuts", "classes", "index")
+    _key = attrgetter("base.ranks", "cuts")
 
     def __init__(self, base, classes):
-        classes = [tuple(c) for c in classes]
-        seen = []
-        for c in classes:
-            seen.extend(c)
-        if sorted(seen) != list(range(base.n)):
+        classes = [_integers("labels", c) for c in classes]
+        if not all(classes) or sorted(i for c in classes for i in c) != list(range(base.n)):
             raise ValueError("classes must partition the labels")
         # A class is convex iff it holds every label whose rank lies
         # between its lowest and highest rank: count those labels.
         ranks = base.ranks
         below = list(itertools.accumulate(map(len, base.classes()), initial=0))
+        cuts = 0
         for c in classes:
             c_ranks = [ranks[i] for i in c]
             lo, hi = min(c_ranks), max(c_ranks)
@@ -339,27 +341,22 @@ class ConvexEquiv(Value):
                     if lo <= ranks[j] <= hi and j not in c
                 )
                 raise ValueError(f"not convex at {i} <= {j} <= {k}")
-        enum = base.enumeration()
-        pos = {lab: p for p, lab in enumerate(enum)}
-        norm = tuple(
-            tuple(sorted(c, key=lambda i: pos[i]))
-            for c in sorted(classes, key=lambda c: min(pos[i] for i in c))
-        )
-        index = [0] * base.n
-        for a, c in enumerate(norm):
-            for i in c:
-                index[i] = a
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "classes", norm)
-        object.__setattr__(self, "index", tuple(index))
+            cuts |= 1 << lo >> 1  # bit lo-1: rank lo starts the class, unless lo is 0
+        for name, value in zip(self._fields, (base, cuts, *_classes(base, cuts))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_cuts(cls, base, cuts):
+        """The relation with these cuts, unchecked: every mask below 2**(k-1) is one."""
+        return cls._of(base, cuts, *_classes(base, cuts))
 
     @staticmethod
     def discrete(base):
-        return ConvexEquiv(base, [(i,) for i in range(base.n)])
+        return ConvexEquiv.from_cuts(base, (1 << base.num_classes - 1) - 1)
 
     @staticmethod
     def indiscrete(base):
-        return ConvexEquiv(base, [tuple(range(base.n))])
+        return ConvexEquiv.from_cuts(base, 0)
 
     def class_index(self, i):
         if not 0 <= i < len(self.index):
@@ -370,68 +367,58 @@ class ConvexEquiv(Value):
         return self.class_index(i) == self.class_index(j)
 
     def refines(self, other):
-        """self <= other in the refinement order: i ~self j => i ~other j."""
+        """self <= other in the refinement order: every cut of other cuts self."""
         if self.base != other.base:
             raise ValueError("refinement compares relations on one base")
-        return len(set(zip(self.index, other.index))) == len(self.classes)
+        return not other.cuts & ~self.cuts
 
     def covers(self):
-        """The covers of this relation under refinement: two adjacent classes merged."""
-        c = self.classes
-        merged = (c[:a] + (c[a] + c[a + 1],) + c[a + 2 :] for a in range(len(c) - 1))
-        return [ConvexEquiv(self.base, m) for m in merged]
-
-    def quotient(self):
-        """The linear order on classes and the projection morphism."""
-        q = LinOrder(range(len(self.classes)))
-        return q, OrderMorphism(self.base, q, self.index)
+        """The covers of this relation under refinement: one cut cleared each."""
+        bits = (1 << b for b in range(self.cuts.bit_length()) if self.cuts >> b & 1)
+        return [ConvexEquiv.from_cuts(self.base, self.cuts ^ bit) for bit in bits]
 
     def __repr__(self):
         return f"ConvexEquiv({[list(c) for c in self.classes]})"
 
 
+def _classes(base, cuts):
+    """The classes and the class index of the relation on base with these cuts."""
+    classes, position = [], []
+    for r, rank_class in enumerate(base.classes()):
+        if not r or cuts >> r - 1 & 1:
+            classes.append(())
+        classes[-1] += rank_class
+        position.append(len(classes) - 1)
+    return tuple(classes), tuple(map(position.__getitem__, base.ranks))
+
+
 def enumerate_convex_equivalences(base) -> list:
     """All convex equivalence relations on base, ordered from indiscrete
-    (one class) to discrete (all singletons) by cut pattern.
+    (one class) to discrete (all singletons) by cut mask, 0 to 2**(k-1)-1.
 
     The refinement order is `ConvexEquiv.refines`; the discrete relation is
     the bottom, the indiscrete relation the top.
     """
-    # Classes must be unions of =-classes cut along the quotient order, so
-    # enumerate cut patterns between consecutive quotient classes.
-    qclasses = base.classes()
-    q = len(qclasses)
-    out = []
-    for mask in range(2 ** (q - 1)):
-        blocks = []
-        current = list(qclasses[0])
-        for b in range(1, q):
-            if mask & (1 << (b - 1)):
-                blocks.append(tuple(current))
-                current = list(qclasses[b])
-            else:
-                current.extend(qclasses[b])
-        blocks.append(tuple(current))
-        out.append(ConvexEquiv(base, blocks))
-    return out
+    return [ConvexEquiv.from_cuts(base, c) for c in range(1 << base.num_classes - 1)]
 
 
 def preimage_equiv(f: OrderMorphism, rel: ConvexEquiv) -> ConvexEquiv:
-    """Pull a convex relation on the target back along f."""
+    """Pull a convex relation back along f: cut where the image class changes."""
     if rel.base != f.target:
         raise ValueError("relation must live on the target of f")
-    groups = {}
-    for i in range(f.source.n):
-        groups.setdefault(rel.class_index(f.mapping[i]), []).append(i)
-    return ConvexEquiv(f.source, list(groups.values()))
+    image = [0] * f.source.num_classes
+    for i, r in enumerate(f.source.ranks):
+        image[r] = rel.index[f.mapping[i]]
+    cuts = sum(1 << r - 1 for r in range(1, len(image)) if image[r] != image[r - 1])
+    return ConvexEquiv.from_cuts(f.source, cuts)
 
 
 def induced_quotient_map(fine: ConvexEquiv, coarse: ConvexEquiv) -> OrderMorphism:
     """For fine <= coarse, the surjection base/fine -> base/coarse."""
     if not fine.refines(coarse):
         raise ValueError("first relation must refine the second")
-    qf = fine.quotient()[0]
-    qc = coarse.quotient()[0]
+    qf = LinOrder.standard(len(fine.classes))
+    qc = LinOrder.standard(len(coarse.classes))
     mapping = [coarse.class_index(c[0]) for c in fine.classes]
     return OrderMorphism(qf, qc, mapping)
 

@@ -8,7 +8,7 @@ nondecreasing enumeration, so a point is stored as its base and the tuple
 of its gaps along `base.enumeration()`.  A gap vector with no -inf and
 finite gaps between equivalent elements is a valid point, and no other
 is ever stored, so nothing re-validates a point: `alpha` sums gaps, the
-stratum K_E is read off the infinite gaps, and U_E and Phi membership
+stratum K_E is cut at the infinite gaps, and U_E and Phi membership
 are refinement checks against it.  The `RepPoint` constructor is the one
 path that accepts a full value table; it reads the gaps off the adjacent
 pairs and checks every entry against the value they force.  Everything
@@ -124,15 +124,11 @@ def chart_coordinates(point: RepPoint):
 
 def stratum_of(point: RepPoint) -> ConvexEquiv:
     """The convex equivalence of finite-distance classes: i ~ j iff the
-    distance between them is finite.  point lies in K_E iff this returns E."""
-    enum = point.base.enumeration()
-    classes = [[enum[0]]]
-    for label, gap in zip(enum[1:], point._gaps):
-        if gap.is_finite:
-            classes[-1].append(label)
-        else:
-            classes.append([label])
-    return ConvexEquiv(point.base, classes)
+    distance between them is finite.  point lies in K_E iff this returns E.
+    An infinite gap entering label j cuts at bit rank(j) - 1."""
+    base = point.base
+    starts = (j for j, gap in zip(base.enumeration()[1:], point._gaps) if not gap.is_finite)
+    return ConvexEquiv.from_cuts(base, sum(1 << base.ranks[j] - 1 for j in starts))
 
 
 def in_stratum(point: RepPoint, rel: ConvexEquiv) -> bool:

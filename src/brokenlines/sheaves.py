@@ -172,25 +172,23 @@ class FamilyEvaluation:
 
 
 def evaluate_on_family(sheaf: GlobalSheaf, family: SampledFamily) -> FamilyEvaluation:
-    """Per-sample stalks of the restricted sheaf, with cospecialization
-    maps along edges whose strata compare."""
+    """Per-sample stalks F(I/E) of the restricted sheaf, with the induced
+    quotient maps along edges whose strata compare; no chart is built."""
     base = family.index
     if not isinstance(base, LinOrder):
         raise ValueError("family evaluation needs a linear-order index")
-    restricted = global_to_constructible(sheaf, base)
-    stalks = {}
-    strata = {}
-    for sid, point in family.samples:
-        strata[sid] = stratum_of(point)
-        stalks[sid] = restricted.value[strata[sid]]
+    if base.n > sheaf.N + 1:
+        raise ValueError(f"order of size {base.n} outside truncation N={sheaf.N}")
+    strata = {sid: stratum_of(point) for sid, point in family.samples}
+    stalks = {sid: sheaf.value_at_size(len(rel.classes)) for sid, rel in strata.items()}
     edge_maps = {}
     incomparable = []
     for a, b in family.edges:
         ea, eb = strata[a], strata[b]
         if ea.refines(eb):
-            edge_maps[(a, b)] = restricted.restriction[(ea, eb)]
+            edge_maps[(a, b)] = apply_surjection(sheaf, induced_quotient_map(ea, eb))
         elif eb.refines(ea):
-            edge_maps[(a, b)] = restricted.restriction[(eb, ea)]
+            edge_maps[(a, b)] = apply_surjection(sheaf, induced_quotient_map(eb, ea))
         else:
             incomparable.append((a, b))
     return FamilyEvaluation(stalks, edge_maps, tuple(incomparable))

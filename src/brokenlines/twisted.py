@@ -3,9 +3,9 @@ its concatenation product, truncated functors into exact vector spaces,
 Day convolution, and the factorizable-sheaf / nonunital-algebra roundtrip.
 
 Objects are pairs (I, ~) of a standard linear order with a convex
-equivalence relation; a morphism is a monotone surjection that reflects
-the target relation into the source relation.  Functors are truncated at
-a size N; truncation is exact degree by degree.
+equivalence relation, built from and keyed by its cut mask; a morphism is
+a monotone surjection that reflects the target relation into the source
+relation.  Functors are truncated at a size N, exactly degree by degree.
 
 `tw_enumerate` builds each morphism once, from its target, and wraps it
 unchecked through the inherited `_of` (`TwMorphism.__init__` is the
@@ -50,7 +50,7 @@ class TwObject(Value):
     """A pair (standard linear order, convex equivalence relation)."""
 
     __slots__ = ("order", "rel")
-    _key = attrgetter("order.ranks", "rel.classes")
+    _key = attrgetter("order.ranks", "rel.cuts")
 
     def __init__(self, order: LinOrder, rel: ConvexEquiv):
         if order.ranks != tuple(range(order.n)):
@@ -137,9 +137,8 @@ def tw_star(x: TwObject, y: TwObject) -> TwObject:
     """Concatenation: orders concatenate, relations union with no cross
     identifications."""
     order = LinOrder.standard(x.n + y.n)
-    classes = [tuple(c) for c in x.rel.classes]
-    classes += [tuple(i + x.n for i in c) for c in y.rel.classes]
-    return TwObject(order, ConvexEquiv(order, classes))
+    cuts = x.rel.cuts | 1 << x.n - 1 | y.rel.cuts << x.n
+    return TwObject(order, ConvexEquiv.from_cuts(order, cuts))
 
 
 def star_morphism(f: TwMorphism, g: TwMorphism) -> TwMorphism:
@@ -155,8 +154,9 @@ def tw_enumerate(N):
     Each morphism is built once, from its target y and surjection f: f
     reflects y's relation exactly when the source relation coarsens its
     pullback, cut where f(k-1) and f(k) lie in different classes of y.
-    So f has one source per subset of those cuts.  Every morphism is
-    correct by construction and wrapped through `TwMorphism._of`."""
+    So f has one source per subset of those cuts, the object of size n
+    with cuts c at index 2**(n-1) - 1 + c.  Every morphism is correct by
+    construction and wrapped through `TwMorphism._of`."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
     orders = [LinOrder.standard(n) for n in range(1, N + 1)]
@@ -165,17 +165,17 @@ def tw_enumerate(N):
         for order in orders
         for rel in enumerate_convex_equivalences(order)
     ]
-    by_cuts = {(x.n, tuple(valid_cuts(x))): i for i, x in enumerate(objects)}
     found = []
     for j, y in enumerate(objects):
         rel = y.rel.index
         for a in orders[y.n - 1 :]:
+            first = (1 << a.n - 1) - 1
             for f in enumerate_surjections(a, y.order):
                 m = f.mapping
-                cuts = [k for k in range(1, a.n) if rel[m[k - 1]] != rel[m[k]]]
-                for r in range(len(cuts) + 1):
-                    for starts in combinations(cuts, r):
-                        found.append((by_cuts[(a.n, starts)], j, m, f))
+                bits = [1 << k - 1 for k in range(1, a.n) if rel[m[k - 1]] != rel[m[k]]]
+                for r in range(len(bits) + 1):
+                    for cuts in combinations(bits, r):
+                        found.append((first + sum(cuts), j, m, f))
     found.sort(key=lambda entry: entry[:3])
     morphisms = (TwMorphism._of(objects[i], objects[j], f) for i, j, _, f in found)
     return tuple(objects), tuple(morphisms)
@@ -212,15 +212,15 @@ def comparison_morphism(x: TwObject) -> TwMorphism:
 def tw_restrict(x: TwObject, lo, hi):
     """The sub-object on positions lo..hi-1, relabeled to 0..hi-lo-1."""
     order = LinOrder.standard(hi - lo)
-    parts = (tuple(i - lo for i in c if lo <= i < hi) for c in x.rel.classes)
-    return TwObject(order, ConvexEquiv(order, [p for p in parts if p]))
+    cuts = x.rel.cuts >> lo & (1 << hi - lo - 1) - 1
+    return TwObject(order, ConvexEquiv.from_cuts(order, cuts))
 
 
 def valid_cuts(x: TwObject):
     """Positions k where I splits as (first k) ⊔ (rest) with both parts
-    nonempty and no relation class straddling the cut: the starts of the
-    classes after the first, as the classes are convex and in order."""
-    return [c[0] for c in x.rel.classes[1:]]
+    nonempty and no relation class straddling the cut: the set bits of
+    the relation's cuts, plus one, as ranks and labels agree."""
+    return [b + 1 for b in range(x.n - 1) if x.rel.cuts >> b & 1]
 
 
 class TwFunctor(Frozen):

@@ -27,7 +27,7 @@ from brokenlines.orders import (
 from brokenlines.rep import rep_from_gaps
 from brokenlines.vect import nilpotent_upper3, zero_algebra
 
-from test_orders import plant_gap
+from test_orders import pairs_related, plant_gap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,6 +137,15 @@ def test_convex_edges_match_all_pairs_refinement(capsys, n):
         for j, b in enumerate(rels)
         if i != j and a.refines(b)
     ]
+    if n <= 6:
+        # and the pairs related, written out, not read off the cuts
+        related = [pairs_related(r) for r in rels]
+        assert data["refinement_edges"] == [
+            [i, j]
+            for i, a in enumerate(related)
+            for j, b in enumerate(related)
+            if i != j and a <= b
+        ]
 
 
 def test_verify_amalgams(capsys):
@@ -492,7 +501,11 @@ NON_ASSOCIATIVE_REASON = "structure constants are not associative at basis tripl
     "command, text, reason",
     [
         ("roundtrip mainc --algebra", '{"dim": 1, "c": [[["x"]]]}',
-         "Invalid literal for Fraction: 'x'"),
+         "c[0][0][0] must be an int, a Fraction or a 'p/q' string, got 'x'"),
+        ("daycon --algebra", '{"dim": 1, "c": [[[null]]]}',
+         "c[0][0][0] must be an int, a Fraction or a 'p/q' string, got None"),
+        ("roundtrip mainc --algebra", '{"dim": 1, "c": [[[[1]]]]}',
+         "c[0][0][0] must be an int, a Fraction or a 'p/q' string, got [1]"),
         ("daycon --algebra", '{"c": [[[1]]]}', "missing key 'dim'"),
         # Fraction() would read 0.1 as 3602879701896397/36028797018963968
         # and true as 1, and both runs would pass

@@ -114,3 +114,21 @@ def test_comparisons_and_hash_match_key_oracle(a, b):
 def test_fraction_is_stored_as_given(a):
     assert ExtReal(a).finite is a
     assert type(ExtReal(1).finite) is Fraction
+
+
+# Fraction() would read 0.1 as 3602879701896397/36028797018963968 and True
+# as 1, and raise a TypeError that names nothing for an ExtReal
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, INF, NEG_INF, None, [1], "x"], ids=repr)
+def test_constructor_rejects_what_is_no_exact_rational(bad):
+    message = f"ExtReal value must be an int, a Fraction or a 'p/q' string, got {bad!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ExtReal(bad)
+    if not isinstance(bad, ExtReal):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            as_ext(bad)
+
+
+def test_constructor_names_a_zero_denominator():
+    message = "ExtReal value has a zero denominator, got '1/0'"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ExtReal("1/0")

@@ -153,6 +153,35 @@ def test_action_law():
         assert translate(line, s, translate(line, t, p)) == translate(line, s + t, p)
 
 
+def test_translate_shifts_by_exact_rationals():
+    line = BrokenLine(1)
+    p = line.point(1, 0)
+    assert translate(line, "1/3", p) == line.point(1, Fraction(1, 3))
+    assert translate(line, Fraction(-1, 2), p) == line.point(1, Fraction(-1, 2))
+
+
+# each would read 0.1 as a binary fraction, or True as 1, without a word
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BrokenLine(2).point(1, 0.1), "ExtReal value"),
+        (lambda: BrokenLine(2).point(1, True), "ExtReal value"),
+        (lambda: translate(BrokenLine(2), 0.1, BrokenLine(2).point(1, 0)), "t"),
+        (lambda: translate(BrokenLine(2), True, BrokenLine(2).point(1, 0)), "t"),
+        (lambda: translate(BrokenLine(2), INF, BrokenLine(2).point(1, 0)), "t"),
+        (lambda: translate(BrokenLine(2), 0.1, BrokenLine(2).point(2, NEG_INF)), "t"),
+        (lambda: LineIso(BrokenLine(2), BrokenLine(2), [0, 0.1]), "shifts[1]"),
+        (lambda: LineIso(BrokenLine(2), BrokenLine(2), [True, 0]), "shifts[0]"),
+        (lambda: LineIso(BrokenLine(1), BrokenLine(1), [None]), "shifts[0]"),
+    ],
+    ids=["point-float", "point-bool", "translate-float", "translate-bool",
+         "translate-inf", "translate-fixed-point", "iso-float", "iso-bool", "iso-none"],
+)
+def test_exact_inputs_reject_floats_bools_and_non_rationals(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + " must be an int"):
+        call()
+
+
 def test_translate_monotone_in_time():
     line = BrokenLine(2)
     p = line.point(1, 0)

@@ -477,6 +477,21 @@ def test_convexity_rejected():
         ConvexEquiv(base, [(0, 2), (1,)])
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([(0, 1), ()], "classes must partition the labels"),
+        ([(0,), (0, 1)], "classes must partition the labels"),
+        ([(0, 1.0)], "labels must be integers, got 1.0"),
+        ([(0,), (True,)], "labels must be integers, got True"),
+    ],
+    ids=["empty-class", "repeated-label", "float-label", "bool-label"],
+)
+def test_malformed_class_lists_are_rejected_by_name(classes, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ConvexEquiv(LinOrder.standard(2), classes)
+
+
 def test_conv_is_a_lattice_of_interval_partitions():
     base = LinOrder.standard(4)
     rels = enumerate_convex_equivalences(base)
@@ -776,3 +791,87 @@ def test_refinement_and_class_index_match_pairwise_oracle():
                     assert a.relates(i, j) == ((i, j) in related)
             for b in rels:
                 assert a.refines(b) == (related <= pairs_related(b)), (a, b)
+
+
+# ------------------------------------------- relations stored as their cuts
+#
+# A ConvexEquiv is its cut mask; the enumerator, `from_cuts` and every
+# operation build it from its cuts.  The class-list code below is how they
+# built it before, kept as the oracle.
+
+
+def cut_bases():
+    return (
+        preorders_up_to(4)
+        + [LinOrder.standard(n) for n in range(1, 8)]
+        + [LinPreorder([2, 0, 1, 0, 2, 1])]
+    )
+
+
+def rel_slots(rel):
+    return rel.base, rel.cuts, rel.classes, rel.index
+
+
+def normal_form_oracle(base, classes):
+    """The classes sorted by their first position in base.enumeration(),
+    each class by position: the normal form of the class-list constructor."""
+    pos = {label: p for p, label in enumerate(base.enumeration())}
+    return tuple(
+        tuple(sorted(c, key=pos.__getitem__))
+        for c in sorted(map(tuple, classes), key=lambda c: min(map(pos.__getitem__, c)))
+    )
+
+
+def test_from_cuts_equals_the_validated_relation_on_its_classes():
+    for base in cut_bases():
+        rels = enumerate_convex_equivalences(base)
+        assert len(rels) == 2 ** (base.num_classes - 1)
+        for cuts, rel in enumerate(rels):
+            built = ConvexEquiv.from_cuts(base, cuts)
+            assert rel_slots(built) == rel_slots(rel) and rel.cuts == cuts
+            assert rel.classes == normal_form_oracle(base, rel.classes)
+            assert rel.index == tuple(
+                next(a for a, c in enumerate(rel.classes) if i in c) for i in range(base.n)
+            )
+            # bit r-1 is set exactly when a class starts at rank r
+            assert cuts == sum(1 << base.ranks[c[0]] - 1 for c in rel.classes[1:])
+            shuffled = [c[::-1] for c in reversed(rel.classes)]
+            for classes in (rel.classes, shuffled):
+                assert rel_slots(ConvexEquiv(base, classes)) == rel_slots(rel)
+        assert rel_slots(ConvexEquiv.indiscrete(base)) == rel_slots(rels[0])
+        assert rel_slots(ConvexEquiv.discrete(base)) == rel_slots(rels[-1])
+
+
+def covers_oracle(rel):
+    """Two adjacent classes merged, for each pair in turn."""
+    c = rel.classes
+    merged = (c[:a] + (c[a] + c[a + 1],) + c[a + 2 :] for a in range(len(c) - 1))
+    return [ConvexEquiv(rel.base, m) for m in merged]
+
+
+def test_covers_match_the_class_list_oracle():
+    for base in cut_bases():
+        for rel in enumerate_convex_equivalences(base):
+            assert list(map(rel_slots, rel.covers())) == list(map(rel_slots, covers_oracle(rel)))
+
+
+def preimage_oracle(f, rel):
+    """The labels of the source grouped by the class of their image."""
+    groups = {}
+    for i in range(f.source.n):
+        groups.setdefault(rel.class_index(f.mapping[i]), []).append(i)
+    return ConvexEquiv(f.source, list(groups.values()))
+
+
+def test_preimage_matches_the_class_list_oracle():
+    for source in preorders_up_to(4):
+        for target in preorders_up_to(3):
+            for mapping in itertools.product(range(target.n), repeat=source.n):
+                try:
+                    f = OrderMorphism(source, target, mapping)
+                except ValueError:
+                    continue
+                for rel in enumerate_convex_equivalences(target):
+                    assert rel_slots(preimage_equiv(f, rel)) == rel_slots(
+                        preimage_oracle(f, rel)
+                    ), (f, rel)

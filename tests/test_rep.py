@@ -303,6 +303,38 @@ def test_each_point_in_exactly_one_stratum():
             assert hits == [rel]
 
 
+def stratum_oracle(point):
+    """The classes along the enumeration, a new one after each infinite gap."""
+    enum = point.base.enumeration()
+    classes = [[enum[0]]]
+    for label, gap in zip(enum[1:], point.gaps()):
+        if gap.is_finite:
+            classes[-1].append(label)
+        else:
+            classes.append([label])
+    return ConvexEquiv(point.base, classes)
+
+
+def rel_slots(rel):
+    return rel.base, rel.cuts, rel.classes, rel.index
+
+
+@given(valid_tables())
+def test_stratum_matches_the_class_list_oracle(drawn):
+    base, gaps, _ = drawn
+    point = RepPoint.from_gaps(base, gaps)
+    assert rel_slots(stratum_of(point)) == rel_slots(stratum_oracle(point))
+
+
+def test_stratum_of_each_sample_is_its_relation():
+    for n in range(1, 5):
+        for base in map(LinPreorder, preorder_ranks(n)):
+            for rel in enumerate_convex_equivalences(base):
+                for point in stratum_samples(base, rel, 2):
+                    assert rel_slots(stratum_of(point)) == rel_slots(rel)
+                    assert rel_slots(stratum_oracle(point)) == rel_slots(rel)
+
+
 def test_stratum_is_always_convex():
     base = LinOrder.standard(5)
     for rel in enumerate_convex_equivalences(base):

@@ -3,17 +3,19 @@ import re
 
 import pytest
 
+from brokenlines import sheaves
 from brokenlines.extreal import INF, ExtReal
 from brokenlines.families import build_family
 from brokenlines.orders import (
     ConvexEquiv,
     LinOrder,
+    LinPreorder,
     OrderMorphism,
     enumerate_convex_equivalences,
     enumerate_surjections,
     preimage_equiv,
 )
-from brokenlines.rep import rep_from_gaps, stratum_samples
+from brokenlines.rep import RepPoint, rep_from_gaps, stratum_of, stratum_samples
 from brokenlines.sheaves import (
     ConstructibleSheaf,
     GlobalSheaf,
@@ -350,3 +352,87 @@ def test_truncation_errors_name_the_size_and_n(nil_sheaf):
         apply_surjection(nil_sheaf, OrderMorphism(five, four, [0, 1, 2, 3, 3]))
     with pytest.raises(ValueError, match=re.escape("order of size 5 outside truncation N=3")):
         global_to_constructible(nil_sheaf, five)
+
+
+# ------------------------------------------------ evaluation on a family
+#
+# evaluate_on_family builds only the stalks and edge maps the family reads;
+# the whole chart of global_to_constructible is the oracle.
+
+
+def random_family(rng, base, samples, edges):
+    rels = enumerate_convex_equivalences(base)
+    points = [stratum_samples(base, rng.choice(rels), 3)[rng.randrange(3)]
+              for _ in range(samples)]
+    ids = [f"s{k}" for k in range(samples)]
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(edges)]
+    return build_family(base, points, ids=ids, edges=pairs)[0]
+
+
+def test_evaluation_matches_the_chart_without_building_it(nil_sheaf, monkeypatch):
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, nil_sheaf.N + 1)
+        base = LinOrder(rng.sample(range(n), n))
+        cases.append((global_to_constructible(nil_sheaf, base),
+                      random_family(rng, base, rng.randint(1, 5), rng.randint(0, 6))))
+
+    def refuse(*args):
+        raise AssertionError("the whole chart was built")
+
+    monkeypatch.setattr(sheaves, "global_to_constructible", refuse)
+    for chart, family in cases:
+        ev = evaluate_on_family(nil_sheaf, family)
+        strata = {sid: stratum_of(point) for sid, point in family.samples}
+        assert ev.stalks == {sid: chart.value[e] for sid, e in strata.items()}
+        expected, incomparable = {}, []
+        for a, b in family.edges:
+            ea, eb = strata[a], strata[b]
+            if ea.refines(eb):
+                expected[(a, b)] = chart.restriction[(ea, eb)]
+            elif eb.refines(ea):
+                expected[(a, b)] = chart.restriction[(eb, ea)]
+            else:
+                incomparable.append((a, b))
+        assert ev.edge_maps == expected
+        assert ev.incomparable == tuple(incomparable)
+
+
+def test_evaluation_applies_one_surjection_per_comparable_edge(monkeypatch):
+    base = LinOrder.standard(8)
+    sheaf = GlobalSheaf.from_algebra(rational_algebra(), 7)
+    rels = enumerate_convex_equivalences(base)
+    # discrete, a middle stratum and indiscrete: two comparable edges, and
+    # one edge within a stratum; the two cut masks 0b1010101 and 0b0101010
+    # do not compare
+    chosen = [rels[-1], rels[0b1010101], rels[0], rels[0b0101010]]
+    points = [stratum_samples(base, rel, 1)[0] for rel in chosen]
+    family = build_family(
+        base, points, ids=["a", "b", "c", "d"],
+        edges=[("a", "b"), ("b", "c"), ("c", "c"), ("b", "d")],
+    )[0]
+    calls = []
+
+    def counted(sheaf, f):
+        calls.append(f)
+        return apply_surjection(sheaf, f)
+
+    monkeypatch.setattr(sheaves, "apply_surjection", counted)
+    ev = evaluate_on_family(sheaf, family)
+    assert set(ev.edge_maps) == {("a", "b"), ("b", "c"), ("c", "c")}
+    assert ev.incomparable == (("b", "d"),)
+    assert len(calls) == 3
+    assert [ev.stalks[s].dim for s in "abcd"] == [1, 1, 1, 1]
+
+
+def test_evaluation_checks_the_index_and_the_truncation_first(nil_sheaf, monkeypatch):
+    five = LinOrder.standard(5)
+    family = build_family(five, [rep_from_gaps([1, INF, 2, INF])])[0]
+    monkeypatch.setattr(sheaves, "stratum_of", None)
+    with pytest.raises(ValueError, match=re.escape("order of size 5 outside truncation N=3")):
+        evaluate_on_family(nil_sheaf, family)
+    preorder = LinPreorder([0, 0, 1])
+    family = build_family(preorder, [RepPoint.from_gaps(preorder, [0, 1])])[0]
+    with pytest.raises(ValueError, match="family evaluation needs a linear-order index"):
+        evaluate_on_family(nil_sheaf, family)

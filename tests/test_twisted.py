@@ -260,8 +260,19 @@ def test_restriction_relabels():
     assert sub.rel.classes == ((0, 1),)
 
 
+def rel_slots(rel):
+    return rel.base, rel.cuts, rel.classes, rel.index
+
+
+def restrict_oracle(x, lo, hi):
+    """The classes of x cut to lo..hi-1 and relabeled, empty parts dropped."""
+    order = LinOrder.standard(hi - lo)
+    parts = (tuple(i - lo for i in c if lo <= i < hi) for c in x.rel.classes)
+    return TwObject(order, ConvexEquiv(order, [p for p in parts if p]))
+
+
 def test_restriction_cache_matches_uncached():
-    objects, _ = tw_enumerate(5)
+    objects, _ = tw_enumerate(6)
     for x in objects:
         for lo in range(x.n):
             with pytest.raises(ValueError):
@@ -270,14 +281,28 @@ def test_restriction_cache_matches_uncached():
                 sub = tw_restrict(x, lo, hi)
                 assert sub == tw_restrict.__wrapped__(x, lo, hi)
                 assert tw_restrict(x, lo, hi) is sub
+                assert rel_slots(sub.rel) == rel_slots(restrict_oracle(x, lo, hi).rel)
+
+
+def star_oracle(x, y):
+    """The classes of x, then those of y shifted past x."""
+    order = LinOrder.standard(x.n + y.n)
+    classes = list(x.rel.classes) + [tuple(i + x.n for i in c) for c in y.rel.classes]
+    return TwObject(order, ConvexEquiv(order, classes))
 
 
 def test_star_cache_matches_validated_constructors():
-    for x, y in twisted.tw_pairs(5):
-        order = LinOrder.standard(x.n + y.n)
-        classes = list(x.rel.classes) + [tuple(i + x.n for i in c) for c in y.rel.classes]
-        assert tw_star(x, y) == TwObject(order, ConvexEquiv(order, classes))
+    for x, y in twisted.tw_pairs(6):
+        assert tw_star(x, y) == star_oracle(x, y)
+        assert rel_slots(tw_star(x, y).rel) == rel_slots(star_oracle(x, y).rel)
         assert tw_star(x, y) is tw_star(x, y)
+
+
+def test_objects_sit_at_their_cut_index():
+    objects = tw_enumerate(6)[0]
+    assert [(x.n, x.rel.cuts) for x in objects] == [
+        (n, cuts) for n in range(1, 7) for cuts in range(1 << n - 1)
+    ]
 
 
 # ----------------------------------------------------- algebra functors

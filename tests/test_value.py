@@ -297,7 +297,10 @@ def test_only_the_value_base_builds_a_value_unchecked():
 
 
 # the types the package builds through the trusted `Frozen._of`
-TRUSTED = [LinPreorder, LinOrder, OrderMorphism, RepPoint, ExtReal, LinMap, TwMorphism, TwFunctor]
+TRUSTED = [
+    LinPreorder, LinOrder, OrderMorphism, ConvexEquiv, RepPoint, ExtReal, LinMap, TwMorphism,
+    TwFunctor,
+]
 
 
 def _slots(value):
